@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curation import IN_GALLERY, OUT_OF_GALLERY, RankSample
-from .search import GalleryIndex, SearchResult
-from .store import l2_normalize
+from .search import GalleryIndex, SearchResult, similarities
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def fused_scores(fused: FusedGallery, probe: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"probe has shape {p.shape}, fused dimension is {fused.matrix.shape[1]}"
         )
-    return fused.matrix @ p
+    return similarities(fused.matrix, p)
 
 
 def naive_fusion_classify(
@@ -197,8 +196,3 @@ def naive_fusion_classify(
     best = float(np.max(fused_scores(fused, probe)))
     return classify_score(threshold_model, best)
 
-
-def renormalized_mean(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Unit-norm mean of a set of vectors (the fusion primitive)."""
-    stacked = np.stack([np.asarray(v, dtype=np.float64) for v in vectors])
-    return l2_normalize(stacked.mean(axis=0))

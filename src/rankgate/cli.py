@@ -239,8 +239,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     payload = json.loads(Path(args.input).read_text())
+    rows = []
+    for i, row in enumerate(payload["rows"]):
+        try:
+            rows.append(experiment.CellResult(**row))
+        except TypeError as exc:
+            raise ValueError(f"report row {i}: {exc}") from None
     report = experiment.EvalReport(
-        rows=[experiment.CellResult(**row) for row in payload["rows"]],
+        rows=rows,
         metadata=payload["metadata"],
         failures=payload.get("failures", []),
     )

@@ -4,14 +4,16 @@ For every eligible identity (at least ``min_images_per_identity`` images in
 the requested group) the most recent image is the probe: highest
 ``capture_index``, ties broken by taking the highest ``image_id``. A fixed
 number of the identity's remaining images is enrolled in a gallery shared
-by all probes of the run. Each probe is then searched twice:
+by all probes of the run. Each probe is searched once, for two rankings:
 
 * in-gallery: against the shared gallery, which contains the probe
   identity's enrolled images. Label 1.
 * out-of-gallery: against the shared gallery with every image of the probe
-  identity removed. Label 0.
+  identity removed. Label 0. This is the in-gallery ranking with those
+  rows dropped, exactly: a row's score depends only on its own bits and
+  ties break on the global ``(identity_id, image_id)`` order.
 
-Both searches yield the rank vector of whatever identity came back at rank
+Both rankings yield the rank vector of whatever identity came back at rank
 one. If an out-of-gallery winner has fewer than ``d_in`` additional images
 the sample is skipped and counted; with the uniform enrollment produced
 here that cannot happen, the counter exists to keep the contract honest if
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -194,7 +196,7 @@ def curate_detailed(
     Emits, per identity in ascending order, the in-gallery sample followed
     by the out-of-gallery sample. The degrade hook, when given, perturbs the
     probe vector once (then re-normalized) and the same degraded probe is
-    used for both searches.
+    used for both rankings.
     """
     selected = select_probes(store, config)
     if len(selected) < 2:
@@ -231,12 +233,14 @@ def curate_detailed(
             )
         )
 
-        reduced = build_gallery(
-            [r for r in gallery.records if r.identity_id != identity_id]
+        keep = ~np.isin(result_in.positions, gallery.identity_map[identity_id])
+        result_out = replace(
+            result_in,
+            positions=result_in.positions[keep],
+            similarities=result_in.similarities[keep],
         )
-        result_out = search(reduced, vec)
         try:
-            rv_out = extract_rank_vector(result_out, reduced, config.d_in)
+            rv_out = extract_rank_vector(result_out, gallery, config.d_in)
         except ValueError:
             skipped += 1
             continue
@@ -247,7 +251,7 @@ def curate_detailed(
                 probe_identity=identity_id,
                 group=config.group or probe.group,
                 condition=config.condition,
-                gallery_size=reduced.size,
+                gallery_size=len(result_out),
                 rank_one_identity=rv_out.rank_one_identity,
                 top_similarity=float(result_out.similarities[0]),
             )

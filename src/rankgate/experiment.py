@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -34,6 +34,7 @@ from .baselines import (
     fused_scores,
 )
 from .curation import (
+    OUT_OF_GALLERY,
     CurationConfig,
     CurationResult,
     RankSample,
@@ -155,39 +156,40 @@ class _Calibration:
     fused_threshold: ThresholdModel
 
 
+def _best_fused_score(
+    fused: FusedGallery, index: dict[str, int], cur: CurationResult, s: RankSample
+) -> float:
+    """Best fused-centroid score the sample's search sees; an out-of-gallery
+    search does not see the probe identity's centroid."""
+    scores = fused_scores(fused, cur.probe_vectors[s.probe_identity])
+    if s.label == OUT_OF_GALLERY and s.probe_identity in index:
+        scores = np.delete(scores, index[s.probe_identity])
+    return float(np.max(scores))
+
+
 def _calibrate_thresholds(
     cur: CurationResult,
     train_samples: Sequence[RankSample],
     fused: FusedGallery,
+    fused_index: dict[str, int],
     target_fpir: float,
 ) -> _Calibration:
-    """Thresholds from the training split's probes.
+    """Thresholds from the training split's out-of-gallery samples.
 
-    Each training probe contributes one non-mated score: the maximum
-    similarity it reaches against the enrolled images (or fused
-    centroids) of the other identities.  Calibrating on per-search
-    maxima is what makes the decision-level false-positive rate of
-    ``classify_score`` match the configured target, since the decision
-    itself takes the maximum score of a search.
+    Each contributes the top score of its own search, the exact number
+    ``classify_score`` is later applied to, so the calibration set's
+    decision-level false-positive rate is within the target and no test
+    sample's score sets a threshold.
     """
-    probe_ids = sorted({s.probe_identity for s in train_samples})
-    image_maxima = np.empty(len(probe_ids))
-    fused_maxima = np.empty(len(probe_ids))
-    fused_index = {ident: i for i, ident in enumerate(fused.identity_ids)}
-    for row, ident in enumerate(probe_ids):
-        vec = cur.probe_vectors[ident]
-        sims = cur.gallery.matrix @ vec
-        own = np.zeros(cur.gallery.size, dtype=bool)
-        own[cur.gallery.identity_map[ident]] = True
-        image_maxima[row] = sims[~own].max()
-        fsims = fused_scores(fused, vec)
-        keep = np.ones(len(fused.identity_ids), dtype=bool)
-        if ident in fused_index:
-            keep[fused_index[ident]] = False
-        fused_maxima[row] = fsims[keep].max()
+    nonmated = [s for s in train_samples if s.label == OUT_OF_GALLERY]
     return _Calibration(
-        image_threshold=calibrate_threshold(image_maxima, target_fpir),
-        fused_threshold=calibrate_threshold(fused_maxima, target_fpir),
+        image_threshold=calibrate_threshold(
+            [s.top_similarity for s in nonmated], target_fpir
+        ),
+        fused_threshold=calibrate_threshold(
+            [_best_fused_score(fused, fused_index, cur, s) for s in nonmated],
+            target_fpir,
+        ),
     )
 
 
@@ -230,11 +232,13 @@ def run_cell(
 
     needs_scores = "threshold" in plan.methods or "fusion" in plan.methods
     fused = None
+    fused_index: dict[str, int] = {}
     if needs_scores:
         fused = fuse_gallery(cur.gallery)
+        fused_index = {ident: i for i, ident in enumerate(fused.identity_ids)}
         if calibration is None:
             calibration = _calibrate_thresholds(
-                cur, train_s, fused, plan.target_fpir
+                cur, train_s, fused, fused_index, plan.target_fpir
             )
 
     rows = []
@@ -259,14 +263,9 @@ def run_cell(
                 pairs.append((s.label, centroid_classify(centroids, s.ranks)))
         elif method == "fusion":
             assert calibration is not None and fused is not None
-            index = {ident: i for i, ident in enumerate(fused.identity_ids)}
             for s in test_s:
-                scores = fused_scores(fused, cur.probe_vectors[s.probe_identity])
-                if s.label == 0 and s.probe_identity in index:
-                    scores = np.delete(scores, index[s.probe_identity])
-                pred = classify_score(
-                    calibration.fused_threshold, float(np.max(scores))
-                )
+                score = _best_fused_score(fused, fused_index, cur, s)
+                pred = classify_score(calibration.fused_threshold, score)
                 pairs.append((s.label, pred))
         tp, tn, fp, fn = _confusion(pairs)
         rows.append(
@@ -443,35 +442,41 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 
 def plan_from_dict(payload: dict) -> ExperimentPlan:
+    """Plan from its JSON form; ValueError names a missing required field."""
     from .synth import config_from_dict
 
+    if not isinstance(payload, dict):
+        raise ValueError(f"plan must be a JSON object, got {type(payload).__name__}")
     synth = payload.get("synth")
-    return ExperimentPlan(
-        groups=tuple(payload["groups"]),
-        conditions=tuple(
-            ConditionSpec(c["tag"], float(c.get("probe_noise_sigma", 0.0)))
-            for c in payload["conditions"]
-        ),
-        seeds=tuple(payload.get("seeds", [0])),
-        methods=tuple(payload.get("methods", METHODS)),
-        d_in=int(payload.get("d_in", 3)),
-        store_path=payload.get("store_path"),
-        store_format=payload.get("store_format", "binary"),
-        synth=config_from_dict(synth) if synth else None,
-        augment_copies=int(payload.get("augment_copies", 1)),
-        test_fraction=float(payload.get("test_fraction", 0.2)),
-        target_fpir=float(payload.get("target_fpir", 1e-4)),
-        reuse_first_condition_threshold=bool(
-            payload.get("reuse_first_condition_threshold", False)
-        ),
-        mlp_hidden=tuple(payload.get("mlp_hidden", (16, 16))),
-        mlp_dropout=float(payload.get("mlp_dropout", 0.1)),
-        mlp_learning_rate=float(payload.get("mlp_learning_rate", 1e-3)),
-        mlp_batch_size=int(payload.get("mlp_batch_size", 32)),
-        mlp_epochs=int(payload.get("mlp_epochs", 20)),
-        mlp_folds=int(payload.get("mlp_folds", 10)),
-        input_scaling=payload.get("input_scaling", "divide_by_gallery_size"),
-    )
+    try:
+        return ExperimentPlan(
+            groups=tuple(payload["groups"]),
+            conditions=tuple(
+                ConditionSpec(c["tag"], float(c.get("probe_noise_sigma", 0.0)))
+                for c in payload["conditions"]
+            ),
+            seeds=tuple(payload.get("seeds", [0])),
+            methods=tuple(payload.get("methods", METHODS)),
+            d_in=int(payload.get("d_in", 3)),
+            store_path=payload.get("store_path"),
+            store_format=payload.get("store_format", "binary"),
+            synth=config_from_dict(synth) if synth else None,
+            augment_copies=int(payload.get("augment_copies", 1)),
+            test_fraction=float(payload.get("test_fraction", 0.2)),
+            target_fpir=float(payload.get("target_fpir", 1e-4)),
+            reuse_first_condition_threshold=bool(
+                payload.get("reuse_first_condition_threshold", False)
+            ),
+            mlp_hidden=tuple(payload.get("mlp_hidden", (16, 16))),
+            mlp_dropout=float(payload.get("mlp_dropout", 0.1)),
+            mlp_learning_rate=float(payload.get("mlp_learning_rate", 1e-3)),
+            mlp_batch_size=int(payload.get("mlp_batch_size", 32)),
+            mlp_epochs=int(payload.get("mlp_epochs", 20)),
+            mlp_folds=int(payload.get("mlp_folds", 10)),
+            input_scaling=payload.get("input_scaling", "divide_by_gallery_size"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"plan is missing required field {exc}") from None
 
 
 def plan_from_json(path) -> ExperimentPlan:
@@ -486,21 +491,7 @@ def plan_hash(plan: ExperimentPlan) -> str:
 def report_to_dict(report: EvalReport) -> dict:
     return {
         "metadata": report.metadata,
-        "rows": [
-            {
-                "group": r.group,
-                "condition": r.condition,
-                "method": r.method,
-                "seed": r.seed,
-                "accuracy": r.accuracy,
-                "n_test": r.n_test,
-                "tp": r.tp,
-                "tn": r.tn,
-                "fp": r.fp,
-                "fn": r.fn,
-            }
-            for r in report.rows
-        ],
+        "rows": [asdict(r) for r in report.rows],
         "failures": report.failures,
     }
 

@@ -10,7 +10,6 @@ order gallery records were supplied in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -122,11 +121,16 @@ class SearchResult:
             r = self.records[pos]
             yield (i + 1, r.identity_id, r.image_id, float(self.similarities[i]))
 
-    def write_csv(self, path) -> None:
-        with open(Path(path), "w") as fh:
-            fh.write("rank,identity_id,image_id,similarity\n")
-            for rank, identity_id, image_id, sim in self.entries():
-                fh.write(f"{rank},{identity_id},{image_id},{sim!r}\n")
+
+def similarities(matrix: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Dot product of every row of ``matrix`` with ``probe``.
+
+    Not ``matrix @ probe``: BLAS gemv rounds a row differently depending
+    on its position in the matrix, so bit-identical vectors could stop
+    being exact ties after a permutation. A per-row product-then-reduce
+    depends only on the row's own bits.
+    """
+    return np.sum(matrix * probe, axis=1)
 
 
 def search(gallery: GalleryIndex, probe: np.ndarray) -> SearchResult:
@@ -143,11 +147,7 @@ def search(gallery: GalleryIndex, probe: np.ndarray) -> SearchResult:
     norm_sq = float(np.dot(p, p))
     if abs(norm_sq - 1.0) > _PROBE_NORM_TOLERANCE:
         raise ValueError(f"probe must be unit norm, got squared norm {norm_sq!r}")
-    # Not gallery.matrix @ p: BLAS gemv rounds a row differently depending
-    # on its position in the matrix, so bit-identical vectors could stop
-    # being exact ties after a permutation. A per-row product-then-reduce
-    # depends only on the row's own bits.
-    sims = np.sum(gallery.matrix * p, axis=1)
+    sims = similarities(gallery.matrix, p)
     order = np.lexsort((gallery.tie_rank, -sims))
     return SearchResult(
         positions=order, similarities=sims[order], records=gallery.records
@@ -161,13 +161,15 @@ def extract_rank_vector(
 
     Takes the ``d_in`` smallest of them, ascending. Raises ValueError when
     the rank-one identity has fewer than ``d_in`` images beyond the winner.
+    ``result`` may rank any subset of ``gallery`` that holds every image of
+    the winner; the gallery size recorded is ``len(result)``.
     """
     if d_in < 1:
         raise ValueError(f"d_in must be >= 1, got {d_in}")
     top_identity = result.records[result.positions[0]].identity_id
     positions = gallery.identity_map[top_identity]
     rank_of = np.empty(gallery.size, dtype=np.int64)
-    rank_of[result.positions] = np.arange(1, gallery.size + 1)
+    rank_of[result.positions] = np.arange(1, len(result) + 1)
     ranks = sorted(int(rank_of[pos]) for pos in positions)
     assert ranks[0] == 1
     additional = ranks[1:]
@@ -176,4 +178,4 @@ def extract_rank_vector(
             f"rank-one identity {top_identity!r} has {len(additional)} "
             f"additional images, need {d_in}"
         )
-    return RankVector(tuple(additional[:d_in]), top_identity, gallery.size)
+    return RankVector(tuple(additional[:d_in]), top_identity, len(result))

@@ -1,4 +1,3 @@
-import math
 import struct
 
 import numpy as np
@@ -19,14 +18,13 @@ from rankgate.baselines import (
     fuse_gallery,
     fused_scores,
     naive_fusion_classify,
-    renormalized_mean,
     threshold_classify,
     threshold_from_json,
     threshold_to_json,
 )
 from rankgate.curation import RankSample
-from rankgate.search import build_gallery, search
-from rankgate.store import l2_normalize, unit_f32
+from rankgate.search import build_gallery, search, similarities
+from rankgate.store import unit_f32
 
 from conftest import make_record
 
@@ -310,6 +308,19 @@ class TestFusion:
         for ident, score in zip(fused.identity_ids, scores):
             assert abs(score - expected[ident]) < 1e-6
 
+    def test_scores_come_from_the_search_kernel(self):
+        rng = np.random.default_rng(8)
+        records = [
+            make_record(f"id{i:02d}", f"im{j}", dim=32, seed=int(rng.integers(1 << 30)))
+            for i in range(40)
+            for j in range(3)
+        ]
+        fused = fuse_gallery(build_gallery(records))
+        for _ in range(5):
+            probe = unit_f32(rng.standard_normal(32)).astype(np.float64)
+            got = fused_scores(fused, probe)
+            assert got.tobytes() == similarities(fused.matrix, probe).tobytes()
+
     def test_probe_shape_validated(self):
         records = [make_record("a", "i1", dim=8, seed=1), make_record("b", "i1", dim=8, seed=2)]
         fused = fuse_gallery(build_gallery(records))
@@ -329,11 +340,3 @@ class TestFusion:
         assert naive_fusion_classify(gallery, probe, reject, fused=fused) == 0
         # omitted fused argument recomputes the same answer
         assert naive_fusion_classify(gallery, probe, accept) == 1
-
-    def test_renormalized_mean_is_unit(self):
-        rng = np.random.default_rng(2)
-        vecs = [unit_f32(rng.standard_normal(12)) for _ in range(5)]
-        fusedvec = renormalized_mean(vecs)
-        assert abs(math.fsum(float(v) * float(v) for v in fusedvec) - 1.0) < 1e-12
-        mean64 = np.stack([v.astype(np.float64) for v in vecs]).mean(axis=0)
-        np.testing.assert_allclose(fusedvec, l2_normalize(mean64), atol=0)

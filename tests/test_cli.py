@@ -269,3 +269,23 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_plan_missing_field_or_not_object(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        for payload, field in (({"conditions": []}, "'groups'"), ([], "JSON object")):
+            bad.write_text(json.dumps(payload))
+            code = main(["eval", "--plan", str(bad), "--out-dir", str(tmp_path / "o")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and field in err
+
+    def test_report_row_with_unknown_or_missing_key(self, tmp_path, capsys):
+        row = dict(group="g", condition="c", method="mean", seed=0, accuracy=0.5,
+                   n_test=2, tp=1, tn=0, fp=1, fn=0)
+        bad_rows = ({**row, "extra": 1}, {k: v for k, v in row.items() if k != "fp"})
+        for bad_row in bad_rows:
+            report = tmp_path / "r.json"
+            report.write_text(json.dumps({"metadata": {}, "rows": [row, bad_row]}))
+            code = main(["report", "--input", str(report), "--out", str(tmp_path / "r.csv")])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: report row 1: ")

@@ -37,6 +37,20 @@ def sample(ranks, label, ident="p", gallery_size=100, group="g", condition="orig
     )
 
 
+def tie_heavy_store():
+    """9 identities x 5 images in 3 triples; the identities of a triple hold
+    bit-identical vectors and enroll the same image ids, so every search
+    meets exact three-way ties across identities."""
+    rng = np.random.default_rng(17)
+    bases = [rng.standard_normal((5, 16)) for _ in range(3)]
+    records = [
+        make_record(f"id{k}", f"im{j}", capture=j, vector=bases[k % 3][j])
+        for k in range(9)
+        for j in range(5)
+    ]
+    return EmbeddingStore(16, records)
+
+
 class TestCurationConfig:
     def test_defaults_follow_d_in(self):
         cfg = CurationConfig(d_in=3)
@@ -166,12 +180,13 @@ class TestCurate:
 
     def test_matches_protocol_oracle(self, small_store):
         cfg = CurationConfig(d_in=3, rng_seed=21, condition="orig")
-        result = curate_detailed(small_store, cfg)
-        expected, skipped = oracle_curate(
-            small_store, d_in=3, rng_seed=21, group="", condition="orig"
-        )
-        assert [sample_tuple(s) for s in result.samples] == expected
-        assert result.skipped_out_of_gallery == skipped
+        for store in (small_store, tie_heavy_store()):
+            result = curate_detailed(store, cfg)
+            expected, skipped = oracle_curate(
+                store, d_in=3, rng_seed=21, group="", condition="orig"
+            )
+            assert [sample_tuple(s) for s in result.samples] == expected
+            assert result.skipped_out_of_gallery == skipped
 
     def test_matches_protocol_oracle_with_degradation(self, small_store):
         sigma = 0.15

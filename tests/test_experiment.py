@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from rankgate.curation import CurationConfig, curate_detailed, stratified_split
 from rankgate.experiment import (
     CellResult,
     ConditionSpec,
@@ -144,6 +146,21 @@ class TestCalibrationReuse:
         rows, calibration = run_cell(sub, plan, "synth", plan.conditions[0], 0)
         assert calibration is not None
         assert calibration.image_threshold.n_nonmated > 0
+
+    def test_image_threshold_calibrated_on_training_out_of_gallery_scores(self):
+        plan = tiny_plan(target_fpir=0.1)
+        sub = load_plan_store(plan).filter_by_group("synth")
+        condition = plan.conditions[0]
+        _, calibration = run_cell(sub, plan, "synth", condition, 0)
+        cur = curate_detailed(
+            sub, CurationConfig(d_in=plan.d_in, rng_seed=0, group="synth",
+                                condition=condition.tag)
+        )
+        train = stratified_split(cur.samples, plan.test_fraction, 0).train
+        scores = np.array([s.top_similarity for s in train if s.label == 0])
+        model = calibration.image_threshold
+        assert model.n_nonmated == len(scores)
+        assert np.count_nonzero(scores >= model.threshold) / len(scores) <= plan.target_fpir
 
     def test_run_cell_carries_supplied_calibration(self):
         plan = tiny_plan()

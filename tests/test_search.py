@@ -186,16 +186,6 @@ class TestSearch:
         with pytest.raises(ValueError, match="unit norm"):
             search(gallery, np.ones(4))
 
-    def test_csv_export(self, tmp_path):
-        gallery = build_gallery([make_record("a", "i1", dim=4), make_record("b", "i1", dim=4)])
-        result = search(gallery, gallery.records[0].vector.astype(np.float64))
-        path = tmp_path / "ranking.csv"
-        result.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "rank,identity_id,image_id,similarity"
-        assert len(lines) == 3
-        assert lines[1].startswith("1,a,i1,")
-
 
 def controlled_gallery(identity_ranks, total, dim=None):
     """Gallery where the given identity lands exactly at the given ranks.
