@@ -6,7 +6,8 @@ dual-search protocol (:mod:`rankgate.curation`), train the classifier
 (:mod:`rankgate.mlp`), compare against score and centroid baselines
 (:mod:`rankgate.baselines`), and drive full evaluations
 (:mod:`rankgate.experiment`), optionally on synthetic stores
-(:mod:`rankgate.synth`).
+(:mod:`rankgate.synth`). The binary store and model formats and the
+plan and config JSON are read through :mod:`rankgate.codec`.
 """
 
 from .baselines import (
@@ -15,8 +16,6 @@ from .baselines import (
     calibrate_threshold,
     centroid_classify,
     fit_centroid,
-    naive_fusion_classify,
-    threshold_classify,
 )
 from .curation import (
     IN_GALLERY,
@@ -95,7 +94,6 @@ __all__ = [
     "ingest",
     "l2_normalize",
     "load_model",
-    "naive_fusion_classify",
     "permute_augment",
     "predict",
     "rank_distribution_report",
@@ -104,7 +102,6 @@ __all__ = [
     "search",
     "select_probes",
     "stratified_split",
-    "threshold_classify",
     "train",
     "write_store",
 ]

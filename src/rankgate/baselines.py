@@ -15,12 +15,12 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .curation import IN_GALLERY, OUT_OF_GALLERY, RankSample
-from .search import GalleryIndex, SearchResult, similarities
+from .search import GalleryIndex, similarities
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,6 @@ def calibrate_threshold(
 
 def classify_score(model: ThresholdModel, top_score: float) -> int:
     return IN_GALLERY if top_score >= model.threshold else OUT_OF_GALLERY
-
-
-def threshold_classify(model: ThresholdModel, result: SearchResult) -> int:
-    """Accept iff the rank-one similarity clears the threshold."""
-    return classify_score(model, float(result.similarities[0]))
 
 
 def threshold_to_json(model: ThresholdModel, path) -> None:
@@ -177,22 +172,3 @@ def fused_scores(fused: FusedGallery, probe: np.ndarray) -> np.ndarray:
             f"probe has shape {p.shape}, fused dimension is {fused.matrix.shape[1]}"
         )
     return similarities(fused.matrix, p)
-
-
-def naive_fusion_classify(
-    gallery: GalleryIndex,
-    probe: np.ndarray,
-    threshold_model: ThresholdModel,
-    fused: Optional[FusedGallery] = None,
-) -> int:
-    """Threshold the best fused-identity score for this probe.
-
-    Pass a precomputed ``fused`` when classifying many probes against the
-    same gallery; the threshold must come from a calibration over fused
-    non-mated scores, not per-image ones.
-    """
-    if fused is None:
-        fused = fuse_gallery(gallery)
-    best = float(np.max(fused_scores(fused, probe)))
-    return classify_score(threshold_model, best)
-

@@ -16,9 +16,8 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import baselines, curation, experiment, mlp, store, synth
+from .codec import from_dict
 
 OUT_DIR_ENV = "RANKGATE_OUT_DIR"
 
@@ -239,17 +238,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     payload = json.loads(Path(args.input).read_text())
-    rows = []
-    for i, row in enumerate(payload["rows"]):
-        try:
-            rows.append(experiment.CellResult(**row))
-        except TypeError as exc:
-            raise ValueError(f"report row {i}: {exc}") from None
-    report = experiment.EvalReport(
-        rows=rows,
-        metadata=payload["metadata"],
-        failures=payload.get("failures", []),
-    )
+    report = from_dict(experiment.EvalReport, payload, "report")
+    if not isinstance(report.rows, list):
+        raise ValueError("report: rows must be a JSON list")
+    report.rows = [
+        from_dict(experiment.CellResult, row, f"report row {i}")
+        for i, row in enumerate(report.rows)
+    ]
     experiment.emit_report(report, args.format, args.out)
     print(f"rendered {args.format} -> {args.out}")
     return 0

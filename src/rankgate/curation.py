@@ -27,12 +27,14 @@ generator. Enrollment uses a partial Fisher-Yates pass: for draw ``i``,
 swap index ``i`` with ``rng.integers(i, n)`` and keep the first
 ``enrolled_per_identity`` entries in draw order. Probe degradation draws
 from an analogous per-identity stream labeled ``"degrade"``.
+
+Rank samples have one file format, the CSV written by
+:func:`write_samples_csv` and read by :func:`load_samples_csv`.
 """
 
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -47,9 +49,6 @@ IN_GALLERY = 1
 OUT_OF_GALLERY = 0
 
 DegradeFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
-
-_SAMPLES_MAGIC = b"OGRS"
-_SAMPLES_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -435,55 +434,4 @@ def load_samples_csv(path) -> list[RankSample]:
                     gallery_size=int(row[4]),
                 )
             )
-    return samples
-
-
-def write_samples_binary(samples: Sequence[RankSample], path) -> None:
-    """Binary mirror of the CSV layout: magic ``OGRS``, u32 version, u32 d_in,
-    u64 count, then per record length-prefixed strings, u8 label, u32
-    gallery_size and d_in u32 ranks."""
-    d = d_in_of(samples)
-    with open(Path(path), "wb") as fh:
-        fh.write(_SAMPLES_MAGIC)
-        fh.write(struct.pack("<IIQ", _SAMPLES_VERSION, d, len(samples)))
-        for s in samples:
-            for text in (s.probe_identity, s.group, s.condition):
-                raw = text.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-            fh.write(struct.pack("<BI", s.label, s.gallery_size))
-            fh.write(struct.pack(f"<{d}I", *s.ranks))
-
-
-def load_samples_binary(path) -> list[RankSample]:
-    from .store import StoreFormatError, _Reader
-
-    reader = _Reader(Path(path).read_bytes())
-    if reader.take(4) != _SAMPLES_MAGIC:
-        raise StoreFormatError(f"{path} is not a rank sample file (bad magic)")
-    version = reader.u32()
-    if version != _SAMPLES_VERSION:
-        raise StoreFormatError(f"unsupported rank sample version {version}")
-    d = reader.u32()
-    count = reader.u64()
-    samples = []
-    for _ in range(count):
-        probe_identity = reader.string()
-        group = reader.string()
-        condition = reader.string()
-        label = reader.take(1)[0]
-        gallery_size = reader.u32()
-        ranks = struct.unpack(f"<{d}I", reader.take(4 * d))
-        samples.append(
-            RankSample(
-                ranks=tuple(int(r) for r in ranks),
-                label=int(label),
-                probe_identity=probe_identity,
-                group=group,
-                condition=condition,
-                gallery_size=gallery_size,
-            )
-        )
-    if reader.pos != len(reader.data):
-        raise StoreFormatError("trailing bytes after declared rank samples")
     return samples

@@ -33,6 +33,7 @@ from .baselines import (
     fuse_gallery,
     fused_scores,
 )
+from .codec import from_dict
 from .curation import (
     OUT_OF_GALLERY,
     CurationConfig,
@@ -44,7 +45,7 @@ from .curation import (
 )
 from .mlp import MlpConfig, predict, train
 from .store import EmbeddingStore, ingest
-from .synth import SynthConfig, degrade_probe, generate
+from .synth import SynthConfig, config_from_dict, degrade_probe, generate
 
 METHODS = ("mlp", "threshold", "mean", "median", "fusion")
 
@@ -99,6 +100,8 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one condition")
         if not self.seeds:
             raise ValueError("plan needs at least one seed")
+        if not all(isinstance(c, ConditionSpec) for c in self.conditions):
+            raise ValueError("every plan condition must be a ConditionSpec")
         tags = [c.tag for c in self.conditions]
         if len(set(tags)) != len(tags):
             raise ValueError(f"condition tags must be unique, got {tags}")
@@ -403,80 +406,25 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
 
 
 def plan_to_dict(plan: ExperimentPlan) -> dict:
-    out = {
-        "groups": list(plan.groups),
-        "conditions": [
-            {"tag": c.tag, "probe_noise_sigma": c.probe_noise_sigma}
-            for c in plan.conditions
-        ],
-        "seeds": list(plan.seeds),
-        "methods": list(plan.methods),
-        "d_in": plan.d_in,
-        "store_path": plan.store_path,
-        "store_format": plan.store_format,
-        "synth": None,
-        "augment_copies": plan.augment_copies,
-        "test_fraction": plan.test_fraction,
-        "target_fpir": plan.target_fpir,
-        "reuse_first_condition_threshold": plan.reuse_first_condition_threshold,
-        "mlp_hidden": list(plan.mlp_hidden),
-        "mlp_dropout": plan.mlp_dropout,
-        "mlp_learning_rate": plan.mlp_learning_rate,
-        "mlp_batch_size": plan.mlp_batch_size,
-        "mlp_epochs": plan.mlp_epochs,
-        "mlp_folds": plan.mlp_folds,
-        "input_scaling": plan.input_scaling,
-    }
-    if plan.synth is not None:
-        s = plan.synth
-        out["synth"] = {
-            "n_identities": s.n_identities,
-            "images_per_identity": s.images_per_identity,
-            "dimension": s.dimension,
-            "within_noise_sigma": s.within_noise_sigma,
-            "groups": [[g, c] for g, c in s.groups],
-            "degradation_levels": [[t, v] for t, v in s.degradation_levels],
-            "rng_seed": s.rng_seed,
-        }
-    return out
+    return asdict(plan)
 
 
 def plan_from_dict(payload: dict) -> ExperimentPlan:
-    """Plan from its JSON form; ValueError names a missing required field."""
-    from .synth import config_from_dict
+    """Plan from its JSON form; ValueError names a missing or unknown field.
 
-    if not isinstance(payload, dict):
-        raise ValueError(f"plan must be a JSON object, got {type(payload).__name__}")
-    synth = payload.get("synth")
-    try:
-        return ExperimentPlan(
-            groups=tuple(payload["groups"]),
-            conditions=tuple(
-                ConditionSpec(c["tag"], float(c.get("probe_noise_sigma", 0.0)))
-                for c in payload["conditions"]
-            ),
-            seeds=tuple(payload.get("seeds", [0])),
-            methods=tuple(payload.get("methods", METHODS)),
-            d_in=int(payload.get("d_in", 3)),
-            store_path=payload.get("store_path"),
-            store_format=payload.get("store_format", "binary"),
-            synth=config_from_dict(synth) if synth else None,
-            augment_copies=int(payload.get("augment_copies", 1)),
-            test_fraction=float(payload.get("test_fraction", 0.2)),
-            target_fpir=float(payload.get("target_fpir", 1e-4)),
-            reuse_first_condition_threshold=bool(
-                payload.get("reuse_first_condition_threshold", False)
-            ),
-            mlp_hidden=tuple(payload.get("mlp_hidden", (16, 16))),
-            mlp_dropout=float(payload.get("mlp_dropout", 0.1)),
-            mlp_learning_rate=float(payload.get("mlp_learning_rate", 1e-3)),
-            mlp_batch_size=int(payload.get("mlp_batch_size", 32)),
-            mlp_epochs=int(payload.get("mlp_epochs", 20)),
-            mlp_folds=int(payload.get("mlp_folds", 10)),
-            input_scaling=payload.get("input_scaling", "divide_by_gallery_size"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"plan is missing required field {exc}") from None
+    ``plan_hash``, which ``eval`` writes into ``resolved_plan.json``, is
+    accepted and ignored, so a resolved plan can be run again as it is.
+    """
+    if isinstance(payload, dict):
+        payload = {k: v for k, v in payload.items() if k != "plan_hash"}
+        if isinstance(payload.get("conditions"), (list, tuple)):
+            payload["conditions"] = [
+                from_dict(ConditionSpec, c, f"plan condition {i}")
+                for i, c in enumerate(payload["conditions"])
+            ]
+        if payload.get("synth") is not None:
+            payload["synth"] = config_from_dict(payload["synth"])
+    return from_dict(ExperimentPlan, payload, "plan")
 
 
 def plan_from_json(path) -> ExperimentPlan:

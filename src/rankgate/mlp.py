@@ -13,20 +13,23 @@ stratified k-fold cross validation, snapshots each fold's parameters at its
 best validation epoch, and returns the best fold's snapshot.
 
 Model file format: magic ``OGMLP``, u32 version (1), u32 length-prefixed
-JSON config block, u32 array count, then per parameter array a u16
+JSON config block (the :class:`MlpConfig` fields, every one required and
+no other key accepted), u32 array count, then per parameter array a u16
 length-prefixed name, u8 ndim, u32 dims, and little-endian f32 data.
+Read and written with :mod:`rankgate.codec`.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .codec import Reader, StoreFormatError, encode_str, from_dict
 from .curation import RankSample
 from .seeds import derive_seed
 
@@ -102,18 +105,8 @@ class TrainReport:
     selected_fold: int
     final_test_accuracy: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "fold_accuracies": self.fold_accuracies,
-            "best_epochs": self.best_epochs,
-            "selected_fold": self.selected_fold,
-            "final_test_accuracy": self.final_test_accuracy,
-        }
-
     def write_json(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def _round_f32(model: MlpModel) -> MlpModel:
@@ -431,28 +424,8 @@ def train(
     return final, report
 
 
-def evaluate(model: MlpModel, samples: Sequence[RankSample]) -> float:
-    """Fraction of samples predicted correctly."""
-    x, y = samples_to_arrays(samples, model.config)
-    return _accuracy(model, x, y)
-
-
 def save_model(model: MlpModel, path) -> None:
-    cfg = model.config
-    config_json = json.dumps(
-        {
-            "d_in": cfg.d_in,
-            "hidden_sizes": list(cfg.hidden_sizes),
-            "dropout_p": cfg.dropout_p,
-            "learning_rate": cfg.learning_rate,
-            "batch_size": cfg.batch_size,
-            "epochs": cfg.epochs,
-            "folds": cfg.folds,
-            "rng_seed": cfg.rng_seed,
-            "input_scaling": cfg.input_scaling,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    config_json = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
     arrays = list(model.parameters())
     with open(Path(path), "wb") as fh:
         fh.write(_MAGIC)
@@ -461,38 +434,24 @@ def save_model(model: MlpModel, path) -> None:
         fh.write(config_json)
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
+            fh.write(encode_str(name))
             fh.write(struct.pack("<B", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.astype("<f4").tobytes())
 
 
 def load_model(path) -> MlpModel:
-    from .store import StoreFormatError, _Reader
-
-    reader = _Reader(Path(path).read_bytes())
-    if reader.take(5) != _MAGIC:
-        raise StoreFormatError(f"{path} is not a model file (bad magic)")
-    version = reader.u32()
-    if version != _VERSION:
-        raise StoreFormatError(f"unsupported model version {version}")
+    reader = Reader(Path(path).read_bytes())
+    reader.header(_MAGIC, _VERSION, f"model file {path}")
     cfg_len = reader.u32()
     try:
-        payload = json.loads(reader.take(cfg_len).decode("utf-8"))
-        config = MlpConfig(
-            d_in=int(payload["d_in"]),
-            hidden_sizes=tuple(payload["hidden_sizes"]),
-            dropout_p=float(payload["dropout_p"]),
-            learning_rate=float(payload["learning_rate"]),
-            batch_size=int(payload["batch_size"]),
-            epochs=int(payload["epochs"]),
-            folds=int(payload["folds"]),
-            rng_seed=int(payload["rng_seed"]),
-            input_scaling=str(payload["input_scaling"]),
+        config = from_dict(
+            MlpConfig,
+            json.loads(reader.take(cfg_len).decode("utf-8")),
+            "MlpConfig",
+            required=[f.name for f in fields(MlpConfig)],
         )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise StoreFormatError(f"bad model config block: {exc}") from exc
     n_arrays = reader.u32()
     arrays: dict[str, np.ndarray] = {}
@@ -503,8 +462,7 @@ def load_model(path) -> MlpModel:
         size = int(np.prod(shape)) if shape else 1
         data = np.frombuffer(reader.take(4 * size), dtype="<f4")
         arrays[name] = data.reshape(shape).astype(np.float64)
-    if reader.pos != len(reader.data):
-        raise StoreFormatError("trailing bytes after model arrays")
+    reader.end("model arrays")
 
     sizes = (config.d_in,) + config.hidden_sizes
     hidden = []
@@ -528,8 +486,6 @@ def load_model(path) -> MlpModel:
 
 
 def _expect(arrays: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
-    from .store import StoreFormatError
-
     if name not in arrays:
         raise StoreFormatError(f"model file is missing array {name!r}")
     arr = arrays[name]

@@ -10,7 +10,9 @@ Two interchangeable on-disk formats:
 * Binary: magic ``OGEM``, u32 version (1), u32 dimension, u64 record count,
   then per record a u16-length-prefixed UTF-8 identity_id, image_id and
   group, a u32 capture_index, and ``dimension`` little-endian f32
-  components.
+  components. Read and written with :mod:`rankgate.codec`, which also
+  owns :class:`StoreFormatError` (re-exported here); a file with bytes
+  after its last declared record is rejected.
 * CSV: header ``identity_id,image_id,group,capture_index,v0,...,v{d-1}``,
   one record per row, components printed with full round-trip precision.
 
@@ -32,15 +34,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .codec import Reader, StoreFormatError, encode_str
+
 NORM_TOLERANCE = 1e-5
 
 _MAGIC = b"OGEM"
 _VERSION = 1
 _CSV_META_COLUMNS = ("identity_id", "image_id", "group", "capture_index")
-
-
-class StoreFormatError(ValueError):
-    """Raised when an embedding file does not follow the declared format."""
 
 
 def l2_normalize(v) -> np.ndarray:
@@ -168,44 +168,6 @@ class EmbeddingStore:
         write_store(self, path, format)
 
 
-def _encode_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValueError(f"string field too long to encode: {len(raw)} bytes")
-    return struct.pack("<H", len(raw)) + raw
-
-
-class _Reader:
-    """Strict cursor over a binary store payload."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise StoreFormatError("unexpected end of file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u16()
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise StoreFormatError(f"invalid UTF-8 in string field: {exc}") from exc
-
-
 def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
     """Write a store to ``path`` in the named format (``binary`` or ``csv``)."""
     path = Path(path)
@@ -214,9 +176,9 @@ def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
             fh.write(_MAGIC)
             fh.write(struct.pack("<IIQ", _VERSION, store.dimension, len(store)))
             for r in store:
-                fh.write(_encode_str(r.identity_id))
-                fh.write(_encode_str(r.image_id))
-                fh.write(_encode_str(r.group))
+                fh.write(encode_str(r.identity_id))
+                fh.write(encode_str(r.image_id))
+                fh.write(encode_str(r.group))
                 fh.write(struct.pack("<I", r.capture_index))
                 fh.write(r.vector.astype("<f4").tobytes())
     elif format == "csv":
@@ -256,12 +218,8 @@ def ingest(path, format: str = "binary") -> EmbeddingStore:
 
 
 def _ingest_binary(path: Path) -> EmbeddingStore:
-    reader = _Reader(path.read_bytes())
-    if reader.take(4) != _MAGIC:
-        raise StoreFormatError(f"{path} is not an embedding store (bad magic)")
-    version = reader.u32()
-    if version != _VERSION:
-        raise StoreFormatError(f"unsupported store version {version}")
+    reader = Reader(path.read_bytes())
+    reader.header(_MAGIC, _VERSION, f"embedding store {path}")
     dimension = reader.u32()
     if dimension == 0:
         raise StoreFormatError("header declares dimension 0")
@@ -277,11 +235,7 @@ def _ingest_binary(path: Path) -> EmbeddingStore:
         records.append(
             EmbeddingRecord(identity_id, image_id, group, capture_index, unit_f32(vec))
         )
-    if reader.pos != len(reader.data):
-        raise StoreFormatError(
-            f"{len(reader.data) - reader.pos} trailing bytes after "
-            f"{count} declared records"
-        )
+    reader.end(f"{count} declared records")
     return EmbeddingStore(dimension, records)
 
 

@@ -14,11 +14,12 @@ bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .codec import from_dict
 from .store import EmbeddingRecord, EmbeddingStore, l2_normalize, unit_f32
 
 
@@ -132,31 +133,18 @@ def degrade_probe(
 
 
 def config_to_json(config: SynthConfig, path) -> None:
-    payload = {
-        "n_identities": config.n_identities,
-        "images_per_identity": config.images_per_identity,
-        "dimension": config.dimension,
-        "within_noise_sigma": config.within_noise_sigma,
-        "groups": [[g, c] for g, c in config.groups],
-        "degradation_levels": [[t, s] for t, s in config.degradation_levels],
-        "rng_seed": config.rng_seed,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(asdict(config), indent=2, sort_keys=True) + "\n")
 
 
 def config_from_dict(payload: dict) -> SynthConfig:
-    cfg = SynthConfig(
-        n_identities=int(payload["n_identities"]),
-        images_per_identity=int(payload["images_per_identity"]),
-        dimension=int(payload.get("dimension", 64)),
-        within_noise_sigma=float(payload.get("within_noise_sigma", 0.1)),
-        groups=tuple((g, int(c)) for g, c in payload.get("groups", [])),
-        degradation_levels=tuple(
-            (t, float(s)) for t, s in payload.get("degradation_levels", [])
-        ),
-        rng_seed=int(payload.get("rng_seed", 0)),
+    """Config from its JSON form; ``n_identities`` and
+    ``images_per_identity`` are required, unknown keys are rejected."""
+    return from_dict(
+        SynthConfig,
+        payload,
+        "synth config",
+        required=("n_identities", "images_per_identity"),
     )
-    return cfg
 
 
 def config_from_json(path) -> SynthConfig:

@@ -17,13 +17,11 @@ from rankgate.baselines import (
     fit_centroid,
     fuse_gallery,
     fused_scores,
-    naive_fusion_classify,
-    threshold_classify,
     threshold_from_json,
     threshold_to_json,
 )
 from rankgate.curation import RankSample
-from rankgate.search import build_gallery, search, similarities
+from rankgate.search import build_gallery, similarities
 from rankgate.store import unit_f32
 
 from conftest import make_record
@@ -121,19 +119,6 @@ class TestClassifyScore:
     def test_threshold_itself_accepts(self):
         model = ThresholdModel(0.75, 0.1, 100)
         assert classify_score(model, 0.75) == 1
-
-    def test_classify_search_result_uses_top_score(self):
-        records = [
-            make_record("a", "i1", seed=1),
-            make_record("a", "i2", seed=2),
-            make_record("b", "i1", seed=3),
-        ]
-        gallery = build_gallery(records)
-        result = search(gallery, records[0].vector)
-        accept_all = ThresholdModel(-1.0, 0.1, 10)
-        reject_all = ThresholdModel(1.5, 0.1, 10)
-        assert threshold_classify(accept_all, result) == 1
-        assert threshold_classify(reject_all, result) == 0
 
 
 class TestThresholdJson:
@@ -326,17 +311,3 @@ class TestFusion:
         fused = fuse_gallery(build_gallery(records))
         with pytest.raises(ValueError, match="dimension"):
             fused_scores(fused, np.ones(5))
-
-    def test_naive_fusion_classify_threshold_split(self):
-        records = [
-            make_record("a", f"i{k}", dim=8, seed=10 + k) for k in range(3)
-        ] + [make_record("b", "i1", dim=8, seed=50)]
-        gallery = build_gallery(records)
-        fused = fuse_gallery(gallery)
-        probe = fused.matrix[fused.identity_ids.index("a")].copy()
-        accept = ThresholdModel(0.99, 0.1, 10)
-        reject = ThresholdModel(1.0000001, 0.1, 10)
-        assert naive_fusion_classify(gallery, probe, accept, fused=fused) == 1
-        assert naive_fusion_classify(gallery, probe, reject, fused=fused) == 0
-        # omitted fused argument recomputes the same answer
-        assert naive_fusion_classify(gallery, probe, accept) == 1

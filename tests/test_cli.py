@@ -4,7 +4,7 @@ import pytest
 
 from rankgate.cli import main
 from rankgate.experiment import ConditionSpec, ExperimentPlan, plan_to_dict
-from rankgate.synth import SynthConfig
+from rankgate.synth import SynthConfig, config_to_json
 
 
 @pytest.fixture
@@ -230,6 +230,27 @@ class TestEvalCommands:
         assert code == 0
         assert rendered.read_bytes() == (out_dir / "report.csv").read_bytes()
 
+    def test_resolved_plan_repeats_the_run(self, tmp_path):
+        config = tmp_path / "synth.json"
+        config_to_json(
+            SynthConfig(
+                n_identities=20,
+                images_per_identity=5,
+                dimension=16,
+                within_noise_sigma=0.08,
+                groups=(("a", 20),),
+                rng_seed=3,
+            ),
+            config,
+        )
+        first, second = tmp_path / "first", tmp_path / "second"
+        args = ["--conditions", "clean:0,noisy:0.1", "--seeds", "0,1"]
+        assert main(["eval", "--synth-config", str(config), *args, "--out-dir", str(first)]) == 0
+        plan = first / "resolved_plan.json"
+        assert main(["eval", "--plan", str(plan), "--out-dir", str(second)]) == 0
+        for name in ("report.json", "resolved_plan.json"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
 
 class TestErrorHandling:
     def test_baseline_threshold_requires_scores(self, tmp_path, capsys):
@@ -272,7 +293,15 @@ class TestErrorHandling:
 
     def test_plan_missing_field_or_not_object(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        for payload, field in (({"conditions": []}, "'groups'"), ([], "JSON object")):
+        plan = {"groups": ["g"], "conditions": [{"tag": "c"}], "store_path": "s.bin"}
+        cases = (
+            ({"conditions": []}, "'groups'"),
+            ([], "JSON object"),
+            ({**plan, "conditions": ["clean"]}, "plan condition 0: "),
+            ({**plan, "conditions": "clean"}, "ConditionSpec"),
+            ({**plan, "mlp_epoch": 3}, "'mlp_epoch'"),
+        )
+        for payload, field in cases:
             bad.write_text(json.dumps(payload))
             code = main(["eval", "--plan", str(bad), "--out-dir", str(tmp_path / "o")])
             assert code == 1
@@ -282,10 +311,13 @@ class TestErrorHandling:
     def test_report_row_with_unknown_or_missing_key(self, tmp_path, capsys):
         row = dict(group="g", condition="c", method="mean", seed=0, accuracy=0.5,
                    n_test=2, tp=1, tn=0, fp=1, fn=0)
-        bad_rows = ({**row, "extra": 1}, {k: v for k, v in row.items() if k != "fp"})
-        for bad_row in bad_rows:
+        bad_rows = ({**row, "extra": 1}, {k: v for k, v in row.items() if k != "fp"}, [1, 2])
+        cases = [({"metadata": {}, "rows": [row, bad_row]}, "report row 1: ") for bad_row in bad_rows]
+        cases += [({"metadata": {}}, "report: "), ({"metadata": {}, "rows": 5}, "report: "),
+                  ([1, 2], "report: ")]
+        for payload, prefix in cases:
             report = tmp_path / "r.json"
-            report.write_text(json.dumps({"metadata": {}, "rows": [row, bad_row]}))
+            report.write_text(json.dumps(payload))
             code = main(["report", "--input", str(report), "--out", str(tmp_path / "r.csv")])
             assert code == 1
-            assert capsys.readouterr().err.startswith("error: report row 1: ")
+            assert capsys.readouterr().err.startswith("error: " + prefix)

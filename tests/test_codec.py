@@ -1,0 +1,68 @@
+import hashlib
+
+import pytest
+
+from rankgate.codec import from_dict
+from rankgate.experiment import ConditionSpec, ExperimentPlan, plan_from_dict, plan_hash
+from rankgate.mlp import MlpConfig, init_model, save_model
+from rankgate.synth import SynthConfig
+
+
+class TestFromDict:
+    def test_casts_by_the_default_type(self):
+        plan = plan_from_dict(
+            {
+                "groups": ["g"],
+                "conditions": [{"tag": "c", "probe_noise_sigma": 0}],
+                "store_path": "s.bin",
+                "target_fpir": 1,
+                "seeds": [2, 3],
+            }
+        )
+        assert plan.target_fpir == 1.0 and isinstance(plan.target_fpir, float)
+        assert plan.seeds == (2, 3)
+        cond = plan.conditions[0]
+        assert cond.probe_noise_sigma == 0.0 and isinstance(cond.probe_noise_sigma, float)
+        assert plan_hash(plan) == plan_hash(
+            ExperimentPlan(
+                groups=("g",),
+                conditions=(ConditionSpec("c", 0.0),),
+                store_path="s.bin",
+                target_fpir=1.0,
+                seeds=(2, 3),
+            )
+        )
+
+    def test_unknown_key_or_wrong_value_type_rejected(self):
+        base = {"n_identities": 2, "images_per_identity": 3}
+        with pytest.raises(ValueError, match="^synth config: unknown field 'seed'"):
+            from_dict(SynthConfig, {**base, "seed": 1}, "synth config")
+        with pytest.raises(ValueError, match="^synth config: "):
+            from_dict(SynthConfig, {**base, "groups": 5}, "synth config")
+
+
+class TestGolden:
+    """Serialized bytes pinned as literals; a serializer change must not move them."""
+
+    def test_plan_hash_and_model_bytes(self, tmp_path):
+        plan = ExperimentPlan(
+            groups=("a", "b"),
+            conditions=(ConditionSpec("clean"), ConditionSpec("noisy", 0.1)),
+            seeds=(0, 1),
+            synth=SynthConfig(
+                n_identities=30,
+                images_per_identity=6,
+                dimension=16,
+                groups=(("a", 10), ("b", 20)),
+                degradation_levels=(("n", 0.1),),
+                rng_seed=4,
+            ),
+        )
+        assert plan_hash(plan) == (
+            "fcd76ceccb568a3972286562ac4cd42510a165a0181f68d1493410aa1b0509a9"
+        )
+        path = tmp_path / "model.bin"
+        save_model(init_model(MlpConfig(hidden_sizes=(5, 3), rng_seed=9)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f5f25af2fe85d094020f55f1a41b6e1c64dca426a2c70534d9bf662d03d195c4"
+        )

@@ -10,14 +10,12 @@ from rankgate.curation import (
     curate,
     curate_detailed,
     d_in_of,
-    load_samples_binary,
     load_samples_csv,
     permute_augment,
     rank_distribution_report,
     select_probes,
     stratified_split,
     write_rank_distribution_csv,
-    write_samples_binary,
     write_samples_csv,
 )
 from rankgate.store import EmbeddingStore
@@ -448,22 +446,6 @@ class TestSampleSerialization:
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError, match="header"):
             load_samples_csv(path)
-
-    def test_binary_round_trip(self, tmp_path):
-        samples = self.make()
-        path = tmp_path / "samples.bin"
-        write_samples_binary(samples, path)
-        loaded = load_samples_binary(path)
-        assert [(s.ranks, s.label, s.gallery_size) for s in loaded] == [
-            (s.ranks, s.label, s.gallery_size) for s in samples
-        ]
-
-    def test_binary_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "samples.bin"
-        write_samples_binary(self.make(), path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(ValueError, match="trailing"):
-            load_samples_binary(path)
 
     def test_mixed_widths_rejected(self):
         samples = [sample((2, 3), 1), sample((2, 3, 4), 0, ident="q")]

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from rankgate.mlp import (
     MlpConfig,
     N_CLASSES,
     _forward_batch,
-    evaluate,
     forward,
     init_model,
     load_model,
@@ -360,12 +360,6 @@ class TestPredict:
             _, probs = predict(model, tuple(int(r) for r in ranks), gs)
             assert abs(float(probs.sum()) - 1.0) < 1e-6
 
-    def test_evaluate_counts_matches(self):
-        model = zero_model()
-        samples = [sample((2, 3, 4), 0), sample((5, 6, 7), 1, "q")]
-        # zero model predicts 0 for everything
-        assert evaluate(model, samples) == 0.5
-
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -405,6 +399,24 @@ class TestPersistence:
         path.write_bytes(bytes(data))
         with pytest.raises(StoreFormatError, match="shape"):
             load_model(path)
+
+    def test_config_block_must_be_an_object_of_known_fields(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(init_model(MlpConfig(rng_seed=1)), path)
+        data = path.read_bytes()
+        # magic (5 bytes), u32 version, u32 block length, JSON block
+        (n,) = struct.unpack("<I", data[9:13])
+        config = json.loads(data[13 : 13 + n])
+        blocks = (
+            [],
+            {**config, "momentum": 0.9},
+            {k: v for k, v in config.items() if k != "folds"},
+        )
+        for block in blocks:
+            raw = json.dumps(block).encode("utf-8")
+            path.write_bytes(data[:9] + struct.pack("<I", len(raw)) + raw + data[13 + n :])
+            with pytest.raises(StoreFormatError, match="bad model config block"):
+                load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
