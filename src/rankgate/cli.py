@@ -239,12 +239,14 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     payload = json.loads(Path(args.input).read_text())
     report = from_dict(experiment.EvalReport, payload, "report")
-    if not isinstance(report.rows, list):
-        raise ValueError("report: rows must be a JSON list")
     report.rows = [
         from_dict(experiment.CellResult, row, f"report row {i}")
         for i, row in enumerate(report.rows)
     ]
+    for i, failure in enumerate(report.failures):
+        missing = sorted({"group", "condition", "seed", "error"} - set(failure))
+        if missing:
+            raise ValueError(f"report: failure {i} is missing {missing}")
     experiment.emit_report(report, args.format, args.out)
     print(f"rendered {args.format} -> {args.out}")
     return 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+import typing
 
 
 class StoreFormatError(ValueError):
@@ -81,12 +82,15 @@ def from_dict(cls, payload, what: str, required=()):
     Keys are the dataclass's field names. A field without a default, and
     every name in ``required``, must be present; any other key is an error,
     so a misspelt field cannot silently fall back to its default. A present
-    value is cast by the type of its field's default (``1`` for a float
-    field becomes ``1.0``, a list for a tuple field becomes a tuple), so a
-    loaded object equals, and serializes like, the one that was written.
-    Fields defaulting to ``None`` or without a default are passed as they
-    are. Raises ValueError prefixed with ``what``, also for a value the
-    dataclass itself rejects.
+    value must have the JSON type of its field's annotation: a list (or the
+    tuple ``asdict`` leaves) for a tuple or list, each item checked the same
+    way; a bool for a bool; a non-bool integer for an int; any number for a
+    float (``1`` becomes ``1.0``); a string for a str; an object for a dict;
+    and ``null`` only where the field is ``Optional``. So a loaded object
+    equals, and serializes like, the one that was written. A field annotated
+    with a dataclass takes a value the caller has already built. Raises
+    ValueError prefixed with ``what``, also for a value the dataclass itself
+    rejects.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"{what}: expected a JSON object, got {type(payload).__name__}")
@@ -101,17 +105,43 @@ def from_dict(cls, payload, what: str, required=()):
         )
         if name not in payload and (no_default or name in required):
             raise ValueError(f"{what}: missing required field {name!r}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in payload.items():
+        try:
+            values[key] = _cast(hints[key], value)
+        except TypeError as exc:
+            raise ValueError(f"{what}: field {key} {exc}") from None
     try:
-        return cls(
-            **{key: _cast(fields[key].default, value) for key, value in payload.items()}
-        )
+        return cls(**values)
     except (TypeError, ValueError) as exc:
-        # TypeError: a value of the wrong JSON type, e.g. a number where a
-        # list belongs.
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _cast(default, value):
-    if default is None or default is dataclasses.MISSING:
+# JSON types a scalar field accepts; a bool is never taken for a number.
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: (dict,)}
+
+
+def _cast(tp, value):
+    """``value`` as a field annotated ``tp``; TypeError says what was expected."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:  # Optional[X]
+        return None if value is None else _cast(args[0], value)
+    if origin in (tuple, list):
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        if not isinstance(value, (list, tuple)) or (fixed and len(value) != len(args)):
+            of = f"{len(args)} items" if fixed else _name(args[0])
+            raise TypeError(f"must be a JSON list of {of}, got {_name(type(value))}")
+        types = args if fixed else args[:1] * len(value)
+        items = [_cast(t, v) for t, v in zip(types, value)]
+        return tuple(items) if origin is tuple else items
+    accepted = _SCALARS.get(tp)
+    if accepted is None:  # a dataclass the caller has built already
         return value
-    return type(default)(value)
+    if not isinstance(value, accepted) or (tp is not bool and isinstance(value, bool)):
+        raise TypeError(f"must be {_name(tp)}, got {_name(type(value))}")
+    return float(value) if tp is float else value
+
+
+def _name(tp) -> str:
+    return tp.__name__ if isinstance(tp, type) else str(tp)

@@ -110,6 +110,8 @@ class ExperimentPlan:
             raise ValueError(f"unknown methods {sorted(unknown)}; known: {METHODS}")
         if not self.methods:
             raise ValueError("plan needs at least one method")
+        if self.store_path is not None and not isinstance(self.store_path, str):
+            raise ValueError(f"store_path must be a string, got {self.store_path!r}")
         if (self.store_path is None) == (self.synth is None):
             raise ValueError("exactly one of store_path or synth must be set")
 

@@ -6,24 +6,31 @@ learned gain/shift, ReLU, then inverted dropout during training only. The
 output layer is affine with two units, one per decision (0 = out-of-gallery,
 1 = in-gallery). Loss is softmax cross-entropy averaged over the batch.
 
-Training arithmetic is float64 throughout; returned and saved parameters are
-rounded to float32, so a model predicts identically before and after a
-save/load round trip. Optimization is plain Adam. Model selection runs
+Parameters live in one float64 buffer laid out by :func:`_layout`, the only
+place that names them: ``h{i}.w``, ``h{i}.b``, ``h{i}.gamma``, ``h{i}.beta``
+for each hidden layer ``i``, then ``out.w``, ``out.b``. Initialization,
+gradients, the Adam update, fold snapshots and the model file all follow
+that order. Training arithmetic is float64 throughout; returned and saved
+parameters are rounded to float32, so a model predicts identically before
+and after a save/load round trip. Optimization is plain Adam (Kingma & Ba,
+arXiv:1412.6980), elementwise over the buffer. Model selection runs
 stratified k-fold cross validation, snapshots each fold's parameters at its
 best validation epoch, and returns the best fold's snapshot.
 
 Model file format: magic ``OGMLP``, u32 version (1), u32 length-prefixed
 JSON config block (the :class:`MlpConfig` fields, every one required and
-no other key accepted), u32 array count, then per parameter array a u16
-length-prefixed name, u8 ndim, u32 dims, and little-endian f32 data.
-Read and written with :mod:`rankgate.codec`.
+no other key accepted), u32 array count, then per parameter array, in
+:func:`_layout` order, a u16 length-prefixed name, u8 ndim, u32 dims, and
+little-endian f32 data; files written before the one-buffer layout have the
+same bytes and load unchanged. Read and written with :mod:`rankgate.codec`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -35,6 +42,9 @@ from .seeds import derive_seed
 
 LN_EPS = 1e-5
 N_CLASSES = 2
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _MAGIC = b"OGMLP"
 _VERSION = 1
@@ -73,29 +83,53 @@ class MlpConfig:
             )
 
 
-@dataclass(eq=False)
-class HiddenLayer:
-    w: np.ndarray
-    b: np.ndarray
-    gamma: np.ndarray
-    beta: np.ndarray
+def _layout(config: MlpConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in buffer and model-file order."""
+    sizes = (config.d_in,) + config.hidden_sizes
+    layout = []
+    for i, (fan_in, width) in enumerate(zip(sizes[:-1], sizes[1:])):
+        layout += [
+            (f"h{i}.w", (width, fan_in)),
+            (f"h{i}.b", (width,)),
+            (f"h{i}.gamma", (width,)),
+            (f"h{i}.beta", (width,)),
+        ]
+    return layout + [("out.w", (N_CLASSES, sizes[-1])), ("out.b", (N_CLASSES,))]
+
+
+def _layers(params: dict[str, np.ndarray]):
+    """``params`` grouped in :func:`_layout` order: ``[(w, b, gamma, beta),
+    ...]`` for the hidden layers, then ``(w, b)`` for the output layer."""
+    views = list(params.values())
+    return [views[i : i + 4] for i in range(0, len(views) - 2, 4)], views[-2:]
 
 
 @dataclass(eq=False)
 class MlpModel:
+    """Every parameter in one float64 buffer ``flat``, laid out by :func:`_layout`.
+
+    ``params`` maps each name to its view into ``flat``, so updating ``flat``
+    in place updates every layer. Gradients are held the same way.
+    """
+
     config: MlpConfig
-    hidden: list[HiddenLayer]
-    out_w: np.ndarray
-    out_b: np.ndarray
+    flat: Optional[np.ndarray] = None
+    params: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        layout = _layout(self.config)
+        sizes = [math.prod(shape) for _, shape in layout]
+        if self.flat is None:
+            self.flat = np.zeros(sum(sizes))
+        if self.flat.shape != (sum(sizes),):
+            raise ValueError(f"buffer shape {self.flat.shape}, layout needs {sum(sizes)}")
+        parts = np.split(self.flat, np.cumsum(sizes)[:-1])
+        self.params = {
+            name: part.reshape(shape) for (name, shape), part in zip(layout, parts)
+        }
 
     def parameters(self) -> Iterator[tuple[str, np.ndarray]]:
-        for i, layer in enumerate(self.hidden):
-            yield f"h{i}.w", layer.w
-            yield f"h{i}.b", layer.b
-            yield f"h{i}.gamma", layer.gamma
-            yield f"h{i}.beta", layer.beta
-        yield "out.w", self.out_w
-        yield "out.b", self.out_b
+        return iter(self.params.items())
 
 
 @dataclass
@@ -111,39 +145,24 @@ class TrainReport:
 
 def _round_f32(model: MlpModel) -> MlpModel:
     """Round every parameter to its float32 value (held in float64)."""
-    def r(a: np.ndarray) -> np.ndarray:
-        return a.astype(np.float32).astype(np.float64)
-
-    return MlpModel(
-        config=model.config,
-        hidden=[
-            HiddenLayer(r(l.w), r(l.b), r(l.gamma), r(l.beta)) for l in model.hidden
-        ],
-        out_w=r(model.out_w),
-        out_b=r(model.out_b),
-    )
+    return MlpModel(model.config, model.flat.astype(np.float32).astype(np.float64))
 
 
 def init_model(config: MlpConfig, rng: Optional[np.random.Generator] = None) -> MlpModel:
-    """Fan-in-scaled uniform weights, zero biases, unit gain, zero shift."""
+    """Fan-in-scaled uniform weights, zero biases, unit gain, zero shift.
+
+    Weights are drawn layer by layer, the output layer last.
+    """
     if rng is None:
         rng = np.random.default_rng(derive_seed(config.rng_seed, "init"))
-    sizes = (config.d_in,) + config.hidden_sizes
-    hidden = []
-    for fan_in, width in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / fan_in)
-        hidden.append(
-            HiddenLayer(
-                w=rng.uniform(-limit, limit, size=(width, fan_in)),
-                b=np.zeros(width),
-                gamma=np.ones(width),
-                beta=np.zeros(width),
-            )
-        )
-    limit = np.sqrt(6.0 / sizes[-1])
-    out_w = rng.uniform(-limit, limit, size=(N_CLASSES, sizes[-1]))
-    out_b = np.zeros(N_CLASSES)
-    return _round_f32(MlpModel(config, hidden, out_w, out_b))
+    model = MlpModel(config)
+    hidden, (out_w, _) = _layers(model.params)
+    for w in [layer[0] for layer in hidden] + [out_w]:
+        limit = np.sqrt(6.0 / w.shape[1])
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    for _, _, gamma, _ in hidden:
+        gamma[...] = 1.0
+    return _round_f32(model)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -161,18 +180,17 @@ def _forward_batch(
     """Batched forward pass. Returns (logits, caches) for backprop."""
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != model.config.d_in:
-        raise ValueError(
-            f"batch must be (n, {model.config.d_in}), got {h.shape}"
-        )
+        raise ValueError(f"batch must be (n, {model.config.d_in}), got {h.shape}")
     p = model.config.dropout_p
+    hidden, (out_w, out_b) = _layers(model.params)
     caches = []
-    for layer in model.hidden:
-        z = h @ layer.w.T + layer.b
+    for w, b, gamma, beta in hidden:
+        z = h @ w.T + b
         mu = z.mean(axis=1, keepdims=True)
         var = z.var(axis=1, keepdims=True)
         inv = 1.0 / np.sqrt(var + LN_EPS)
         xhat = (z - mu) * inv
-        ln = layer.gamma * xhat + layer.beta
+        ln = gamma * xhat + beta
         act = np.maximum(ln, 0.0)
         if training and p > 0.0 and dropout_rng is not None:
             mask = (dropout_rng.random(act.shape) >= p).astype(np.float64)
@@ -180,45 +198,33 @@ def _forward_batch(
         else:
             mask = None
             dropped = act
-        caches.append(
-            {"input": h, "inv": inv, "xhat": xhat, "ln": ln, "mask": mask}
-        )
+        caches.append({"input": h, "inv": inv, "xhat": xhat, "ln": ln, "mask": mask})
         h = dropped
-    logits = h @ model.out_w.T + model.out_b
+    logits = h @ out_w.T + out_b
     caches.append({"input": h})
     return logits, caches
 
 
-def forward(
-    model: MlpModel,
-    x: np.ndarray,
-    training: bool = False,
-    dropout_rng: Optional[np.random.Generator] = None,
-):
-    """Single-vector forward pass. Returns (logits, caches)."""
-    logits, caches = _forward_batch(
-        model, np.asarray(x, dtype=np.float64)[None, :], training, dropout_rng
-    )
-    return logits[0], caches
-
-
 def loss_and_grad(
     model: MlpModel,
-    batch: Sequence[tuple[np.ndarray, int]],
+    x: np.ndarray,
+    y: np.ndarray,
     dropout_rng: Optional[np.random.Generator] = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean softmax cross-entropy over the batch and gradients per parameter.
+) -> tuple[float, MlpModel]:
+    """Mean softmax cross-entropy over the batch ``x`` ``(n, d_in)``, ``y``
+    ``(n,)``, and its gradient as an :class:`MlpModel` in the model's layout.
 
     Dropout fires only when a generator is supplied, so gradient checks and
     inference paths are deterministic by default.
     """
-    if not batch:
+    y = np.asarray(y, dtype=np.int64)
+    n = len(y)
+    if n == 0:
         raise ValueError("batch must be non-empty")
-    x = np.stack([np.asarray(v, dtype=np.float64) for v, _ in batch])
-    y = np.array([label for _, label in batch], dtype=np.int64)
     if np.any((y < 0) | (y >= N_CLASSES)):
         raise ValueError("labels must be 0 or 1")
-    n = len(batch)
+    if len(x) != n:
+        raise ValueError(f"batch has {len(x)} inputs but {n} labels")
     training = dropout_rng is not None
     logits, caches = _forward_batch(model, x, training=training, dropout_rng=dropout_rng)
 
@@ -226,35 +232,35 @@ def loss_and_grad(
     log_z = np.log(np.sum(np.exp(shifted), axis=1))
     loss = float(np.mean(log_z - shifted[np.arange(n), y]))
 
-    probs = softmax(logits)
-    dlogits = probs
+    dlogits = softmax(logits)
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
 
-    grads: dict[str, np.ndarray] = {}
-    out_cache = caches[-1]
-    grads["out.w"] = dlogits.T @ out_cache["input"]
-    grads["out.b"] = dlogits.sum(axis=0)
-    dh = dlogits @ model.out_w
+    grad = MlpModel(model.config, np.empty_like(model.flat))
+    hidden, (out_w, _) = _layers(model.params)
+    grad_hidden, (grad_out_w, grad_out_b) = _layers(grad.params)
+    grad_out_w[...] = dlogits.T @ caches[-1]["input"]
+    grad_out_b[...] = dlogits.sum(axis=0)
+    dh = dlogits @ out_w
 
     p = model.config.dropout_p
-    for i in reversed(range(len(model.hidden))):
-        layer = model.hidden[i]
-        cache = caches[i]
+    for (w, _, gamma, _), (gw, gb, ggamma, gbeta), cache in reversed(
+        list(zip(hidden, grad_hidden, caches))
+    ):
         if cache["mask"] is not None:
             dh = dh * cache["mask"] / (1.0 - p)
         dln = dh * (cache["ln"] > 0.0)
-        grads[f"h{i}.gamma"] = (dln * cache["xhat"]).sum(axis=0)
-        grads[f"h{i}.beta"] = dln.sum(axis=0)
-        dxhat = dln * layer.gamma
+        ggamma[...] = (dln * cache["xhat"]).sum(axis=0)
+        gbeta[...] = dln.sum(axis=0)
+        dxhat = dln * gamma
         # layer norm backward over the unit axis
         mean_dxhat = dxhat.mean(axis=1, keepdims=True)
         mean_dxhat_xhat = (dxhat * cache["xhat"]).mean(axis=1, keepdims=True)
         dz = cache["inv"] * (dxhat - mean_dxhat - cache["xhat"] * mean_dxhat_xhat)
-        grads[f"h{i}.w"] = dz.T @ cache["input"]
-        grads[f"h{i}.b"] = dz.sum(axis=0)
-        dh = dz @ layer.w
-    return loss, grads
+        gw[...] = dz.T @ cache["input"]
+        gb[...] = dz.sum(axis=0)
+        dh = dz @ w
+    return loss, grad
 
 
 def predict(
@@ -265,8 +271,8 @@ def predict(
     An exact probability tie resolves to label 0, the safe rejection.
     """
     x = scale_input(np.asarray(ranks, dtype=np.float64), gallery_size, model.config)
-    logits, _ = forward(model, x, training=False)
-    probs = softmax(logits)
+    logits, _ = _forward_batch(model, x[None, :])
+    probs = softmax(logits[0])
     return int(np.argmax(probs)), probs
 
 
@@ -286,10 +292,7 @@ def samples_to_arrays(
     if not samples:
         raise ValueError("no samples")
     x = np.stack(
-        [
-            scale_input(np.asarray(s.ranks, dtype=np.float64), s.gallery_size, config)
-            for s in samples
-        ]
+        [scale_input(np.asarray(s.ranks, float), s.gallery_size, config) for s in samples]
     )
     if x.shape[1] != config.d_in:
         raise ValueError(
@@ -321,32 +324,6 @@ def stratified_folds(
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
 
-class _Adam:
-    def __init__(self, names: Sequence[str], shapes: dict[str, tuple], lr: float):
-        self.lr = lr
-        self.beta1 = 0.9
-        self.beta2 = 0.999
-        self.eps = 1e-8
-        self.t = 0
-        self.m = {n: np.zeros(shapes[n]) for n in names}
-        self.v = {n: np.zeros(shapes[n]) for n in names}
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
-        for name, g in grads.items():
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            mhat = self.m[name] / b1t
-            vhat = self.v[name] / b2t
-            params[name] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def _params_dict(model: MlpModel) -> dict[str, np.ndarray]:
-    return {name: arr for name, arr in model.parameters()}
-
-
 def _accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     logits, _ = _forward_batch(model, x, training=False)
     pred = np.argmax(logits, axis=1)
@@ -370,58 +347,53 @@ def train(
 
     fold_accuracies: list[float] = []
     best_epochs: list[int] = []
-    snapshots: list[dict[str, np.ndarray]] = []
+    snapshots: list[np.ndarray] = []
     for fold_i, val_idx in enumerate(folds):
         val_mask = np.zeros(len(y), dtype=bool)
         val_mask[val_idx] = True
         train_idx = all_idx[~val_mask]
         rng = np.random.default_rng(derive_seed(config.rng_seed, f"fold{fold_i}"))
         model = init_model(config, rng)
-        params = _params_dict(model)
-        adam = _Adam(
-            list(params), {n: a.shape for n, a in params.items()}, config.learning_rate
-        )
+        m = np.zeros_like(model.flat)
+        v = np.zeros_like(model.flat)
+        step = 0
         best_acc = -1.0
         best_epoch = -1
-        best_snapshot: dict[str, np.ndarray] = {}
+        best_snapshot = model.flat.copy()
         for epoch in range(config.epochs):
             order = train_idx[rng.permutation(len(train_idx))]
             for start in range(0, len(order), config.batch_size):
                 chunk = order[start : start + config.batch_size]
-                batch = [(x[i], int(y[i])) for i in chunk]
-                loss, grads = loss_and_grad(model, batch, dropout_rng=rng)
+                loss, grad = loss_and_grad(model, x[chunk], y[chunk], dropout_rng=rng)
                 if not np.isfinite(loss):
                     raise RuntimeError(
                         f"non-finite loss at fold {fold_i} epoch {epoch}: {loss}"
                     )
-                adam.step(params, grads)
+                step += 1
+                m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad.flat
+                v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad.flat * grad.flat
+                mhat, vhat = m / (1.0 - ADAM_BETA1**step), v / (1.0 - ADAM_BETA2**step)
+                model.flat -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
             acc = _accuracy(model, x[val_idx], y[val_idx])
             if acc > best_acc:
                 best_acc = acc
                 best_epoch = epoch
-                best_snapshot = {n: a.copy() for n, a in params.items()}
+                best_snapshot = model.flat.copy()
         fold_accuracies.append(best_acc)
         best_epochs.append(best_epoch)
         snapshots.append(best_snapshot)
 
     selected = int(np.argmax(fold_accuracies))
-    final = init_model(config)
-    final_params = _params_dict(final)
-    for name, arr in snapshots[selected].items():
-        final_params[name][...] = arr
-    final = _round_f32(final)
+    final = _round_f32(MlpModel(config, snapshots[selected]))
     for name, arr in final.parameters():
         if not np.all(np.isfinite(arr)):
             raise RuntimeError(
                 f"parameter {name} is non-finite after float32 rounding; "
                 f"training diverged (check the learning rate)"
             )
-    report = TrainReport(
-        fold_accuracies=fold_accuracies,
-        best_epochs=best_epochs,
-        selected_fold=selected,
+    return final, TrainReport(
+        fold_accuracies=fold_accuracies, best_epochs=best_epochs, selected_fold=selected
     )
-    return final, report
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -459,38 +431,20 @@ def load_model(path) -> MlpModel:
         name = reader.string()
         ndim = reader.take(1)[0]
         shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(reader.take(4 * size), dtype="<f4")
-        arrays[name] = data.reshape(shape).astype(np.float64)
+        data = reader.take(4 * math.prod(shape))
+        arrays[name] = np.frombuffer(data, dtype="<f4").reshape(shape)
     reader.end("model arrays")
 
-    sizes = (config.d_in,) + config.hidden_sizes
-    hidden = []
-    for i, (fan_in, width) in enumerate(zip(sizes[:-1], sizes[1:])):
-        layer = HiddenLayer(
-            w=_expect(arrays, f"h{i}.w", (width, fan_in)),
-            b=_expect(arrays, f"h{i}.b", (width,)),
-            gamma=_expect(arrays, f"h{i}.gamma", (width,)),
-            beta=_expect(arrays, f"h{i}.beta", (width,)),
-        )
-        hidden.append(layer)
-    out_w = _expect(arrays, "out.w", (N_CLASSES, sizes[-1]))
-    out_b = _expect(arrays, "out.b", (N_CLASSES,))
-    expected = {f"h{i}.{p}" for i in range(len(hidden)) for p in ("w", "b", "gamma", "beta")}
-    expected |= {"out.w", "out.b"}
-    if set(arrays) != expected:
-        raise StoreFormatError(
-            f"model file carries unexpected arrays: {sorted(set(arrays) - expected)}"
-        )
-    return MlpModel(config=config, hidden=hidden, out_w=out_w, out_b=out_b)
-
-
-def _expect(arrays: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
-    if name not in arrays:
-        raise StoreFormatError(f"model file is missing array {name!r}")
-    arr = arrays[name]
-    if arr.shape != shape:
-        raise StoreFormatError(
-            f"array {name!r} has shape {arr.shape}, config implies {shape}"
-        )
-    return arr
+    layout = _layout(config)
+    for name, shape in layout:
+        if name not in arrays:
+            raise StoreFormatError(f"model file is missing array {name!r}")
+        if arrays[name].shape != shape:
+            raise StoreFormatError(
+                f"array {name!r} has shape {arrays[name].shape}, config implies {shape}"
+            )
+    unexpected = sorted(set(arrays) - {name for name, _ in layout})
+    if unexpected:
+        raise StoreFormatError(f"model file carries unexpected arrays: {unexpected}")
+    flat = np.concatenate([arrays[name].ravel() for name, _ in layout])
+    return MlpModel(config, flat.astype(np.float64))

@@ -166,7 +166,8 @@ def finite_difference_gradients(model, batch, loss_fn, step=1e-4):
 
     Perturbs the live parameter arrays in place and restores them, so the
     model is unchanged afterwards. ``loss_fn(model, batch)`` must return the
-    scalar loss.
+    scalar loss; ``batch`` (for the MLP an ``(x, y)`` pair of arrays) is
+    passed through as it is.
     """
     grads = {}
     for name, arr in model.parameters():

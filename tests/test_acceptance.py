@@ -105,7 +105,7 @@ def test_01_search_ranking_matches_naive_oracle():
 
 
 def _gradient_case(seed, kink_margin=5e-3):
-    """(config, model, batch) with no ReLU input near its kink, or None."""
+    """(config, model, (x, y)) with no ReLU input near its kink, or None."""
     rng = np.random.default_rng(seed)
     d_in = int(rng.integers(1, 6))
     hidden = tuple(int(rng.integers(2, 13)) for _ in range(int(rng.integers(1, 4))))
@@ -118,7 +118,7 @@ def _gradient_case(seed, kink_margin=5e-3):
     for cache in caches[:-1]:
         if np.min(np.abs(cache["ln"])) < kink_margin:
             return None
-    return config, model, [(x[i], int(y[i])) for i in range(n)]
+    return config, model, (x, y)
 
 
 def test_02_gradients_match_central_differences():
@@ -132,10 +132,10 @@ def test_02_gradients_match_central_differences():
         if case is None:
             continue
         _, model, batch = case
-        _, analytic = loss_and_grad(model, batch)
-        numeric = finite_difference_gradients(model, batch, lambda m, b: loss_and_grad(m, b)[0])
+        _, analytic = loss_and_grad(model, *batch)
+        numeric = finite_difference_gradients(model, batch, lambda m, b: loss_and_grad(m, *b)[0])
         for name in numeric:
-            diff = np.abs(analytic[name] - numeric[name])
+            diff = np.abs(analytic.params[name] - numeric[name])
             bound = np.maximum(1e-6, 1e-3 * np.abs(numeric[name]))
             assert np.all(diff <= bound), f"case seed {seed - 1}, {name} off by {diff.max()}"
             worst = max(worst, float((diff / bound).max()))

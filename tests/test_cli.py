@@ -300,6 +300,12 @@ class TestErrorHandling:
             ({**plan, "conditions": ["clean"]}, "plan condition 0: "),
             ({**plan, "conditions": "clean"}, "ConditionSpec"),
             ({**plan, "mlp_epoch": 3}, "'mlp_epoch'"),
+            ({**plan, "groups": "ga"}, "plan: field groups "),
+            ({**plan, "seeds": "12"}, "plan: field seeds "),
+            ({**plan, "mlp_hidden": "16"}, "plan: field mlp_hidden "),
+            ({**plan, "reuse_first_condition_threshold": "false"},
+             "plan: field reuse_first_condition_threshold "),
+            ({**plan, "store_path": 5}, "plan: field store_path "),
         )
         for payload, field in cases:
             bad.write_text(json.dumps(payload))
@@ -314,10 +320,13 @@ class TestErrorHandling:
         bad_rows = ({**row, "extra": 1}, {k: v for k, v in row.items() if k != "fp"}, [1, 2])
         cases = [({"metadata": {}, "rows": [row, bad_row]}, "report row 1: ") for bad_row in bad_rows]
         cases += [({"metadata": {}}, "report: "), ({"metadata": {}, "rows": 5}, "report: "),
-                  ([1, 2], "report: ")]
+                  ([1, 2], "report: "), ({"metadata": [], "rows": [row]}, "report: "),
+                  ({"metadata": {}, "rows": [row], "failures": [1]}, "report: "),
+                  ({"metadata": {}, "rows": [row], "failures": [{"group": "g"}]}, "report: ")]
         for payload, prefix in cases:
             report = tmp_path / "r.json"
             report.write_text(json.dumps(payload))
-            code = main(["report", "--input", str(report), "--out", str(tmp_path / "r.csv")])
+            code = main(["report", "--input", str(report), "--format", "markdown",
+                         "--out", str(tmp_path / "r.md")])
             assert code == 1
             assert capsys.readouterr().err.startswith("error: " + prefix)

@@ -40,6 +40,30 @@ class TestFromDict:
         with pytest.raises(ValueError, match="^synth config: "):
             from_dict(SynthConfig, {**base, "groups": 5}, "synth config")
 
+    def test_json_types_are_strict(self):
+        plan = {"groups": ["g"], "conditions": [{"tag": "c"}], "store_path": "s.bin"}
+        bad = {
+            "groups": "ga",
+            "seeds": "12",
+            "mlp_hidden": "16",
+            "reuse_first_condition_threshold": "false",
+            "d_in": True,
+            "mlp_epochs": 3.0,
+            "target_fpir": "0.1",
+            "input_scaling": 1,
+            "store_path": 5,
+            "methods": ["mlp", 1],
+        }
+        for key, value in bad.items():
+            with pytest.raises(ValueError, match=f"^plan: field {key} "):
+                plan_from_dict({**plan, key: value})
+        base = {"n_identities": 3, "images_per_identity": 3}
+        for groups in ([["a"]], [["a", "3"]], {"a": 3}):
+            with pytest.raises(ValueError, match="^synth config: field groups "):
+                from_dict(SynthConfig, {**base, "groups": groups}, "synth config")
+        synth = from_dict(SynthConfig, {**base, "groups": [["a", 3]]}, "synth config")
+        assert synth.groups == (("a", 3),)
+
 
 class TestGolden:
     """Serialized bytes pinned as literals; a serializer change must not move them."""

@@ -1,17 +1,18 @@
 import json
 import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from oracles import finite_difference_gradients
+from rankgate.codec import encode_str
 from rankgate.curation import RankSample
 from rankgate.mlp import (
     MlpConfig,
     N_CLASSES,
     _forward_batch,
-    forward,
     init_model,
     load_model,
     loss_and_grad,
@@ -38,7 +39,7 @@ def zero_model(config=None):
 
 
 def random_case(seed, max_hidden=12, kink_margin=5e-3):
-    """A (config, model, batch) triple safe for finite differences.
+    """A (config, model, (x, y)) triple safe for finite differences.
 
     Rejects draws where any ReLU input sits within ``kink_margin`` of zero,
     since central differences break down at the kink. Returns None when the
@@ -57,8 +58,7 @@ def random_case(seed, max_hidden=12, kink_margin=5e-3):
     for cache in caches[:-1]:
         if np.min(np.abs(cache["ln"])) < kink_margin:
             return None
-    batch = [(x[i], int(y[i])) for i in range(n)]
-    return config, model, batch
+    return config, model, (x, y)
 
 
 def gradient_cases(count, start_seed=0):
@@ -75,25 +75,27 @@ def gradient_cases(count, start_seed=0):
 class TestForward:
     def test_zero_network_gives_zero_logits(self):
         model = zero_model()
-        logits, _ = forward(model, np.array([0.2, 0.5, 0.9]))
-        assert list(logits) == [0.0, 0.0]
-        np.testing.assert_array_equal(softmax(logits), [0.5, 0.5])
+        logits, _ = _forward_batch(model, np.array([0.2, 0.5, 0.9])[None])
+        assert list(logits[0]) == [0.0, 0.0]
+        np.testing.assert_array_equal(softmax(logits[0]), [0.5, 0.5])
 
     def test_dropout_p_zero_training_equals_inference(self):
         config = MlpConfig(dropout_p=0.0)
         model = init_model(config)
-        x = np.array([0.1, 0.4, 0.7])
+        x = np.array([0.1, 0.4, 0.7])[None]
         rng = np.random.default_rng(0)
-        a, _ = forward(model, x, training=True, dropout_rng=rng)
-        b, _ = forward(model, x, training=False)
+        a, _ = _forward_batch(model, x, training=True, dropout_rng=rng)
+        b, _ = _forward_batch(model, x, training=False)
         np.testing.assert_array_equal(a, b)
 
     def test_dropout_active_changes_output(self):
         config = MlpConfig(dropout_p=0.5)
         model = init_model(config)
-        x = np.array([0.1, 0.4, 0.7])
-        trained, _ = forward(model, x, training=True, dropout_rng=np.random.default_rng(1))
-        plain, _ = forward(model, x, training=False)
+        x = np.array([0.1, 0.4, 0.7])[None]
+        trained, _ = _forward_batch(
+            model, x, training=True, dropout_rng=np.random.default_rng(1)
+        )
+        plain, _ = _forward_batch(model, x, training=False)
         assert not np.array_equal(trained, plain)
 
     def test_matches_scalar_loop_reimplementation(self):
@@ -104,13 +106,15 @@ class TestForward:
         for _ in range(10):
             x = rng.uniform(0, 1, size=4)
             h = [float(v) for v in x]
-            for layer in model.hidden:
-                width = layer.w.shape[0]
+            for i in range(len(config.hidden_sizes)):
+                w, b = model.params[f"h{i}.w"], model.params[f"h{i}.b"]
+                gamma, beta = model.params[f"h{i}.gamma"], model.params[f"h{i}.beta"]
+                width = w.shape[0]
                 z = []
                 for unit in range(width):
-                    acc = float(layer.b[unit])
+                    acc = float(b[unit])
                     for j, hj in enumerate(h):
-                        acc += float(layer.w[unit, j]) * hj
+                        acc += float(w[unit, j]) * hj
                     z.append(acc)
                 mu = sum(z) / width
                 var = sum((v - mu) ** 2 for v in z) / width
@@ -118,16 +122,16 @@ class TestForward:
                 h = []
                 for unit in range(width):
                     xhat = (z[unit] - mu) * inv
-                    ln = float(layer.gamma[unit]) * xhat + float(layer.beta[unit])
+                    ln = float(gamma[unit]) * xhat + float(beta[unit])
                     h.append(max(ln, 0.0))
             expected = []
             for unit in range(N_CLASSES):
-                acc = float(model.out_b[unit])
+                acc = float(model.params["out.b"][unit])
                 for j, hj in enumerate(h):
-                    acc += float(model.out_w[unit, j]) * hj
+                    acc += float(model.params["out.w"][unit, j]) * hj
                 expected.append(acc)
-            logits, _ = forward(model, x)
-            np.testing.assert_allclose(logits, expected, rtol=1e-5)
+            logits, _ = _forward_batch(model, x[None])
+            np.testing.assert_allclose(logits[0], expected, rtol=1e-5)
 
     def test_layer_norm_standardizes(self):
         rng = np.random.default_rng(3)
@@ -147,49 +151,49 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         model = init_model(MlpConfig(d_in=3))
         with pytest.raises(ValueError, match="batch"):
-            forward(model, np.array([0.1, 0.2]))
+            _forward_batch(model, np.array([0.1, 0.2])[None])
 
 
 class TestLoss:
     def test_zero_network_loss_is_ln_two(self):
         model = zero_model()
-        batch = [(np.array([0.2, 0.3, 0.4]), 1), (np.array([0.5, 0.6, 0.7]), 0)]
-        loss, _ = loss_and_grad(model, batch)
+        x = np.array([[0.2, 0.3, 0.4], [0.5, 0.6, 0.7]])
+        loss, _ = loss_and_grad(model, x, np.array([1, 0]))
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_saturated_correct_logit_loss_vanishes(self):
         model = zero_model()
-        model.out_b[...] = [10.0, -10.0]
-        loss, _ = loss_and_grad(model, [(np.array([0.1, 0.2, 0.3]), 0)])
+        model.params["out.b"][...] = [10.0, -10.0]
+        loss, _ = loss_and_grad(model, np.array([[0.1, 0.2, 0.3]]), np.array([0]))
         assert loss < 1e-4
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            loss_and_grad(init_model(MlpConfig()), [])
+            loss_and_grad(init_model(MlpConfig()), np.zeros((0, 3)), np.zeros(0, dtype=int))
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError, match="labels"):
-            loss_and_grad(init_model(MlpConfig()), [(np.array([0.1, 0.2, 0.3]), 2)])
+            loss_and_grad(init_model(MlpConfig()), np.array([[0.1, 0.2, 0.3]]), np.array([2]))
 
     def test_gradients_match_finite_differences(self):
         for config, model, batch in gradient_cases(10):
-            _, analytic = loss_and_grad(model, batch)
+            _, analytic = loss_and_grad(model, *batch)
             numeric = finite_difference_gradients(
-                model, batch, lambda m, b: loss_and_grad(m, b)[0]
+                model, batch, lambda m, b: loss_and_grad(m, *b)[0]
             )
             for name in numeric:
-                diff = np.abs(analytic[name] - numeric[name])
+                diff = np.abs(analytic.params[name] - numeric[name])
                 bound = np.maximum(1e-6, 1e-3 * np.abs(numeric[name]))
                 assert np.all(diff <= bound), f"{name} off by {diff.max()}"
 
     def test_dropout_only_fires_with_generator(self):
         config = MlpConfig(dropout_p=0.5)
         model = init_model(config)
-        batch = [(np.array([0.2, 0.4, 0.6]), 1)]
-        a, _ = loss_and_grad(model, batch)
-        b, _ = loss_and_grad(model, batch)
+        x, y = np.array([[0.2, 0.4, 0.6]]), np.array([1])
+        a, _ = loss_and_grad(model, x, y)
+        b, _ = loss_and_grad(model, x, y)
         assert a == b
-        c, _ = loss_and_grad(model, batch, dropout_rng=np.random.default_rng(0))
+        c, _ = loss_and_grad(model, x, y, dropout_rng=np.random.default_rng(0))
         assert c != a
 
 
@@ -416,6 +420,25 @@ class TestPersistence:
             raw = json.dumps(block).encode("utf-8")
             path.write_bytes(data[:9] + struct.pack("<I", len(raw)) + raw + data[13 + n :])
             with pytest.raises(StoreFormatError, match="bad model config block"):
+                load_model(path)
+
+    def test_missing_or_unexpected_array_rejected(self, tmp_path):
+        model = init_model(MlpConfig(hidden_sizes=(4,), rng_seed=2))
+        block = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
+        arrays = list(model.parameters())
+        cases = (
+            ([a for a in arrays if a[0] != "h0.gamma"], "missing array 'h0.gamma'"),
+            (arrays + [("h1.w", np.zeros((2, 2)))], r"unexpected arrays: \['h1.w'\]"),
+        )
+        path = tmp_path / "model.bin"
+        for written, message in cases:
+            data = b"OGMLP" + struct.pack("<II", 1, len(block)) + block
+            data += struct.pack("<I", len(written))
+            for name, arr in written:
+                data += encode_str(name) + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+                data += arr.astype("<f4").tobytes()
+            path.write_bytes(data)
+            with pytest.raises(StoreFormatError, match=message):
                 load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
