@@ -17,6 +17,14 @@ arXiv:1412.6980), elementwise over the buffer. Model selection runs
 stratified k-fold cross validation, snapshots each fold's parameters at its
 best validation epoch, and returns the best fold's snapshot.
 
+The folds train in lockstep. Folds with the same training-set size form one
+``(F, P)`` stack, one buffer row per fold, and take each Adam step together
+through one call of the forward/backward kernel, whose arrays carry a
+leading model axis. The kernel keeps every product, reduction and
+elementwise step within one model's row, so each fold gets the bits it
+would get trained alone; a single model (prediction, gradient checks) is
+the kernel's stack of one.
+
 Model file format: magic ``OGMLP``, u32 version (1), u32 length-prefixed
 JSON config block (the :class:`MlpConfig` fields, every one required and
 no other key accepted), u32 array count, then per parameter array, in
@@ -108,7 +116,9 @@ def _layers(params: dict[str, np.ndarray]):
 class MlpModel:
     """Every parameter in one float64 buffer ``flat``, laid out by :func:`_layout`.
 
-    ``params`` maps each name to its view into ``flat``, so updating ``flat``
+    ``flat`` is ``(P,)`` for one model, or ``(F, P)`` for a stack of ``F``
+    models, one :func:`_layout` row each. ``params`` maps each name to its
+    view into ``flat``, with the stack's leading axis, so updating ``flat``
     in place updates every layer. Gradients are held the same way.
     """
 
@@ -121,11 +131,13 @@ class MlpModel:
         sizes = [math.prod(shape) for _, shape in layout]
         if self.flat is None:
             self.flat = np.zeros(sum(sizes))
-        if self.flat.shape != (sum(sizes),):
-            raise ValueError(f"buffer shape {self.flat.shape}, layout needs {sum(sizes)}")
-        parts = np.split(self.flat, np.cumsum(sizes)[:-1])
+        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != sum(sizes):
+            raise ValueError(f"buffer shape {self.flat.shape}, layout needs {sum(sizes)} per row")
+        lead = self.flat.shape[:-1]
+        ends = np.cumsum(sizes).tolist()
         self.params = {
-            name: part.reshape(shape) for (name, shape), part in zip(layout, parts)
+            name: self.flat[..., end - size : end].reshape(lead + shape)
+            for (name, shape), size, end in zip(layout, sizes, ends)
         }
 
     def parameters(self) -> Iterator[tuple[str, np.ndarray]]:
@@ -172,95 +184,108 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward_batch(
-    model: MlpModel,
+    stack: MlpModel,
     x: np.ndarray,
-    training: bool = False,
-    dropout_rng: Optional[np.random.Generator] = None,
+    dropout_rngs: Optional[Sequence[np.random.Generator]] = None,
 ):
-    """Batched forward pass. Returns (logits, caches) for backprop."""
+    """Forward pass of a stack of ``F`` models (``stack.flat`` is ``(F, P)``),
+    model ``f`` over its batch ``x[f]``; ``x`` is ``(F, n, d_in)``. Returns
+    (logits ``(F, n, 2)``, caches) for backprop.
+
+    Dropout fires only when ``dropout_rngs`` is given, one generator per
+    model, each drawing its own masks layer by layer.
+    """
     h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != model.config.d_in:
-        raise ValueError(f"batch must be (n, {model.config.d_in}), got {h.shape}")
-    p = model.config.dropout_p
-    hidden, (out_w, out_b) = _layers(model.params)
+    d_in = stack.config.d_in
+    if stack.flat.ndim != 2 or h.ndim != 3 or h.shape[::2] != (len(stack.flat), d_in):
+        raise ValueError(
+            f"batch must be (F, n, {d_in}) for a stack of F models, got {h.shape}"
+        )
+    p = stack.config.dropout_p
+    hidden, (out_w, out_b) = _layers(stack.params)
     caches = []
     for w, b, gamma, beta in hidden:
-        z = h @ w.T + b
-        mu = z.mean(axis=1, keepdims=True)
-        var = z.var(axis=1, keepdims=True)
+        z = np.matmul(h, w.transpose(0, 2, 1)) + b[:, None]
+        mu = z.mean(axis=2, keepdims=True)
+        var = z.var(axis=2, keepdims=True)
         inv = 1.0 / np.sqrt(var + LN_EPS)
         xhat = (z - mu) * inv
-        ln = gamma * xhat + beta
+        ln = gamma[:, None] * xhat + beta[:, None]
         act = np.maximum(ln, 0.0)
-        if training and p > 0.0 and dropout_rng is not None:
-            mask = (dropout_rng.random(act.shape) >= p).astype(np.float64)
+        if p > 0.0 and dropout_rngs is not None:
+            draws = np.stack([rng.random(act.shape[1:]) for rng in dropout_rngs])
+            mask = (draws >= p).astype(np.float64)
             dropped = act * mask / (1.0 - p)
         else:
             mask = None
             dropped = act
         caches.append({"input": h, "inv": inv, "xhat": xhat, "ln": ln, "mask": mask})
         h = dropped
-    logits = h @ out_w.T + out_b
+    logits = np.matmul(h, out_w.transpose(0, 2, 1)) + out_b[:, None]
     caches.append({"input": h})
     return logits, caches
 
 
 def loss_and_grad(
-    model: MlpModel,
+    stack: MlpModel,
     x: np.ndarray,
     y: np.ndarray,
-    dropout_rng: Optional[np.random.Generator] = None,
-) -> tuple[float, MlpModel]:
-    """Mean softmax cross-entropy over the batch ``x`` ``(n, d_in)``, ``y``
-    ``(n,)``, and its gradient as an :class:`MlpModel` in the model's layout.
+    dropout_rngs: Optional[Sequence[np.random.Generator]] = None,
+) -> tuple[np.ndarray, MlpModel]:
+    """Each model's mean softmax cross-entropy over its batch, and its gradient.
 
-    Dropout fires only when a generator is supplied, so gradient checks and
-    inference paths are deterministic by default.
+    ``stack`` holds ``F`` models, ``x`` is ``(F, n, d_in)`` and ``y``
+    ``(F, n)``. Returns the ``(F,)`` losses and the gradients as an
+    ``(F, P)`` :class:`MlpModel` stack in the same layout. Every product,
+    reduction and elementwise step stays within one model's row, so a model
+    gets the same bits in any stack, a stack of one included. Dropout fires
+    only when generators are supplied, so gradient checks and inference
+    paths are deterministic by default.
     """
     y = np.asarray(y, dtype=np.int64)
-    n = len(y)
-    if n == 0:
-        raise ValueError("batch must be non-empty")
+    if y.ndim != 2 or y.shape[1] == 0:
+        raise ValueError(f"batch must be non-empty (F, n) labels, got shape {y.shape}")
     if np.any((y < 0) | (y >= N_CLASSES)):
         raise ValueError("labels must be 0 or 1")
-    if len(x) != n:
-        raise ValueError(f"batch has {len(x)} inputs but {n} labels")
-    training = dropout_rng is not None
-    logits, caches = _forward_batch(model, x, training=training, dropout_rng=dropout_rng)
+    if np.shape(x)[:2] != y.shape:
+        raise ValueError(f"batch has inputs {np.shape(x)} but labels {y.shape}")
+    logits, caches = _forward_batch(stack, x, dropout_rngs)
+    n = y.shape[1]
+    picked = (np.arange(len(y))[:, None], np.arange(n), y)
 
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(n), y]))
+    shifted = logits - np.max(logits, axis=2, keepdims=True)
+    log_z = np.log(np.sum(np.exp(shifted), axis=2))
+    losses = np.mean(log_z - shifted[picked], axis=1)
 
     dlogits = softmax(logits)
-    dlogits[np.arange(n), y] -= 1.0
+    dlogits[picked] -= 1.0
     dlogits /= n
 
-    grad = MlpModel(model.config, np.empty_like(model.flat))
-    hidden, (out_w, _) = _layers(model.params)
+    grad = MlpModel(stack.config, np.empty_like(stack.flat))
+    hidden, (out_w, _) = _layers(stack.params)
     grad_hidden, (grad_out_w, grad_out_b) = _layers(grad.params)
-    grad_out_w[...] = dlogits.T @ caches[-1]["input"]
-    grad_out_b[...] = dlogits.sum(axis=0)
-    dh = dlogits @ out_w
+    grad_out_w[...] = np.matmul(dlogits.transpose(0, 2, 1), caches[-1]["input"])
+    grad_out_b[...] = dlogits.sum(axis=1)
+    dh = np.matmul(dlogits, out_w)
 
-    p = model.config.dropout_p
+    p = stack.config.dropout_p
     for (w, _, gamma, _), (gw, gb, ggamma, gbeta), cache in reversed(
         list(zip(hidden, grad_hidden, caches))
     ):
         if cache["mask"] is not None:
             dh = dh * cache["mask"] / (1.0 - p)
         dln = dh * (cache["ln"] > 0.0)
-        ggamma[...] = (dln * cache["xhat"]).sum(axis=0)
-        gbeta[...] = dln.sum(axis=0)
-        dxhat = dln * gamma
+        ggamma[...] = (dln * cache["xhat"]).sum(axis=1)
+        gbeta[...] = dln.sum(axis=1)
+        dxhat = dln * gamma[:, None]
         # layer norm backward over the unit axis
-        mean_dxhat = dxhat.mean(axis=1, keepdims=True)
-        mean_dxhat_xhat = (dxhat * cache["xhat"]).mean(axis=1, keepdims=True)
+        mean_dxhat = dxhat.mean(axis=2, keepdims=True)
+        mean_dxhat_xhat = (dxhat * cache["xhat"]).mean(axis=2, keepdims=True)
         dz = cache["inv"] * (dxhat - mean_dxhat - cache["xhat"] * mean_dxhat_xhat)
-        gw[...] = dz.T @ cache["input"]
-        gb[...] = dz.sum(axis=0)
-        dh = dz @ w
-    return loss, grad
+        gw[...] = np.matmul(dz.transpose(0, 2, 1), cache["input"])
+        gb[...] = dz.sum(axis=1)
+        dh = np.matmul(dz, w)
+    return losses, grad
 
 
 def predict(
@@ -271,8 +296,8 @@ def predict(
     An exact probability tie resolves to label 0, the safe rejection.
     """
     x = scale_input(np.asarray(ranks, dtype=np.float64), gallery_size, model.config)
-    logits, _ = _forward_batch(model, x[None, :])
-    probs = softmax(logits[0])
+    logits, _ = _forward_batch(MlpModel(model.config, model.flat[None]), x[None, None])
+    probs = softmax(logits[0, 0])
     return int(np.argmax(probs)), probs
 
 
@@ -324,10 +349,10 @@ def stratified_folds(
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
 
-def _accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    logits, _ = _forward_batch(model, x, training=False)
-    pred = np.argmax(logits, axis=1)
-    return float(np.mean(pred == y))
+def _accuracy(stack: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each model's share of correct labels on its batch (``x[f]``, ``y[f]``)."""
+    logits, _ = _forward_batch(stack, x)
+    return np.mean(np.argmax(logits, axis=2) == y, axis=1)
 
 
 def train(
@@ -336,52 +361,66 @@ def train(
     """Cross-validated training; returns the best fold's best-epoch model.
 
     Deterministic given (samples, config): every stream is derived from
-    ``config.rng_seed``, and folds use independent streams so a concurrent
-    schedule could not change the result. Non-finite losses abort with a
-    diagnostic rather than silently continuing.
+    ``config.rng_seed``. The folds train in lockstep: those with the same
+    training-set size (stratified dealing leaves at most three sizes) form
+    one stack and take each Adam step together, as one :func:`loss_and_grad`
+    call. Each fold keeps its own generator for its initialization,
+    permutations and dropout masks, and the kernel keeps each fold's
+    arithmetic within its row, so every fold ends with the bits it would
+    get trained alone. A non-finite loss aborts with a diagnostic rather
+    than silently continuing; it names the lowest-index fold that diverged
+    and that fold's first non-finite epoch.
     """
     x, y = samples_to_arrays(samples, config)
     fold_rng = np.random.default_rng(derive_seed(config.rng_seed, "folds"))
     folds = stratified_folds(y, config.folds, fold_rng)
     all_idx = np.arange(len(y))
 
-    fold_accuracies: list[float] = []
-    best_epochs: list[int] = []
-    snapshots: list[np.ndarray] = []
-    for fold_i, val_idx in enumerate(folds):
-        val_mask = np.zeros(len(y), dtype=bool)
-        val_mask[val_idx] = True
-        train_idx = all_idx[~val_mask]
-        rng = np.random.default_rng(derive_seed(config.rng_seed, f"fold{fold_i}"))
-        model = init_model(config, rng)
-        m = np.zeros_like(model.flat)
-        v = np.zeros_like(model.flat)
+    fold_accuracies = [0.0] * config.folds
+    best_epochs = [0] * config.folds
+    snapshots = [np.empty(0)] * config.folds
+    diverged: dict[int, str] = {}
+    for val_size in sorted({len(f) for f in folds}):
+        members = [i for i, f in enumerate(folds) if len(f) == val_size]
+        val_idx = np.stack([folds[i] for i in members])
+        train_idx = np.stack([np.setdiff1d(all_idx, folds[i]) for i in members])
+        rngs = [
+            np.random.default_rng(derive_seed(config.rng_seed, f"fold{i}")) for i in members
+        ]
+        stack = MlpModel(config, np.stack([init_model(config, rng).flat for rng in rngs]))
+        m = np.zeros_like(stack.flat)
+        v = np.zeros_like(stack.flat)
         step = 0
-        best_acc = -1.0
-        best_epoch = -1
-        best_snapshot = model.flat.copy()
+        best_acc = np.full(len(members), -1.0)
+        best_epoch = np.full(len(members), -1)
+        best = stack.flat.copy()
         for epoch in range(config.epochs):
-            order = train_idx[rng.permutation(len(train_idx))]
-            for start in range(0, len(order), config.batch_size):
-                chunk = order[start : start + config.batch_size]
-                loss, grad = loss_and_grad(model, x[chunk], y[chunk], dropout_rng=rng)
-                if not np.isfinite(loss):
-                    raise RuntimeError(
-                        f"non-finite loss at fold {fold_i} epoch {epoch}: {loss}"
+            order = np.stack([t[rng.permutation(len(t))] for t, rng in zip(train_idx, rngs)])
+            for start in range(0, order.shape[1], config.batch_size):
+                chunk = order[:, start : start + config.batch_size]
+                losses, grad = loss_and_grad(stack, x[chunk], y[chunk], dropout_rngs=rngs)
+                for row in np.flatnonzero(~np.isfinite(losses)):
+                    diverged.setdefault(
+                        members[row],
+                        f"non-finite loss at fold {members[row]} epoch {epoch}: "
+                        f"{float(losses[row])}",
                     )
                 step += 1
                 m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad.flat
                 v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad.flat * grad.flat
                 mhat, vhat = m / (1.0 - ADAM_BETA1**step), v / (1.0 - ADAM_BETA2**step)
-                model.flat -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            acc = _accuracy(model, x[val_idx], y[val_idx])
-            if acc > best_acc:
-                best_acc = acc
-                best_epoch = epoch
-                best_snapshot = model.flat.copy()
-        fold_accuracies.append(best_acc)
-        best_epochs.append(best_epoch)
-        snapshots.append(best_snapshot)
+                stack.flat -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            acc = _accuracy(stack, x[val_idx], y[val_idx])
+            improved = acc > best_acc
+            best_acc[improved] = acc[improved]
+            best_epoch[improved] = epoch
+            best[improved] = stack.flat[improved]
+        for row, i in enumerate(members):
+            fold_accuracies[i] = float(best_acc[row])
+            best_epochs[i] = int(best_epoch[row])
+            snapshots[i] = best[row]
+    if diverged:
+        raise RuntimeError(diverged[min(diverged)])
 
     selected = int(np.argmax(fold_accuracies))
     final = _round_f32(MlpModel(config, snapshots[selected]))
@@ -429,6 +468,8 @@ def load_model(path) -> MlpModel:
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_arrays):
         name = reader.string()
+        if name in arrays:
+            raise StoreFormatError(f"model file: array {name!r} appears twice")
         ndim = reader.take(1)[0]
         shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
         data = reader.take(4 * math.prod(shape))

@@ -36,6 +36,7 @@ from rankgate.experiment import (
 )
 from rankgate.mlp import (
     MlpConfig,
+    MlpModel,
     N_CLASSES,
     _forward_batch,
     init_model,
@@ -105,15 +106,15 @@ def test_01_search_ranking_matches_naive_oracle():
 
 
 def _gradient_case(seed, kink_margin=5e-3):
-    """(config, model, (x, y)) with no ReLU input near its kink, or None."""
+    """(config, stack of one model, (x, y)) with no ReLU input near its kink, or None."""
     rng = np.random.default_rng(seed)
     d_in = int(rng.integers(1, 6))
     hidden = tuple(int(rng.integers(2, 13)) for _ in range(int(rng.integers(1, 4))))
     config = MlpConfig(d_in=d_in, hidden_sizes=hidden, dropout_p=0.0, rng_seed=seed)
-    model = init_model(config, np.random.default_rng(seed))
+    model = MlpModel(config, init_model(config, np.random.default_rng(seed)).flat[None])
     n = int(rng.integers(2, 9))
-    x = rng.uniform(0.0, 1.0, size=(n, d_in))
-    y = rng.integers(0, N_CLASSES, size=n)
+    x = rng.uniform(0.0, 1.0, size=(n, d_in))[None]
+    y = rng.integers(0, N_CLASSES, size=n)[None]
     _, caches = _forward_batch(model, x)
     for cache in caches[:-1]:
         if np.min(np.abs(cache["ln"])) < kink_margin:
@@ -133,7 +134,7 @@ def test_02_gradients_match_central_differences():
             continue
         _, model, batch = case
         _, analytic = loss_and_grad(model, *batch)
-        numeric = finite_difference_gradients(model, batch, lambda m, b: loss_and_grad(m, *b)[0])
+        numeric = finite_difference_gradients(model, batch, lambda m, b: loss_and_grad(m, *b)[0][0])
         for name in numeric:
             diff = np.abs(analytic.params[name] - numeric[name])
             bound = np.maximum(1e-6, 1e-3 * np.abs(numeric[name]))

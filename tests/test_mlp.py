@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -11,6 +12,7 @@ from rankgate.codec import encode_str
 from rankgate.curation import RankSample
 from rankgate.mlp import (
     MlpConfig,
+    MlpModel,
     N_CLASSES,
     _forward_batch,
     init_model,
@@ -24,11 +26,17 @@ from rankgate.mlp import (
     stratified_folds,
     train,
 )
+from rankgate.seeds import derive_seed
 from rankgate.store import StoreFormatError
 
 
 def sample(ranks, label, ident="p", gallery_size=1000):
     return RankSample(tuple(int(r) for r in ranks), label, ident, "g", "c", gallery_size)
+
+
+def one(model):
+    """``model`` as a stack of one, sharing its buffer."""
+    return MlpModel(model.config, model.flat[None])
 
 
 def zero_model(config=None):
@@ -39,7 +47,7 @@ def zero_model(config=None):
 
 
 def random_case(seed, max_hidden=12, kink_margin=5e-3):
-    """A (config, model, (x, y)) triple safe for finite differences.
+    """A (config, stack of one model, (x, y)) triple safe for finite differences.
 
     Rejects draws where any ReLU input sits within ``kink_margin`` of zero,
     since central differences break down at the kink. Returns None when the
@@ -50,10 +58,10 @@ def random_case(seed, max_hidden=12, kink_margin=5e-3):
     n_layers = int(rng.integers(1, 4))
     hidden = tuple(int(rng.integers(2, max_hidden + 1)) for _ in range(n_layers))
     config = MlpConfig(d_in=d_in, hidden_sizes=hidden, dropout_p=0.0, rng_seed=seed)
-    model = init_model(config, np.random.default_rng(seed))
+    model = one(init_model(config, np.random.default_rng(seed)))
     n = int(rng.integers(2, 9))
-    x = rng.uniform(0.0, 1.0, size=(n, d_in))
-    y = rng.integers(0, N_CLASSES, size=n)
+    x = rng.uniform(0.0, 1.0, size=(n, d_in))[None]
+    y = rng.integers(0, N_CLASSES, size=n)[None]
     _, caches = _forward_batch(model, x)
     for cache in caches[:-1]:
         if np.min(np.abs(cache["ln"])) < kink_margin:
@@ -75,27 +83,25 @@ def gradient_cases(count, start_seed=0):
 class TestForward:
     def test_zero_network_gives_zero_logits(self):
         model = zero_model()
-        logits, _ = _forward_batch(model, np.array([0.2, 0.5, 0.9])[None])
-        assert list(logits[0]) == [0.0, 0.0]
-        np.testing.assert_array_equal(softmax(logits[0]), [0.5, 0.5])
+        logits, _ = _forward_batch(one(model), np.array([0.2, 0.5, 0.9])[None, None])
+        assert list(logits[0, 0]) == [0.0, 0.0]
+        np.testing.assert_array_equal(softmax(logits[0, 0]), [0.5, 0.5])
 
     def test_dropout_p_zero_training_equals_inference(self):
         config = MlpConfig(dropout_p=0.0)
-        model = init_model(config)
-        x = np.array([0.1, 0.4, 0.7])[None]
+        model = one(init_model(config))
+        x = np.array([0.1, 0.4, 0.7])[None, None]
         rng = np.random.default_rng(0)
-        a, _ = _forward_batch(model, x, training=True, dropout_rng=rng)
-        b, _ = _forward_batch(model, x, training=False)
+        a, _ = _forward_batch(model, x, dropout_rngs=[rng])
+        b, _ = _forward_batch(model, x)
         np.testing.assert_array_equal(a, b)
 
     def test_dropout_active_changes_output(self):
         config = MlpConfig(dropout_p=0.5)
-        model = init_model(config)
-        x = np.array([0.1, 0.4, 0.7])[None]
-        trained, _ = _forward_batch(
-            model, x, training=True, dropout_rng=np.random.default_rng(1)
-        )
-        plain, _ = _forward_batch(model, x, training=False)
+        model = one(init_model(config))
+        x = np.array([0.1, 0.4, 0.7])[None, None]
+        trained, _ = _forward_batch(model, x, dropout_rngs=[np.random.default_rng(1)])
+        plain, _ = _forward_batch(model, x)
         assert not np.array_equal(trained, plain)
 
     def test_matches_scalar_loop_reimplementation(self):
@@ -130,70 +136,94 @@ class TestForward:
                 for j, hj in enumerate(h):
                     acc += float(model.params["out.w"][unit, j]) * hj
                 expected.append(acc)
-            logits, _ = _forward_batch(model, x[None])
-            np.testing.assert_allclose(logits[0], expected, rtol=1e-5)
+            logits, _ = _forward_batch(one(model), x[None, None])
+            np.testing.assert_allclose(logits[0, 0], expected, rtol=1e-5)
 
     def test_layer_norm_standardizes(self):
         rng = np.random.default_rng(3)
         model = init_model(MlpConfig(d_in=3, hidden_sizes=(16, 16)), rng)
         x = rng.uniform(0, 1, size=(32, 3))
-        _, caches = _forward_batch(model, x)
+        _, caches = _forward_batch(one(model), x[None])
         for cache in caches[:-1]:
-            xhat = cache["xhat"]
+            xhat = cache["xhat"][0]
             np.testing.assert_allclose(xhat.mean(axis=1), 0.0, atol=1e-8)
             # the eps inside the sqrt caps the variance just below one
             assert np.all(xhat.var(axis=1) <= 1.0 + 1e-9)
         # on the raw inputs the pre-activation variance dwarfs eps, so the
         # first layer standardizes to unit variance up to the eps haircut
-        first = caches[0]["xhat"]
+        first = caches[0]["xhat"][0]
         np.testing.assert_allclose(first.var(axis=1), 1.0, atol=5e-3)
 
     def test_shape_mismatch_rejected(self):
-        model = init_model(MlpConfig(d_in=3))
-        with pytest.raises(ValueError, match="batch"):
-            _forward_batch(model, np.array([0.1, 0.2])[None])
+        model = one(init_model(MlpConfig(d_in=3)))
+        for x in (np.zeros((1, 1, 2)), np.zeros((2, 1, 3)), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="batch"):
+                _forward_batch(model, x)
 
 
 class TestLoss:
     def test_zero_network_loss_is_ln_two(self):
-        model = zero_model()
-        x = np.array([[0.2, 0.3, 0.4], [0.5, 0.6, 0.7]])
-        loss, _ = loss_and_grad(model, x, np.array([1, 0]))
-        assert loss == pytest.approx(math.log(2.0), rel=1e-12)
+        model = one(zero_model())
+        x = np.array([[[0.2, 0.3, 0.4], [0.5, 0.6, 0.7]]])
+        loss, _ = loss_and_grad(model, x, np.array([[1, 0]]))
+        assert loss[0] == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_saturated_correct_logit_loss_vanishes(self):
         model = zero_model()
         model.params["out.b"][...] = [10.0, -10.0]
-        loss, _ = loss_and_grad(model, np.array([[0.1, 0.2, 0.3]]), np.array([0]))
-        assert loss < 1e-4
+        loss, _ = loss_and_grad(one(model), np.array([[[0.1, 0.2, 0.3]]]), np.array([[0]]))
+        assert loss[0] < 1e-4
 
     def test_empty_batch_rejected(self):
+        model = one(init_model(MlpConfig()))
         with pytest.raises(ValueError, match="non-empty"):
-            loss_and_grad(init_model(MlpConfig()), np.zeros((0, 3)), np.zeros(0, dtype=int))
+            loss_and_grad(model, np.zeros((1, 0, 3)), np.zeros((1, 0), dtype=int))
 
     def test_bad_label_rejected(self):
+        model = one(init_model(MlpConfig()))
         with pytest.raises(ValueError, match="labels"):
-            loss_and_grad(init_model(MlpConfig()), np.array([[0.1, 0.2, 0.3]]), np.array([2]))
+            loss_and_grad(model, np.array([[[0.1, 0.2, 0.3]]]), np.array([[2]]))
 
     def test_gradients_match_finite_differences(self):
         for config, model, batch in gradient_cases(10):
             _, analytic = loss_and_grad(model, *batch)
             numeric = finite_difference_gradients(
-                model, batch, lambda m, b: loss_and_grad(m, *b)[0]
+                model, batch, lambda m, b: loss_and_grad(m, *b)[0][0]
             )
             for name in numeric:
                 diff = np.abs(analytic.params[name] - numeric[name])
                 bound = np.maximum(1e-6, 1e-3 * np.abs(numeric[name]))
                 assert np.all(diff <= bound), f"{name} off by {diff.max()}"
 
+    def test_stack_step_matches_single_model_steps(self):
+        """One call on a stack of three models gives each model the bits that
+        a call on a stack of one gives it: loss and every gradient array."""
+        config = MlpConfig(d_in=3, hidden_sizes=(9, 7, 5), dropout_p=0.3)
+        rng = np.random.default_rng(4)
+        flat = np.stack([init_model(config, rng).flat for _ in range(3)])
+        stack = MlpModel(config, flat)
+        for n in (32, 5):  # a full batch and a short last one
+            x = rng.uniform(0.0, 1.0, size=(3, n, 3))
+            y = rng.integers(0, N_CLASSES, size=(3, n))
+            rngs = [np.random.default_rng(f) for f in range(3)]
+            losses, grad = loss_and_grad(stack, x, y, dropout_rngs=rngs)
+            for f in range(3):
+                single = MlpModel(config, flat[f : f + 1])
+                loss, single_grad = loss_and_grad(
+                    single, x[f : f + 1], y[f : f + 1], dropout_rngs=[np.random.default_rng(f)]
+                )
+                assert loss.tobytes() == losses[f : f + 1].tobytes()
+                for name, arr in single_grad.parameters():
+                    assert arr.tobytes() == grad.params[name][f : f + 1].tobytes(), name
+
     def test_dropout_only_fires_with_generator(self):
         config = MlpConfig(dropout_p=0.5)
-        model = init_model(config)
-        x, y = np.array([[0.2, 0.4, 0.6]]), np.array([1])
+        model = one(init_model(config))
+        x, y = np.array([[[0.2, 0.4, 0.6]]]), np.array([[1]])
         a, _ = loss_and_grad(model, x, y)
         b, _ = loss_and_grad(model, x, y)
         assert a == b
-        c, _ = loss_and_grad(model, x, y, dropout_rng=np.random.default_rng(0))
+        c, _ = loss_and_grad(model, x, y, dropout_rngs=[np.random.default_rng(0)])
         assert c != a
 
 
@@ -273,6 +303,19 @@ class TestTrain:
             out.append(sample(high, 0, f"b{i}"))
         return out
 
+    def uneven(self, seed=1):
+        """22 in-gallery and 21 out-of-gallery samples with overlapping ranks;
+        4 folds deal them into validation sets of 12, 11, 10 and 10, so
+        training runs three training-set sizes."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for i in range(22):
+            out.append(sample(sorted(rng.choice(np.arange(2, 60), 3, replace=False)), 1, f"a{i}"))
+            if i < 21:
+                high = sorted(rng.choice(np.arange(20, 200), 3, replace=False))
+                out.append(sample(high, 0, f"b{i}"))
+        return out
+
     def test_separable_data_perfect_on_every_fold(self):
         _, report = train(self.separable(), MlpConfig(rng_seed=0))
         assert report.fold_accuracies == [1.0] * 10
@@ -325,10 +368,26 @@ class TestTrain:
             train(samples, MlpConfig(folds=10))
 
     def test_diverged_loss_aborts(self):
+        """The lowest-index fold that diverges is named, with its first
+        non-finite epoch, whatever order the folds train in."""
         samples = self.separable(n_per_class=20)
         config = MlpConfig(epochs=2, folds=2, learning_rate=1e300, rng_seed=0)
         with np.errstate(all="ignore"):
-            with pytest.raises(RuntimeError, match="non-finite loss"):
+            with pytest.raises(RuntimeError, match=r"^non-finite loss at fold 0 epoch 1: nan$"):
+                train(samples, config)
+        # Raw ranks near the float64 limit overflow the first layer of every
+        # fold that trains on them. In fold 0's validation set such a sample
+        # spares fold 0 only, so fold 1 is named, although folds 2 and 3
+        # (validation size 10) train apart from fold 1 (11) and diverge too.
+        samples = self.uneven()
+        labels = np.array([s.label for s in samples])
+        folds = stratified_folds(labels, 4, np.random.default_rng(derive_seed(0, "folds")))
+        i = int(folds[0][0])
+        big = 10**308
+        samples[i] = sample((big, big + 1, big + 2), samples[i].label, "huge", big + 2)
+        config = MlpConfig(epochs=2, folds=4, rng_seed=0, input_scaling="raw")
+        with np.errstate(all="ignore"):
+            with pytest.raises(RuntimeError, match=r"^non-finite loss at fold 1 epoch 0: nan$"):
                 train(samples, config)
 
     def test_overflowing_parameters_abort(self):
@@ -338,6 +397,30 @@ class TestTrain:
         with np.errstate(all="ignore"):
             with pytest.raises(RuntimeError, match="float32 rounding"):
                 train(samples, config)
+
+    def test_golden_model_and_report_bytes(self, tmp_path):
+        """Model file and report bytes of one training, pinned as literals:
+        three training-set sizes, dropout, and short last batches."""
+        config = MlpConfig(
+            hidden_sizes=(6, 5, 4),
+            dropout_p=0.2,
+            learning_rate=0.02,
+            batch_size=8,
+            epochs=6,
+            folds=4,
+            rng_seed=3,
+        )
+        model, report = train(self.uneven(), config)
+        save_model(model, tmp_path / "model.bin")
+        report.write_json(tmp_path / "report.json")
+        digests = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("model.bin", "report.json")
+        ]
+        assert digests == [
+            "c32d1bbd688d04f901c795d2ddee7292bbe7de20869166e60994637c0e49709f",
+            "9664e6731dc842209ad85c0814b2023183ba413d60b01e89cf165b82d8bc7228",
+        ]
 
     def test_report_json(self, tmp_path):
         _, report = train(self.separable(30), MlpConfig(epochs=2, folds=3, rng_seed=0))
@@ -429,6 +512,28 @@ class TestPersistence:
         cases = (
             ([a for a in arrays if a[0] != "h0.gamma"], "missing array 'h0.gamma'"),
             (arrays + [("h1.w", np.zeros((2, 2)))], r"unexpected arrays: \['h1.w'\]"),
+        )
+        path = tmp_path / "model.bin"
+        for written, message in cases:
+            data = b"OGMLP" + struct.pack("<II", 1, len(block)) + block
+            data += struct.pack("<I", len(written))
+            for name, arr in written:
+                data += encode_str(name) + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+                data += arr.astype("<f4").tobytes()
+            path.write_bytes(data)
+            with pytest.raises(StoreFormatError, match=message):
+                load_model(path)
+
+    def test_repeated_array_rejected(self, tmp_path):
+        """A file that repeats an array name is rejected, whether the repeat
+        is extra or replaces another array (the count matches the layout)."""
+        model = init_model(MlpConfig(hidden_sizes=(4,), rng_seed=2))
+        block = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
+        arrays = list(model.parameters())
+        h0_w = ("h0.w", np.full_like(arrays[0][1], 7.0))
+        cases = (
+            (arrays + [h0_w], "array 'h0.w' appears twice"),
+            ([arrays[0], h0_w] + arrays[2:], "array 'h0.w' appears twice"),
         )
         path = tmp_path / "model.bin"
         for written, message in cases:
