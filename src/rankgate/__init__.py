@@ -23,7 +23,6 @@ from .curation import (
     CurationConfig,
     RankSample,
     SplitDataset,
-    curate,
     curate_detailed,
     permute_augment,
     rank_distribution_report,
@@ -41,7 +40,6 @@ from .experiment import (
 from .mlp import MlpConfig, MlpModel, TrainReport, load_model, predict, save_model, train
 from .search import (
     GalleryIndex,
-    RankVector,
     SearchResult,
     build_gallery,
     extract_rank_vector,
@@ -73,7 +71,6 @@ __all__ = [
     "MlpModel",
     "OUT_OF_GALLERY",
     "RankSample",
-    "RankVector",
     "SearchResult",
     "SplitDataset",
     "StoreFormatError",
@@ -84,7 +81,6 @@ __all__ = [
     "calibrate_threshold",
     "cardinality_sweep",
     "centroid_classify",
-    "curate",
     "curate_detailed",
     "degrade_probe",
     "emit_report",

@@ -84,6 +84,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_curate(args) -> int:
+    synth.check_sigma("--probe-sigma", args.probe_sigma)
     loaded = store.ingest(args.store, args.store_format)
     if args.group:
         loaded = loaded.filter_by_group(args.group)

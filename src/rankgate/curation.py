@@ -4,14 +4,29 @@ For every eligible identity (at least ``min_images_per_identity`` images in
 the requested group) the most recent image is the probe: highest
 ``capture_index``, ties broken by taking the highest ``image_id``. A fixed
 number of the identity's remaining images is enrolled in a gallery shared
-by all probes of the run. Each probe is searched once, for two rankings:
+by all probes of the run. Each probe is scored against the gallery once,
+for two rankings:
 
 * in-gallery: against the shared gallery, which contains the probe
   identity's enrolled images. Label 1.
 * out-of-gallery: against the shared gallery with every image of the probe
-  identity removed. Label 0. This is the in-gallery ranking with those
+  identity removed. Label 0. This is the in-gallery scoring with those
   rows dropped, exactly: a row's score depends only on its own bits and
   ties break on the global ``(identity_id, image_id)`` order.
+
+A sample needs the rank-one identity and the ranks of its other rows, not
+a full ranking, so curation does not sort the gallery. It follows the
+screen → refine → count protocol of :mod:`rankgate.search`: one BLAS
+product scores a block of probes against every row, the exact kernel
+rescores only the rows whose screened score lies within twice the error
+bound ``δ`` of a decision, and each rank is a count of the rows ahead. The
+out-of-gallery ranking reuses the probe's screened row with the probe
+identity's rows set to ``-inf``. Samples, ``top_similarity`` included,
+are bit-identical to those of a full :func:`rankgate.search.search`. A
+block holds a constant ``_SCREEN_BLOCK = 8`` probes: its ``8·N`` float64
+scores are no larger than the ``(N, D)`` product the exact kernel
+allocates for one probe (``D >= 8``), and the BLAS packing buffer, which
+grows with the block, stays small.
 
 Both rankings yield the rank vector of whatever identity came back at rank
 one. If an out-of-gallery winner has fewer than ``d_in`` additional images
@@ -35,18 +50,30 @@ Rank samples have one file format, the CSV written by
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .search import GalleryIndex, build_gallery, extract_rank_vector, search
+from .search import (
+    GalleryIndex,
+    build_gallery,
+    check_probe,
+    extract_rank_vector,
+    screen,
+)
+
+# Not called here. The benchmark tracer wraps ``rankgate.curation.search``
+# by name, so the name stays bound.
+from .search import search  # noqa: F401
 from .seeds import derive_seed
 from .store import EmbeddingRecord, EmbeddingStore, l2_normalize
 
 IN_GALLERY = 1
 OUT_OF_GALLERY = 0
+
+_SCREEN_BLOCK = 8
 
 DegradeFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
@@ -177,14 +204,6 @@ def _fisher_yates_pool(
     return tuple(candidates[t] for t in idx[:k])
 
 
-def curate(
-    store: EmbeddingStore,
-    config: CurationConfig,
-    degrade: Optional[DegradeFn] = None,
-) -> list[RankSample]:
-    return curate_detailed(store, config, degrade).samples
-
-
 def curate_detailed(
     store: EmbeddingStore,
     config: CurationConfig,
@@ -195,7 +214,8 @@ def curate_detailed(
     Emits, per identity in ascending order, the in-gallery sample followed
     by the out-of-gallery sample. The degrade hook, when given, perturbs the
     probe vector once (then re-normalized) and the same degraded probe is
-    used for both rankings.
+    used for both rankings. Probes are screened in blocks of
+    ``_SCREEN_BLOCK``; see the module docstring.
     """
     selected = select_probes(store, config)
     if len(selected) < 2:
@@ -207,55 +227,65 @@ def curate_detailed(
     samples: list[RankSample] = []
     probe_vectors: dict[str, np.ndarray] = {}
     skipped = 0
-    for probe, _pool in selected:
-        identity_id = probe.identity_id
-        vec = probe.vector.astype(np.float64)
-        if degrade is not None:
-            rng = np.random.Generator(
-                np.random.PCG64(derive_seed(config.rng_seed, identity_id, "degrade"))
+    for start in range(0, len(selected), _SCREEN_BLOCK):
+        probes = [probe for probe, _pool in selected[start : start + _SCREEN_BLOCK]]
+        vecs = [
+            check_probe(gallery, _probe_vector(probe, config, degrade))
+            for probe in probes
+        ]
+        for probe, vec, screened in zip(probes, vecs, screen(gallery, np.stack(vecs))):
+            identity_id = probe.identity_id
+            probe_vectors[identity_id] = vec
+            ranks, winner, top = extract_rank_vector(
+                gallery, vec, screened, config.d_in
             )
-            vec = l2_normalize(degrade(vec, rng))
-        probe_vectors[identity_id] = vec
+            samples.append(
+                RankSample(
+                    ranks=ranks,
+                    label=IN_GALLERY,
+                    probe_identity=identity_id,
+                    group=config.group or probe.group,
+                    condition=config.condition,
+                    gallery_size=gallery.size,
+                    rank_one_identity=winner,
+                    top_similarity=top,
+                )
+            )
 
-        result_in = search(gallery, vec)
-        rv = extract_rank_vector(result_in, gallery, config.d_in)
-        samples.append(
-            RankSample(
-                ranks=rv.ranks,
-                label=IN_GALLERY,
-                probe_identity=identity_id,
-                group=config.group or probe.group,
-                condition=config.condition,
-                gallery_size=gallery.size,
-                rank_one_identity=rv.rank_one_identity,
-                top_similarity=float(result_in.similarities[0]),
+            own = gallery.identity_map[identity_id]
+            screened[own] = -np.inf
+            try:
+                ranks, winner, top = extract_rank_vector(
+                    gallery, vec, screened, config.d_in
+                )
+            except ValueError:
+                skipped += 1
+                continue
+            samples.append(
+                RankSample(
+                    ranks=ranks,
+                    label=OUT_OF_GALLERY,
+                    probe_identity=identity_id,
+                    group=config.group or probe.group,
+                    condition=config.condition,
+                    gallery_size=gallery.size - len(own),
+                    rank_one_identity=winner,
+                    top_similarity=top,
+                )
             )
-        )
-
-        keep = ~np.isin(result_in.positions, gallery.identity_map[identity_id])
-        result_out = replace(
-            result_in,
-            positions=result_in.positions[keep],
-            similarities=result_in.similarities[keep],
-        )
-        try:
-            rv_out = extract_rank_vector(result_out, gallery, config.d_in)
-        except ValueError:
-            skipped += 1
-            continue
-        samples.append(
-            RankSample(
-                ranks=rv_out.ranks,
-                label=OUT_OF_GALLERY,
-                probe_identity=identity_id,
-                group=config.group or probe.group,
-                condition=config.condition,
-                gallery_size=len(result_out),
-                rank_one_identity=rv_out.rank_one_identity,
-                top_similarity=float(result_out.similarities[0]),
-            )
-        )
     return CurationResult(samples, gallery, probe_vectors, skipped)
+
+
+def _probe_vector(
+    probe: EmbeddingRecord, config: CurationConfig, degrade: Optional[DegradeFn]
+) -> np.ndarray:
+    vec = probe.vector.astype(np.float64)
+    if degrade is None:
+        return vec
+    rng = np.random.Generator(
+        np.random.PCG64(derive_seed(config.rng_seed, probe.identity_id, "degrade"))
+    )
+    return l2_normalize(degrade(vec, rng))
 
 
 def stratified_split(

@@ -45,7 +45,13 @@ from .curation import (
 )
 from .mlp import MlpConfig, predict, train
 from .store import EmbeddingStore, ingest
-from .synth import SynthConfig, config_from_dict, degrade_probe, generate
+from .synth import (
+    SynthConfig,
+    check_sigma,
+    config_from_dict,
+    degrade_probe,
+    generate,
+)
 
 METHODS = ("mlp", "threshold", "mean", "median", "fusion")
 
@@ -62,8 +68,7 @@ class ConditionSpec:
     def __post_init__(self):
         if not self.tag:
             raise ValueError("condition tag must be non-empty")
-        if self.probe_noise_sigma < 0:
-            raise ValueError("probe_noise_sigma must be >= 0")
+        check_sigma("probe_noise_sigma", self.probe_noise_sigma)
 
 
 @dataclass(frozen=True)

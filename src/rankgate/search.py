@@ -1,57 +1,53 @@
 """Exact 1-to-many cosine search with a deterministic content tie rule.
 
 Similarities are plain dot products (vectors are unit norm by store
-contract) accumulated in 64-bit arithmetic. The full ranking is
-materialized: rank 1 is the best match. Equal similarities are ordered by
-ascending ``(identity_id, image_id)``, so rankings never depend on the
-order gallery records were supplied in.
+contract) accumulated in 64-bit arithmetic by one kernel,
+:func:`similarities`. Rank 1 is the best match. Equal similarities are
+ordered by ascending ``(identity_id, image_id)``, so rankings never depend
+on the order gallery records were supplied in.
+
+:func:`search` materializes the full ranking. Curation needs only a few
+ranks per probe, so it uses a cheaper protocol that gives the same ranks
+bit for bit:
+
+* **Screen.** :func:`screen` scores a block of probes against every row
+  with one BLAS matrix product. Its rounding depends on the BLAS, so its
+  scores decide nothing on their own.
+* **Refine.** Both the screen and :func:`similarities` lie within
+  ``γ_D·‖m‖·‖p‖`` of the real dot product, with ``γ_D = D·u/(1 − D·u)``
+  and ``u = 2⁻⁵³``, whatever their summation order and with or without
+  fused multiply-adds (Higham, *Accuracy and Stability of Numerical
+  Algorithms*, §3.1). So a screened score is within
+  ``δ = 2·γ_D·max‖m‖·‖p‖`` of the kernel's (:func:`screen_tolerance`),
+  and two rows whose screened scores are more than ``2δ`` apart sort in
+  screened order. The kernel rescores only the rows within ``2δ`` of a
+  decision: those near the screened maximum, which hold the winner, and
+  those near the screened score of one of the winner identity's rows.
+* **Count.** A rank is one plus the number of rows that sort ahead:
+  screened scores decide for rows outside the rescored band, exact
+  scores and the tie order inside it (:func:`extract_rank_vector`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .store import EmbeddingRecord
 
 _PROBE_NORM_TOLERANCE = 2e-3
-
-
-@dataclass(frozen=True)
-class RankVector:
-    """The ``d_in`` smallest ranks held by the rank-one identity's other images.
-
-    Ranks are strictly increasing and start at 2 or worse, because rank 1 is
-    the image that won the search and is excluded by definition.
-    """
-
-    ranks: tuple[int, ...]
-    rank_one_identity: str
-    gallery_size: int
-
-    def __post_init__(self):
-        if len(self.ranks) == 0:
-            raise ValueError("a rank vector needs at least one rank")
-        prev = 1
-        for r in self.ranks:
-            if r <= prev:
-                raise ValueError(
-                    f"ranks must be strictly increasing and >= 2, got {self.ranks}"
-                )
-            prev = r
-        if self.ranks[-1] > self.gallery_size:
-            raise ValueError(
-                f"rank {self.ranks[-1]} exceeds gallery size {self.gallery_size}"
-            )
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_SUBNORMAL = 2.0**-1074
 
 
 class GalleryIndex:
     """Search-ready view of a fixed set of records.
 
-    Holds the f64 similarity matrix, positions per identity, and the
-    content-based tie order computed once from record ids.
+    Holds the f64 similarity matrix, its largest row norm, positions per
+    identity, and the content-based tie order computed once from record ids.
     """
 
     def __init__(self, records: Iterable[EmbeddingRecord]):
@@ -75,6 +71,7 @@ class GalleryIndex:
         norms_sq = np.einsum("ij,ij->i", self.matrix, self.matrix)
         if np.max(np.abs(norms_sq - 1.0)) > 1e-3:
             raise ValueError("gallery vectors must be unit norm")
+        self.max_norm = math.sqrt(float(np.max(norms_sq)))
         identities = np.array([r.identity_id for r in recs])
         images = np.array([r.image_id for r in recs])
         order = np.lexsort((images, identities))
@@ -104,23 +101,6 @@ class SearchResult:
     similarities: np.ndarray
     records: tuple[EmbeddingRecord, ...]
 
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def record_at(self, rank: int) -> EmbeddingRecord:
-        """Record holding the given 1-based rank."""
-        if not 1 <= rank <= len(self.positions):
-            raise ValueError(f"rank {rank} out of range 1..{len(self.positions)}")
-        return self.records[self.positions[rank - 1]]
-
-    def identity_at(self, rank: int) -> str:
-        return self.record_at(rank).identity_id
-
-    def entries(self) -> Iterator[tuple[int, str, str, float]]:
-        for i, pos in enumerate(self.positions):
-            r = self.records[pos]
-            yield (i + 1, r.identity_id, r.image_id, float(self.similarities[i]))
-
 
 def similarities(matrix: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """Dot product of every row of ``matrix`` with ``probe``.
@@ -130,15 +110,11 @@ def similarities(matrix: np.ndarray, probe: np.ndarray) -> np.ndarray:
     being exact ties after a permutation. A per-row product-then-reduce
     depends only on the row's own bits.
     """
-    return np.sum(matrix * probe, axis=1)
+    return (matrix * probe).sum(axis=1)
 
 
-def search(gallery: GalleryIndex, probe: np.ndarray) -> SearchResult:
-    """Rank every gallery record against ``probe`` by cosine similarity.
-
-    The probe must be unit norm and match the gallery dimension. Ties are
-    broken by ascending ``(identity_id, image_id)``.
-    """
+def check_probe(gallery: GalleryIndex, probe: np.ndarray) -> np.ndarray:
+    """``probe`` as float64, once it matches the gallery dimension and is unit norm."""
     p = np.asarray(probe, dtype=np.float64)
     if p.shape != (gallery.dimension,):
         raise ValueError(
@@ -147,6 +123,16 @@ def search(gallery: GalleryIndex, probe: np.ndarray) -> SearchResult:
     norm_sq = float(np.dot(p, p))
     if abs(norm_sq - 1.0) > _PROBE_NORM_TOLERANCE:
         raise ValueError(f"probe must be unit norm, got squared norm {norm_sq!r}")
+    return p
+
+
+def search(gallery: GalleryIndex, probe: np.ndarray) -> SearchResult:
+    """Rank every gallery record against ``probe`` by cosine similarity.
+
+    The probe must be unit norm and match the gallery dimension. Ties are
+    broken by ascending ``(identity_id, image_id)``.
+    """
+    p = check_probe(gallery, probe)
     sims = similarities(gallery.matrix, p)
     order = np.lexsort((gallery.tie_rank, -sims))
     return SearchResult(
@@ -154,28 +140,74 @@ def search(gallery: GalleryIndex, probe: np.ndarray) -> SearchResult:
     )
 
 
-def extract_rank_vector(
-    result: SearchResult, gallery: GalleryIndex, d_in: int
-) -> RankVector:
-    """Ranks of the rank-one identity's additional enrolled images.
+def screen(gallery: GalleryIndex, probes: np.ndarray) -> np.ndarray:
+    """Approximate scores of a ``(b, D)`` stack of checked probes, ``(b, N)``.
 
-    Takes the ``d_in`` smallest of them, ascending. Raises ValueError when
-    the rank-one identity has fewer than ``d_in`` images beyond the winner.
-    ``result`` may rank any subset of ``gallery`` that holds every image of
-    the winner; the gallery size recorded is ``len(result)``.
+    One BLAS product; each score is within :func:`screen_tolerance` of
+    what :func:`similarities` gives for the same row and probe.
+    """
+    return probes @ gallery.matrix.T
+
+
+def screen_tolerance(gallery: GalleryIndex, probe: np.ndarray) -> float:
+    """``δ``, a bound on ``|screen − similarities|`` over the gallery's rows.
+
+    ``2·γ_D·max‖m‖·‖p‖``, raised by 1% to cover the rounding of the norms
+    and of ``δ`` itself, plus ``D`` of the smallest subnormal for products
+    that underflow, where the relative error model does not hold.
+    """
+    d = gallery.dimension
+    gamma = d * _UNIT_ROUNDOFF / (1.0 - d * _UNIT_ROUNDOFF)
+    p_norm = math.sqrt(float(np.dot(probe, probe)))
+    bound = 2.0 * gamma * gallery.max_norm * p_norm
+    return 1.01 * bound + d * _SMALLEST_SUBNORMAL
+
+
+def extract_rank_vector(
+    gallery: GalleryIndex, probe: np.ndarray, screened: np.ndarray, d_in: int
+) -> tuple[tuple[int, ...], str, float]:
+    """Ranks of the rank-one identity's additional images, counted.
+
+    ``screened`` is the :func:`screen` row of ``probe``, with ``-inf`` on
+    the rows left out of the search. Returns the ``d_in`` smallest
+    additional ranks ascending, the rank-one identity and its exact
+    similarity: what :func:`search` over the rows left in would give, bit
+    for bit. Raises ValueError when the rank-one identity has fewer than
+    ``d_in`` images beyond the winner.
     """
     if d_in < 1:
         raise ValueError(f"d_in must be >= 1, got {d_in}")
-    top_identity = result.records[result.positions[0]].identity_id
-    positions = gallery.identity_map[top_identity]
-    rank_of = np.empty(gallery.size, dtype=np.int64)
-    rank_of[result.positions] = np.arange(1, len(result) + 1)
-    ranks = sorted(int(rank_of[pos]) for pos in positions)
-    assert ranks[0] == 1
-    additional = ranks[1:]
-    if len(additional) < d_in:
+    # Two rows whose screened scores are more than 2δ apart sort in
+    # screened order.
+    window = 2 * screen_tolerance(gallery, probe)
+    tie_rank = gallery.tie_rank
+    near_top = (screened >= screened.max() - window).nonzero()[0]
+    if len(near_top) > 1:
+        exact = similarities(gallery.matrix[near_top], probe)
+        near_top = near_top[exact == exact.max()]
+    winner = near_top[tie_rank[near_top].argmin()]
+    top_identity = gallery.records[winner].identity_id
+    own = gallery.identity_map[top_identity]
+    if len(own) - 1 < d_in:
         raise ValueError(
-            f"rank-one identity {top_identity!r} has {len(additional)} "
+            f"rank-one identity {top_identity!r} has {len(own) - 1} "
             f"additional images, need {d_in}"
         )
-    return RankVector(tuple(additional[:d_in]), top_identity, len(result))
+    # Against own row i: rows screened more than 2δ above it sort ahead,
+    # rows more than 2δ below sort after, and the rest are rescored and
+    # compared on (exact score, tie_rank).
+    own_screened = screened[own, None]
+    reach = (screened >= own_screened.min() - window).nonzero()[0]
+    diff = screened[reach] - own_screened
+    near = abs(diff) <= window
+    in_band = near.any(axis=0)
+    band = reach[in_band]
+    exact = similarities(gallery.matrix[band], probe)
+    scores = exact[np.searchsorted(band, own), None]
+    exact_ahead = (exact > scores) | (
+        (exact == scores) & (tie_rank[band] < tie_rank[own, None])
+    )
+    ahead = (diff > window).sum(axis=1) + (near[:, in_band] & exact_ahead).sum(axis=1)
+    ranks = np.sort(ahead) + 1
+    assert ranks[0] == 1
+    return tuple(int(r) for r in ranks[1 : d_in + 1]), top_identity, float(scores.max())

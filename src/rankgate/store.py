@@ -164,9 +164,6 @@ class EmbeddingStore:
             self._dimension, [r for r in self._records if r.group == group]
         )
 
-    def save(self, path, format: str = "binary") -> None:
-        write_store(self, path, format)
-
 
 def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
     """Write a store to ``path`` in the named format (``binary`` or ``csv``)."""

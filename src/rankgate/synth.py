@@ -14,6 +14,7 @@ bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -112,6 +113,12 @@ def _noisy_unit(
     raise RuntimeError("could not draw a nonzero image vector")
 
 
+def check_sigma(name: str, sigma: float) -> None:
+    """Reject a probe noise level that is negative, NaN or infinite."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {sigma!r}")
+
+
 def degrade_probe(
     vector: np.ndarray, sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -121,8 +128,7 @@ def degrade_probe(
     undegraded condition is bit-stable.
     """
     v = np.asarray(vector, dtype=np.float64)
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    check_sigma("sigma", sigma)
     if sigma == 0:
         return v.copy()
     for _ in range(100):

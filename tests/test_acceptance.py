@@ -99,7 +99,7 @@ def test_01_search_ranking_matches_naive_oracle():
         gallery = build_gallery(records)
         probe = l2_normalize(rng.standard_normal(dim))
         result = search(gallery, probe)
-        got = [(ident, image) for _, ident, image, _ in result.entries()]
+        got = [(result.records[p].identity_id, result.records[p].image_id) for p in result.positions]
         assert got == oracle_search_order(records, probe), f"case {case} diverged"
     elapsed = time.monotonic() - t0
     _gate(1, elapsed < 30.0, f"200 galleries ranked identically to the naive oracle in {elapsed:.1f}s")

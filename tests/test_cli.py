@@ -291,6 +291,29 @@ class TestErrorHandling:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_probe_sigma_rejected(self, tmp_path, store_path, capsys):
+        """A negative, NaN or infinite probe noise level is an error, not a clean run."""
+        out = tmp_path / "s.csv"
+        for sigma in ("-0.5", "nan", "inf", "-inf"):
+            code = main(["curate", "--store", str(store_path),
+                         f"--probe-sigma={sigma}", "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: --probe-sigma must be finite and >= 0"), err
+        assert not out.exists()
+        code = main(["eval", "--store", str(store_path), "--groups", "synth",
+                     "--conditions", "d:nan", "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "probe_noise_sigma must be finite and >= 0" in capsys.readouterr().err
+        plan = plan_file(tmp_path)
+        payload = json.loads(plan.read_text())
+        payload["conditions"][0]["probe_noise_sigma"] = float("nan")
+        plan.write_text(json.dumps(payload))
+        code = main(["eval", "--plan", str(plan), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "probe_noise_sigma must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_plan_missing_field_or_not_object(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         plan = {"groups": ["g"], "conditions": [{"tag": "c"}], "store_path": "s.bin"}

@@ -1,13 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_curate, oracle_select, sample_tuple
+from rankgate import curation
 from rankgate.curation import (
     CurationConfig,
     RankSample,
-    curate,
     curate_detailed,
     d_in_of,
     load_samples_csv,
@@ -18,7 +20,8 @@ from rankgate.curation import (
     write_rank_distribution_csv,
     write_samples_csv,
 )
-from rankgate.store import EmbeddingStore
+from rankgate.search import screen, screen_tolerance, similarities
+from rankgate.store import EmbeddingRecord, EmbeddingStore
 from rankgate.synth import SynthConfig, degrade_probe, generate
 
 from conftest import make_record
@@ -49,6 +52,57 @@ def tie_heavy_store():
     return EmbeddingStore(16, records)
 
 
+def near_tie_store():
+    """12 identities x 5 images whose scores tie or nearly tie, computed exactly.
+
+    Components are multiples of 2^-20 except component 0, where probes (the
+    highest capture) hold 2^-32 and enrolled images hold j * 2^-20 for a small
+    integer j. Every product and partial sum of a score is then exact in
+    float64 whatever the summation order, so the oracle, the kernel and a BLAS
+    screen agree, while enrolled copies that differ in component 0 score
+    j * 2^-52 apart, well inside the screen's error bound (about 16 * 2^-52
+    at 16 dimensions). The three identities of a family share their enrolled
+    vectors apart from component 0; the third stores them with components 14
+    and 15 swapped, which every probe weights equally.
+    """
+    rng = np.random.default_rng(29)
+    step = 2.0**-20
+
+    def on_grid(v):
+        v = v.copy()
+        v[0] = 0.0
+        return np.round(v / np.linalg.norm(v) / step) * step
+
+    records = []
+    for family in range(4):
+        center = rng.standard_normal(16)
+        enrolled = [on_grid(center + 0.3 * rng.standard_normal(16)) for _ in range(4)]
+        for member in range(3):
+            ident = f"f{family}m{member}"
+            for k, vec in enumerate(enrolled):
+                vec = vec.copy()
+                if member == 2:
+                    vec[[14, 15]] = vec[[15, 14]]
+                vec[0] = int(rng.integers(-6, 7)) * step
+                records.append(EmbeddingRecord(ident, f"im{k}", "g", k, vec.astype(np.float32)))
+            probe = center + 0.3 * rng.standard_normal(16)
+            probe[15] = probe[14]
+            probe = on_grid(probe)
+            probe[0] = 2.0**-32
+            records.append(EmbeddingRecord(ident, "im4", "g", 4, probe.astype(np.float32)))
+    return EmbeddingStore(16, records)
+
+
+def sample_digest(samples) -> str:
+    """sha256 over every field of every sample, ``top_similarity`` by its bits."""
+    h = hashlib.sha256()
+    for s in samples:
+        h.update(repr((s.ranks, s.label, s.probe_identity, s.group, s.condition,
+                       s.gallery_size, s.rank_one_identity,
+                       s.top_similarity.hex())).encode())
+    return h.hexdigest()
+
+
 class TestCurationConfig:
     def test_defaults_follow_d_in(self):
         cfg = CurationConfig(d_in=3)
@@ -68,6 +122,10 @@ class TestRankSample:
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError, match="label"):
             sample((2, 3), label=2)
+
+    def test_rejects_empty_ranks(self):
+        with pytest.raises(ValueError, match="at least one rank"):
+            sample((), label=1)
 
     def test_rejects_duplicate_ranks(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -151,7 +209,7 @@ class TestCurate:
             SynthConfig(n_identities=2, images_per_identity=5, dimension=16,
                         within_noise_sigma=0.05, rng_seed=3)
         )
-        samples = curate(store, CurationConfig(d_in=3, rng_seed=0))
+        samples = curate_detailed(store, CurationConfig(d_in=3, rng_seed=0)).samples
         assert len(samples) == 4
         by_label = {s.label: [] for s in samples}
         for s in samples:
@@ -170,7 +228,7 @@ class TestCurate:
             SynthConfig(n_identities=6, images_per_identity=5, dimension=32,
                         within_noise_sigma=0.0, rng_seed=1)
         )
-        samples = curate(store, CurationConfig(d_in=3, rng_seed=0))
+        samples = curate_detailed(store, CurationConfig(d_in=3, rng_seed=0)).samples
         for s in samples:
             if s.label == 1:
                 assert s.ranks == (2, 3, 4)
@@ -212,13 +270,13 @@ class TestCurate:
 
     def test_deterministic(self, small_store):
         cfg = CurationConfig(d_in=3, rng_seed=13)
-        assert curate(small_store, cfg) == curate(small_store, cfg)
+        assert curate_detailed(small_store, cfg).samples == curate_detailed(small_store, cfg).samples
 
     def test_needs_two_identities(self):
         records = [make_record("a", f"i{k}", capture=k, seed=k) for k in range(1, 6)]
         store = EmbeddingStore(8, records)
         with pytest.raises(ValueError, match="2 eligible"):
-            curate(store, CurationConfig(d_in=3))
+            curate_detailed(store, CurationConfig(d_in=3))
 
     def test_probe_never_enrolled(self, small_store):
         result = curate_detailed(small_store, CurationConfig(d_in=3, rng_seed=0))
@@ -228,6 +286,48 @@ class TestCurate:
         }
         enrolled = {r.key() for r in result.gallery.records}
         assert probes.isdisjoint(enrolled)
+
+    def test_golden_samples(self):
+        """3200 samples hash as the full-sort search path curated them, on
+        stores with exact duplicates (within sigma 0) and probe sigma 0 to 0.25."""
+        samples = []
+        for within, probe_sigma in ((0.0, 0.0), (0.0, 0.10), (0.10, 0.10), (0.25, 0.25)):
+            store = generate(SynthConfig(n_identities=400, images_per_identity=6,
+                                         dimension=32, within_noise_sigma=within,
+                                         rng_seed=5))
+            degrade = None
+            if probe_sigma > 0:
+                degrade = lambda v, rng, s=probe_sigma: degrade_probe(v, s, rng)  # noqa: E731
+            cfg = CurationConfig(d_in=3, rng_seed=9, condition=f"p{probe_sigma}")
+            samples += curate_detailed(store, cfg, degrade).samples
+        assert len(samples) == 3200
+        assert sample_digest(samples) == (
+            "4a385c1a275a643a141d2eca0265dfb58a272bdec46097895fe546bf7d67be89"
+        )
+
+    def test_near_ties_decided_by_refinement(self, monkeypatch):
+        """Samples equal the oracle's when every screened score is off by up
+        to 0.9 of the bound, so only the exact rescoring can order near ties."""
+        store = near_tie_store()
+        cfg = CurationConfig(d_in=3, rng_seed=3)
+        expected, skipped = oracle_curate(
+            store, d_in=3, rng_seed=3, group="", condition="original"
+        )
+        rng = np.random.default_rng(0)
+
+        def shaken(gallery, probes):
+            exact = np.stack([similarities(gallery.matrix, p) for p in probes])
+            bound = np.array([screen_tolerance(gallery, p) for p in probes])
+            return exact + 0.9 * rng.uniform(-1.0, 1.0, exact.shape) * bound[:, None]
+
+        digests = set()
+        for screen_fn in (screen, shaken):
+            monkeypatch.setattr(curation, "screen", screen_fn)
+            result = curate_detailed(store, cfg)
+            assert [sample_tuple(s) for s in result.samples] == expected
+            assert result.skipped_out_of_gallery == skipped
+            digests.add(sample_digest(result.samples))
+        assert len(digests) == 1
 
 
 class TestStratifiedSplit:

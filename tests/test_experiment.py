@@ -76,6 +76,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match=">= 0"):
             ConditionSpec("x", -0.1)
 
+    def test_condition_sigma_must_be_finite(self):
+        for sigma in (float("nan"), float("inf"), float("-inf"), -0.5):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                ConditionSpec("x", sigma)
+
 
 class TestRunExperiment:
     def test_all_cells_reported(self):

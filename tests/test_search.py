@@ -3,10 +3,11 @@ import pytest
 
 from oracles import oracle_rank_vector, oracle_search_order
 from rankgate.search import (
-    RankVector,
     build_gallery,
     extract_rank_vector,
+    screen,
     search,
+    similarities,
 )
 from rankgate.store import unit_f32
 
@@ -14,7 +15,17 @@ from conftest import make_record
 
 
 def ranked_keys(result):
-    return [(r.identity_id, r.image_id) for r in (result.record_at(k) for k in range(1, len(result) + 1))]
+    return [
+        (result.records[p].identity_id, result.records[p].image_id)
+        for p in result.positions
+    ]
+
+
+def counted(gallery, probe, d_in, left_out=()):
+    """extract_rank_vector on the probe's screened row, ``left_out`` rows at -inf."""
+    screened = screen(gallery, probe[None])[0]
+    screened[list(left_out)] = -np.inf
+    return extract_rank_vector(gallery, probe, screened, d_in)
 
 
 def random_gallery(rng, n_records, dim, n_identities=None, duplicate_every=0):
@@ -45,28 +56,6 @@ def random_gallery(rng, n_records, dim, n_identities=None, duplicate_every=0):
             seen.add(r.key())
             unique.append(r)
     return unique
-
-
-class TestRankVector:
-    def test_valid(self):
-        rv = RankVector((2, 5, 9), "a", 10)
-        assert rv.ranks == (2, 5, 9)
-
-    def test_rank_one_rejected(self):
-        with pytest.raises(ValueError, match="increasing"):
-            RankVector((1, 2, 3), "a", 10)
-
-    def test_non_increasing_rejected(self):
-        with pytest.raises(ValueError, match="increasing"):
-            RankVector((2, 2, 3), "a", 10)
-
-    def test_rank_beyond_gallery_rejected(self):
-        with pytest.raises(ValueError, match="gallery size"):
-            RankVector((2, 11), "a", 10)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            RankVector((), "a", 10)
 
 
 class TestGalleryIndex:
@@ -116,7 +105,7 @@ class TestSearch:
         records = [make_record("a", "i1", seed=1), make_record("b", "i1", seed=2)]
         gallery = build_gallery(records)
         result = search(gallery, records[1].vector.astype(np.float64))
-        assert result.identity_at(1) == "b"
+        assert result.records[result.positions[0]].identity_id == "b"
         assert result.similarities[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal_pair(self):
@@ -209,45 +198,68 @@ def controlled_gallery(identity_ranks, total, dim=None):
     return records, probe
 
 
+class TestSimilarities:
+    def test_row_subset_matches_full_matrix_bit_for_bit(self):
+        """Refinement rescores row subsets and relies on this equality."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            dim = int(rng.choice([1, 3, 7, 8, 9, 16, 33, 64, 129, 512]))
+            n = int(rng.integers(1, 200))
+            matrix = rng.standard_normal((n, dim)).astype(np.float32).astype(np.float64)
+            probe = rng.standard_normal(dim)
+            full = similarities(matrix, probe)
+            rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            assert similarities(matrix[rows], probe).tobytes() == full[rows].tobytes()
+            one = int(rng.integers(0, n))
+            assert similarities(matrix[[one]], probe).tobytes() == full[[one]].tobytes()
+
+
 class TestExtractRankVector:
     def test_contiguous_block(self):
         records, probe = controlled_gallery({1, 2, 3, 4}, 12)
         gallery = build_gallery(records)
-        rv = extract_rank_vector(search(gallery, probe), gallery, 3)
-        assert rv.ranks == (2, 3, 4)
-        assert rv.rank_one_identity == "target"
-        assert rv.gallery_size == 12
+        ranks, winner, _top = counted(gallery, probe, 3)
+        assert ranks == (2, 3, 4)
+        assert winner == "target"
 
     def test_smallest_three_rule(self):
         records, probe = controlled_gallery({1, 5, 9, 40, 77}, 90)
         gallery = build_gallery(records)
-        rv = extract_rank_vector(search(gallery, probe), gallery, 3)
-        assert rv.ranks == (5, 9, 40)
+        assert counted(gallery, probe, 3)[0] == (5, 9, 40)
 
     def test_matches_filter_and_sort_oracle(self):
+        """Counted ranks and top score equal a full sort, with and without
+        one identity's rows left out, on galleries with duplicated vectors."""
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            records = random_gallery(rng, 50, 16, n_identities=8)
+        for case in range(40):
+            records = random_gallery(
+                rng, 50, 16, n_identities=8, duplicate_every=3 if case % 2 else 0
+            )
             gallery = build_gallery(records)
             probe = unit_f32(rng.standard_normal(16)).astype(np.float64)
-            result = search(gallery, probe)
-            order = oracle_search_order(records, probe)
-            top = order[0][0]
-            extra = len(gallery.identity_map[top]) - 1
-            if extra < 1:
-                continue
-            d_in = min(3, extra)
-            rv = extract_rank_vector(result, gallery, d_in)
-            assert (rv.rank_one_identity, rv.ranks) == oracle_rank_vector(order, d_in)
+            identities = sorted(gallery.identity_map)
+            for drop in (None, identities[int(rng.integers(0, len(identities)))]):
+                kept = [r for r in records if r.identity_id != drop]
+                left_out = gallery.identity_map[drop] if drop else ()
+                order = oracle_search_order(kept, probe)
+                top = order[0][0]
+                extra = len(gallery.identity_map[top]) - 1
+                if extra < 1:
+                    continue
+                d_in = min(3, extra)
+                ranks, winner, top_similarity = counted(gallery, probe, d_in, left_out)
+                assert (winner, ranks) == oracle_rank_vector(order, d_in)
+                full = search(build_gallery(kept), probe)
+                assert top_similarity.hex() == float(full.similarities[0]).hex()
 
     def test_insufficient_images_error(self):
         records, probe = controlled_gallery({1, 3}, 10)
         gallery = build_gallery(records)
         with pytest.raises(ValueError, match="additional images"):
-            extract_rank_vector(search(gallery, probe), gallery, 3)
+            counted(gallery, probe, 3)
 
     def test_d_in_validated(self):
         records, probe = controlled_gallery({1, 2}, 5)
         gallery = build_gallery(records)
         with pytest.raises(ValueError, match="d_in"):
-            extract_rank_vector(search(gallery, probe), gallery, 0)
+            counted(gallery, probe, 0)
