@@ -25,6 +25,17 @@ elementwise step within one model's row, so each fold gets the bits it
 would get trained alone; a single model (prediction, gradient checks) is
 the kernel's stack of one.
 
+Dropout masks are drawn once per fold and epoch: right after the epoch's
+permutation, the fold's generator fills one reused buffer with all of the
+epoch's uniforms, kept as one bool array, and each step passes the kernel
+per-layer views of it. A generator fills a buffer one value after
+another, so the views hold exactly the values that one draw per step and
+layer gives, and a bool mask multiplies like a 0.0/1.0 float one. The
+kernel calls its reductions directly (``np.add.reduce``, then a division
+by the count: the sequence ``ndarray.mean`` and ``ndarray.var`` run) and
+works in place only where the order of operations stays the same, so
+the bits are those of the plain spelling.
+
 Model file format: magic ``OGMLP``, u32 version (1), u32 length-prefixed
 JSON config block (the :class:`MlpConfig` fields, every one required and
 no other key accepted), u32 array count, then per parameter array, in
@@ -35,6 +46,7 @@ same bytes and load unchanged. Read and written with :mod:`rankgate.codec`.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -91,18 +103,26 @@ class MlpConfig:
             )
 
 
-def _layout(config: MlpConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Every parameter's name and shape, in buffer and model-file order."""
+@functools.lru_cache(maxsize=64)
+def _layout(config: MlpConfig) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
+    """Every parameter's name, shape and ``[start, end)`` span in the buffer,
+    in buffer and model-file order. Cached per config: every model, gradient
+    stack and prediction of one config shares the result."""
     sizes = (config.d_in,) + config.hidden_sizes
-    layout = []
+    shapes = []
     for i, (fan_in, width) in enumerate(zip(sizes[:-1], sizes[1:])):
-        layout += [
+        shapes += [
             (f"h{i}.w", (width, fan_in)),
             (f"h{i}.b", (width,)),
             (f"h{i}.gamma", (width,)),
             (f"h{i}.beta", (width,)),
         ]
-    return layout + [("out.w", (N_CLASSES, sizes[-1])), ("out.b", (N_CLASSES,))]
+    shapes += [("out.w", (N_CLASSES, sizes[-1])), ("out.b", (N_CLASSES,))]
+    layout, end = [], 0
+    for name, shape in shapes:
+        start, end = end, end + math.prod(shape)
+        layout.append((name, shape, start, end))
+    return tuple(layout)
 
 
 def _layers(params: dict[str, np.ndarray]):
@@ -128,16 +148,15 @@ class MlpModel:
 
     def __post_init__(self):
         layout = _layout(self.config)
-        sizes = [math.prod(shape) for _, shape in layout]
+        size = layout[-1][3]
         if self.flat is None:
-            self.flat = np.zeros(sum(sizes))
-        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != sum(sizes):
-            raise ValueError(f"buffer shape {self.flat.shape}, layout needs {sum(sizes)} per row")
+            self.flat = np.zeros(size)
+        if self.flat.ndim not in (1, 2) or self.flat.shape[-1] != size:
+            raise ValueError(f"buffer shape {self.flat.shape}, layout needs {size} per row")
         lead = self.flat.shape[:-1]
-        ends = np.cumsum(sizes).tolist()
         self.params = {
-            name: self.flat[..., end - size : end].reshape(lead + shape)
-            for (name, shape), size, end in zip(layout, sizes, ends)
+            name: self.flat[..., start:end].reshape(lead + shape)
+            for name, shape, start, end in layout
         }
 
     def parameters(self) -> Iterator[tuple[str, np.ndarray]]:
@@ -186,14 +205,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def _forward_batch(
     stack: MlpModel,
     x: np.ndarray,
-    dropout_rngs: Optional[Sequence[np.random.Generator]] = None,
+    masks: Optional[Sequence[np.ndarray]] = None,
 ):
     """Forward pass of a stack of ``F`` models (``stack.flat`` is ``(F, P)``),
     model ``f`` over its batch ``x[f]``; ``x`` is ``(F, n, d_in)``. Returns
     (logits ``(F, n, 2)``, caches) for backprop.
 
-    Dropout fires only when ``dropout_rngs`` is given, one generator per
-    model, each drawing its own masks layer by layer.
+    Dropout fires only when ``masks`` is given: one bool ``(F, n, width)``
+    keep mask per hidden layer, True where a unit is kept. A layer's output
+    is then ``act * mask / (1 - p)``; multiplying by a bool mask gives the
+    bits a 0.0/1.0 float mask gives. Layer-norm statistics are
+    ``np.add.reduce`` over the units divided by the unit count, the
+    variance over ``d * d`` with ``d = z - mean``: the sequence
+    ``ndarray.mean`` and ``ndarray.var`` run, so the bits are theirs.
     """
     h = np.asarray(x, dtype=np.float64)
     d_in = stack.config.d_in
@@ -201,27 +225,40 @@ def _forward_batch(
         raise ValueError(
             f"batch must be (F, n, {d_in}) for a stack of F models, got {h.shape}"
         )
-    p = stack.config.dropout_p
     hidden, (out_w, out_b) = _layers(stack.params)
+    if masks is not None:
+        expected = [h.shape[:2] + b.shape[1:] for _, b, _, _ in hidden]
+        if [(m.shape, m.dtype) for m in masks] != [(s, np.dtype(bool)) for s in expected]:
+            raise ValueError(
+                f"dropout masks must be bool arrays of shapes {expected}, got "
+                f"{[(m.shape, str(m.dtype)) for m in masks]}"
+            )
+    keep_prob = 1.0 - stack.config.dropout_p
     caches = []
-    for w, b, gamma, beta in hidden:
-        z = np.matmul(h, w.transpose(0, 2, 1)) + b[:, None]
-        mu = z.mean(axis=2, keepdims=True)
-        var = z.var(axis=2, keepdims=True)
-        inv = 1.0 / np.sqrt(var + LN_EPS)
-        xhat = (z - mu) * inv
-        ln = gamma[:, None] * xhat + beta[:, None]
+    for i, (w, b, gamma, beta) in enumerate(hidden):
+        z = np.matmul(h, w.transpose(0, 2, 1))
+        z += b[:, None]
+        width = z.shape[2]
+        mu = np.add.reduce(z, axis=2, keepdims=True)
+        mu /= width
+        xhat = np.subtract(z, mu, out=z)
+        var = np.add.reduce(xhat * xhat, axis=2, keepdims=True)
+        var /= width
+        var += LN_EPS
+        inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+        xhat *= inv
+        ln = gamma[:, None] * xhat
+        ln += beta[:, None]
         act = np.maximum(ln, 0.0)
-        if p > 0.0 and dropout_rngs is not None:
-            draws = np.stack([rng.random(act.shape[1:]) for rng in dropout_rngs])
-            mask = (draws >= p).astype(np.float64)
-            dropped = act * mask / (1.0 - p)
-        else:
-            mask = None
-            dropped = act
+        mask = None
+        if masks is not None:
+            mask = masks[i]
+            act *= mask
+            act /= keep_prob
         caches.append({"input": h, "inv": inv, "xhat": xhat, "ln": ln, "mask": mask})
-        h = dropped
-    logits = np.matmul(h, out_w.transpose(0, 2, 1)) + out_b[:, None]
+        h = act
+    logits = np.matmul(h, out_w.transpose(0, 2, 1))
+    logits += out_b[:, None]
     caches.append({"input": h})
     return logits, caches
 
@@ -230,7 +267,7 @@ def loss_and_grad(
     stack: MlpModel,
     x: np.ndarray,
     y: np.ndarray,
-    dropout_rngs: Optional[Sequence[np.random.Generator]] = None,
+    masks: Optional[Sequence[np.ndarray]] = None,
 ) -> tuple[np.ndarray, MlpModel]:
     """Each model's mean softmax cross-entropy over its batch, and its gradient.
 
@@ -239,8 +276,11 @@ def loss_and_grad(
     ``(F, P)`` :class:`MlpModel` stack in the same layout. Every product,
     reduction and elementwise step stays within one model's row, so a model
     gets the same bits in any stack, a stack of one included. Dropout fires
-    only when generators are supplied, so gradient checks and inference
-    paths are deterministic by default.
+    only when ``masks`` (see :func:`_forward_batch`) are supplied, so
+    gradient checks and inference paths are deterministic by default.
+    Reductions are direct ufunc calls and steps run in place only where
+    the order of operations stays that of the ``mean``/``sum``/``softmax``
+    spelling, so the bits are the same.
     """
     y = np.asarray(y, dtype=np.int64)
     if y.ndim != 2 or y.shape[1] == 0:
@@ -249,15 +289,17 @@ def loss_and_grad(
         raise ValueError("labels must be 0 or 1")
     if np.shape(x)[:2] != y.shape:
         raise ValueError(f"batch has inputs {np.shape(x)} but labels {y.shape}")
-    logits, caches = _forward_batch(stack, x, dropout_rngs)
+    logits, caches = _forward_batch(stack, x, masks)
     n = y.shape[1]
     picked = (np.arange(len(y))[:, None], np.arange(n), y)
 
-    shifted = logits - np.max(logits, axis=2, keepdims=True)
-    log_z = np.log(np.sum(np.exp(shifted), axis=2))
-    losses = np.mean(log_z - shifted[picked], axis=1)
+    shifted = np.subtract(logits, np.maximum.reduce(logits, axis=2, keepdims=True), out=logits)
+    e = np.exp(shifted)
+    z = np.add.reduce(e, axis=2, keepdims=True)
+    losses = np.add.reduce(np.log(z[..., 0]) - shifted[picked], axis=1)
+    losses /= n
 
-    dlogits = softmax(logits)
+    dlogits = np.divide(e, z, out=e)
     dlogits[picked] -= 1.0
     dlogits /= n
 
@@ -265,26 +307,40 @@ def loss_and_grad(
     hidden, (out_w, _) = _layers(stack.params)
     grad_hidden, (grad_out_w, grad_out_b) = _layers(grad.params)
     grad_out_w[...] = np.matmul(dlogits.transpose(0, 2, 1), caches[-1]["input"])
-    grad_out_b[...] = dlogits.sum(axis=1)
+    np.add.reduce(dlogits, axis=1, out=grad_out_b)
     dh = np.matmul(dlogits, out_w)
 
-    p = stack.config.dropout_p
-    for (w, _, gamma, _), (gw, gb, ggamma, gbeta), cache in reversed(
-        list(zip(hidden, grad_hidden, caches))
-    ):
+    keep_prob = 1.0 - stack.config.dropout_p
+    for i in reversed(range(len(hidden))):
+        w, _, gamma, _ = hidden[i]
+        gw, gb, ggamma, gbeta = grad_hidden[i]
+        cache = caches[i]
+        xhat = cache["xhat"]
+        # dh, dln, dxhat and dz are one buffer, each step in place
         if cache["mask"] is not None:
-            dh = dh * cache["mask"] / (1.0 - p)
-        dln = dh * (cache["ln"] > 0.0)
-        ggamma[...] = (dln * cache["xhat"]).sum(axis=1)
-        gbeta[...] = dln.sum(axis=1)
-        dxhat = dln * gamma[:, None]
+            dh *= cache["mask"]
+            dh /= keep_prob
+        dln = dh
+        dln *= cache["ln"] > 0.0
+        prod = dln * xhat
+        np.add.reduce(prod, axis=1, out=ggamma)
+        np.add.reduce(dln, axis=1, out=gbeta)
         # layer norm backward over the unit axis
-        mean_dxhat = dxhat.mean(axis=2, keepdims=True)
-        mean_dxhat_xhat = (dxhat * cache["xhat"]).mean(axis=2, keepdims=True)
-        dz = cache["inv"] * (dxhat - mean_dxhat - cache["xhat"] * mean_dxhat_xhat)
+        width = dln.shape[2]
+        dxhat = dln
+        dxhat *= gamma[:, None]
+        mean_dxhat = np.add.reduce(dxhat, axis=2, keepdims=True)
+        mean_dxhat /= width
+        mean_dxhat_xhat = np.add.reduce(np.multiply(dxhat, xhat, out=prod), axis=2, keepdims=True)
+        mean_dxhat_xhat /= width
+        dz = dxhat
+        dz -= mean_dxhat
+        dz -= np.multiply(xhat, mean_dxhat_xhat, out=prod)
+        dz *= cache["inv"]
         gw[...] = np.matmul(dz.transpose(0, 2, 1), cache["input"])
-        gb[...] = dz.sum(axis=1)
-        dh = np.matmul(dz, w)
+        np.add.reduce(dz, axis=1, out=gb)
+        if i:  # no gradient flows into the inputs
+            dh = np.matmul(dz, w)
     return losses, grad
 
 
@@ -355,6 +411,51 @@ def _accuracy(stack: MlpModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.mean(np.argmax(logits, axis=2) == y, axis=1)
 
 
+def _step_masks(
+    epoch_draws: np.ndarray, start: int, stop: int, widths: Sequence[int]
+) -> list[np.ndarray]:
+    """One step's per-layer views of an epoch's dropout draws.
+
+    ``epoch_draws`` is ``(F, n_train * sum(widths))``: row ``f`` holds fold
+    ``f``'s draws for the epoch, in the order the step/layer loop consumes
+    them. The step over permuted samples ``[start, stop)`` owns the block
+    ``[start * sum(widths), stop * sum(widths))``, and within it layer ``l``
+    the next ``(stop - start) * widths[l]`` values, read as
+    ``(F, stop - start, widths[l])``.
+    """
+    n_b = stop - start
+    block = epoch_draws[:, start * sum(widths) : stop * sum(widths)]
+    views, lo = [], 0
+    for width in widths:
+        views.append(block[:, n_b * lo : n_b * (lo + width)].reshape(len(block), n_b, width))
+        lo += width
+    return views
+
+
+def _adam_step(
+    params: np.ndarray, m: np.ndarray, v: np.ndarray, grad: np.ndarray, step: int, lr: float
+) -> None:
+    """One Adam update of ``params``, ``m`` and ``v`` in place; ``grad`` is
+    spent as scratch. The operations and their order are those of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``params -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)``.
+    """
+    scratch = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m += scratch
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= grad
+    v *= ADAM_BETA2
+    v += scratch
+    denom = np.divide(v, 1.0 - ADAM_BETA2**step, out=grad)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    update = np.divide(m, 1.0 - ADAM_BETA1**step, out=scratch)
+    update *= lr
+    update /= denom
+    params -= update
+
+
 def train(
     samples: Sequence[RankSample], config: MlpConfig
 ) -> tuple[MlpModel, TrainReport]:
@@ -370,11 +471,20 @@ def train(
     get trained alone. A non-finite loss aborts with a diagnostic rather
     than silently continuing; it names the lowest-index fold that diverged
     and that fold's first non-finite epoch.
+
+    Each epoch, right after its permutation, a fold's generator fills one
+    reused buffer of ``n_train * sum(hidden_sizes)`` uniforms in a single
+    call; the epoch's keep masks are those draws ``>= p``, and each step
+    reads its per-layer views (:func:`_step_masks`). These are exactly the
+    values one ``random((n_b, width))`` call per step and layer would draw.
     """
     x, y = samples_to_arrays(samples, config)
     fold_rng = np.random.default_rng(derive_seed(config.rng_seed, "folds"))
     folds = stratified_folds(y, config.folds, fold_rng)
     all_idx = np.arange(len(y))
+    p = config.dropout_p
+    widths = config.hidden_sizes
+    per_sample = sum(widths)
 
     fold_accuracies = [0.0] * config.folds
     best_epochs = [0] * config.folds
@@ -384,6 +494,8 @@ def train(
         members = [i for i, f in enumerate(folds) if len(f) == val_size]
         val_idx = np.stack([folds[i] for i in members])
         train_idx = np.stack([np.setdiff1d(all_idx, folds[i]) for i in members])
+        x_val, y_val = x[val_idx], y[val_idx]
+        n_models, n_train = train_idx.shape
         rngs = [
             np.random.default_rng(derive_seed(config.rng_seed, f"fold{i}")) for i in members
         ]
@@ -391,14 +503,27 @@ def train(
         m = np.zeros_like(stack.flat)
         v = np.zeros_like(stack.flat)
         step = 0
-        best_acc = np.full(len(members), -1.0)
-        best_epoch = np.full(len(members), -1)
+        best_acc = np.full(n_models, -1.0)
+        best_epoch = np.full(n_models, -1)
         best = stack.flat.copy()
+        draws = np.empty(n_train * per_sample)
+        keep = np.empty((n_models, n_train * per_sample), dtype=bool)
+        order = np.empty_like(train_idx)
+        masks = None
         for epoch in range(config.epochs):
-            order = np.stack([t[rng.permutation(len(t))] for t, rng in zip(train_idx, rngs)])
-            for start in range(0, order.shape[1], config.batch_size):
-                chunk = order[:, start : start + config.batch_size]
-                losses, grad = loss_and_grad(stack, x[chunk], y[chunk], dropout_rngs=rngs)
+            for row, rng in enumerate(rngs):
+                order[row] = train_idx[row][rng.permutation(n_train)]
+                if p > 0.0:
+                    rng.random(out=draws)
+                    np.greater_equal(draws, p, out=keep[row])
+            x_epoch, y_epoch = x[order], y[order]
+            for start in range(0, n_train, config.batch_size):
+                stop = min(start + config.batch_size, n_train)
+                if p > 0.0:
+                    masks = _step_masks(keep, start, stop, widths)
+                losses, grad = loss_and_grad(
+                    stack, x_epoch[:, start:stop], y_epoch[:, start:stop], masks
+                )
                 for row in np.flatnonzero(~np.isfinite(losses)):
                     diverged.setdefault(
                         members[row],
@@ -406,11 +531,8 @@ def train(
                         f"{float(losses[row])}",
                     )
                 step += 1
-                m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad.flat
-                v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad.flat * grad.flat
-                mhat, vhat = m / (1.0 - ADAM_BETA1**step), v / (1.0 - ADAM_BETA2**step)
-                stack.flat -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            acc = _accuracy(stack, x[val_idx], y[val_idx])
+                _adam_step(stack.flat, m, v, grad.flat, step, config.learning_rate)
+            acc = _accuracy(stack, x_val, y_val)
             improved = acc > best_acc
             best_acc[improved] = acc[improved]
             best_epoch[improved] = epoch
@@ -477,15 +599,15 @@ def load_model(path) -> MlpModel:
     reader.end("model arrays")
 
     layout = _layout(config)
-    for name, shape in layout:
+    for name, shape, _, _ in layout:
         if name not in arrays:
             raise StoreFormatError(f"model file is missing array {name!r}")
         if arrays[name].shape != shape:
             raise StoreFormatError(
                 f"array {name!r} has shape {arrays[name].shape}, config implies {shape}"
             )
-    unexpected = sorted(set(arrays) - {name for name, _ in layout})
+    unexpected = sorted(set(arrays) - {name for name, *_ in layout})
     if unexpected:
         raise StoreFormatError(f"model file carries unexpected arrays: {unexpected}")
-    flat = np.concatenate([arrays[name].ravel() for name, _ in layout])
+    flat = np.concatenate([arrays[name].ravel() for name, *_ in layout])
     return MlpModel(config, flat.astype(np.float64))

@@ -69,8 +69,8 @@ class GalleryIndex:
         self.dimension = int(dim)
         self.matrix = np.stack([r.vector for r in recs]).astype(np.float64)
         norms_sq = np.einsum("ij,ij->i", self.matrix, self.matrix)
-        if np.max(np.abs(norms_sq - 1.0)) > 1e-3:
-            raise ValueError("gallery vectors must be unit norm")
+        if not np.max(np.abs(norms_sq - 1.0)) <= 1e-3:
+            raise ValueError("gallery vectors must be finite and unit norm")
         self.max_norm = math.sqrt(float(np.max(norms_sq)))
         identities = np.array([r.identity_id for r in recs])
         images = np.array([r.image_id for r in recs])
@@ -121,8 +121,8 @@ def check_probe(gallery: GalleryIndex, probe: np.ndarray) -> np.ndarray:
             f"probe has shape {p.shape}, gallery dimension is {gallery.dimension}"
         )
     norm_sq = float(np.dot(p, p))
-    if abs(norm_sq - 1.0) > _PROBE_NORM_TOLERANCE:
-        raise ValueError(f"probe must be unit norm, got squared norm {norm_sq!r}")
+    if not abs(norm_sq - 1.0) <= _PROBE_NORM_TOLERANCE:
+        raise ValueError(f"probe must be finite and unit norm, got squared norm {norm_sq!r}")
     return p
 
 

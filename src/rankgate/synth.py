@@ -41,8 +41,7 @@ class SynthConfig:
             raise ValueError("images_per_identity must be >= 1")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.within_noise_sigma < 0:
-            raise ValueError("within_noise_sigma must be >= 0")
+        check_sigma("within_noise_sigma", self.within_noise_sigma)
         raw_groups = self.groups.items() if isinstance(self.groups, dict) else self.groups
         groups = tuple((str(g), int(c)) for g, c in raw_groups)
         if not groups:
@@ -65,9 +64,9 @@ class SynthConfig:
         )
         levels = tuple((str(t), float(s)) for t, s in raw_levels)
         object.__setattr__(self, "degradation_levels", levels)
+        for tier, sigma in levels:
+            check_sigma(f"degradation sigma of {tier!r}", sigma)
         sigmas = [s for _, s in levels]
-        if any(s < 0 for s in sigmas):
-            raise ValueError("degradation sigmas must be >= 0")
         if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
             raise ValueError("degradation sigmas must be strictly increasing")
 
@@ -114,7 +113,7 @@ def _noisy_unit(
 
 
 def check_sigma(name: str, sigma: float) -> None:
-    """Reject a probe noise level that is negative, NaN or infinite."""
+    """Reject a noise level that is negative, NaN or infinite."""
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {sigma!r}")
 

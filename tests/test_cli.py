@@ -314,6 +314,16 @@ class TestErrorHandling:
         assert "probe_noise_sigma must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_bad_within_sigma_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s.bin"
+        for sigma in ("nan", "inf", "-0.1"):
+            code = main(["synth", "--identities", "4", f"--within-sigma={sigma}",
+                         "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: within_noise_sigma must be finite and >= 0, got"), err
+        assert not out.exists()
+
     def test_plan_missing_field_or_not_object(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         plan = {"groups": ["g"], "conditions": [{"tag": "c"}], "store_path": "s.bin"}

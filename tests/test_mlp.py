@@ -15,6 +15,7 @@ from rankgate.mlp import (
     MlpModel,
     N_CLASSES,
     _forward_batch,
+    _step_masks,
     init_model,
     load_model,
     loss_and_grad,
@@ -37,6 +38,16 @@ def sample(ranks, label, ident="p", gallery_size=1000):
 def one(model):
     """``model`` as a stack of one, sharing its buffer."""
     return MlpModel(model.config, model.flat[None])
+
+
+def keep_masks(rngs, n, config):
+    """Per-layer ``(F, n, width)`` keep masks for a batch of ``n``: model
+    ``f``'s generator ``rngs[f]`` draws its layers in order, one
+    ``random((n, width))`` call each."""
+    return [
+        np.stack([rng.random((n, width)) >= config.dropout_p for rng in rngs])
+        for width in config.hidden_sizes
+    ]
 
 
 def zero_model(config=None):
@@ -91,8 +102,8 @@ class TestForward:
         config = MlpConfig(dropout_p=0.0)
         model = one(init_model(config))
         x = np.array([0.1, 0.4, 0.7])[None, None]
-        rng = np.random.default_rng(0)
-        a, _ = _forward_batch(model, x, dropout_rngs=[rng])
+        masks = keep_masks([np.random.default_rng(0)], 1, config)
+        a, _ = _forward_batch(model, x, masks)
         b, _ = _forward_batch(model, x)
         np.testing.assert_array_equal(a, b)
 
@@ -100,7 +111,7 @@ class TestForward:
         config = MlpConfig(dropout_p=0.5)
         model = one(init_model(config))
         x = np.array([0.1, 0.4, 0.7])[None, None]
-        trained, _ = _forward_batch(model, x, dropout_rngs=[np.random.default_rng(1)])
+        trained, _ = _forward_batch(model, x, keep_masks([np.random.default_rng(1)], 1, config))
         plain, _ = _forward_batch(model, x)
         assert not np.array_equal(trained, plain)
 
@@ -160,6 +171,24 @@ class TestForward:
             with pytest.raises(ValueError, match="batch"):
                 _forward_batch(model, x)
 
+    def test_bad_masks_rejected(self):
+        """One bool (F, n, width) mask per hidden layer, or an error."""
+        config = MlpConfig(d_in=3, hidden_sizes=(6, 4), dropout_p=0.5)
+        model = one(init_model(config))
+        x = np.zeros((1, 5, 3))
+        good = [np.ones((1, 5, 6), dtype=bool), np.ones((1, 5, 4), dtype=bool)]
+        _forward_batch(model, x, good)
+        for masks in (
+            good[:1],
+            good + good[1:],
+            [good[0], np.ones((1, 5, 6), dtype=bool)],
+            [good[0], np.ones((1, 4, 4), dtype=bool)],
+            [good[0][0], good[1]],
+            [good[0], good[1].astype(np.float64)],
+        ):
+            with pytest.raises(ValueError, match="dropout masks must be bool arrays"):
+                _forward_batch(model, x, masks)
+
 
 class TestLoss:
     def test_zero_network_loss_is_ln_two(self):
@@ -205,26 +234,80 @@ class TestLoss:
         for n in (32, 5):  # a full batch and a short last one
             x = rng.uniform(0.0, 1.0, size=(3, n, 3))
             y = rng.integers(0, N_CLASSES, size=(3, n))
-            rngs = [np.random.default_rng(f) for f in range(3)]
-            losses, grad = loss_and_grad(stack, x, y, dropout_rngs=rngs)
+            masks = keep_masks([np.random.default_rng(f) for f in range(3)], n, config)
+            losses, grad = loss_and_grad(stack, x, y, masks)
             for f in range(3):
                 single = MlpModel(config, flat[f : f + 1])
+                single_masks = keep_masks([np.random.default_rng(f)], n, config)
                 loss, single_grad = loss_and_grad(
-                    single, x[f : f + 1], y[f : f + 1], dropout_rngs=[np.random.default_rng(f)]
+                    single, x[f : f + 1], y[f : f + 1], single_masks
                 )
                 assert loss.tobytes() == losses[f : f + 1].tobytes()
                 for name, arr in single_grad.parameters():
                     assert arr.tobytes() == grad.params[name][f : f + 1].tobytes(), name
 
-    def test_dropout_only_fires_with_generator(self):
+    def test_dropout_only_fires_with_masks(self):
         config = MlpConfig(dropout_p=0.5)
         model = one(init_model(config))
         x, y = np.array([[[0.2, 0.4, 0.6]]]), np.array([[1]])
         a, _ = loss_and_grad(model, x, y)
         b, _ = loss_and_grad(model, x, y)
         assert a == b
-        c, _ = loss_and_grad(model, x, y, dropout_rngs=[np.random.default_rng(0)])
+        c, _ = loss_and_grad(model, x, y, keep_masks([np.random.default_rng(0)], 1, config))
         assert c != a
+
+    def test_bool_mask_matches_float_mask(self):
+        """Dropout by a bool keep mask gives the loss bits of the spelled-out
+        float-mask forward pass: ``.mean``/``.var`` layer norm and
+        ``act * mask / (1 - p)`` with a 0.0/1.0 float mask."""
+        config = MlpConfig(d_in=3, hidden_sizes=(9, 7, 5), dropout_p=0.3)
+        rng = np.random.default_rng(8)
+        stack = MlpModel(config, np.stack([init_model(config, rng).flat for _ in range(2)]))
+        x = rng.uniform(0.0, 1.0, size=(2, 11, 3))
+        y = rng.integers(0, N_CLASSES, size=(2, 11))
+        masks = keep_masks([np.random.default_rng(f) for f in range(2)], 11, config)
+        losses, _ = loss_and_grad(stack, x, y, masks)
+        # the float-mask arithmetic, spelled out: act * mask / (1 - p)
+        h = x
+        for i, mask in enumerate(masks):
+            w, b = stack.params[f"h{i}.w"], stack.params[f"h{i}.b"]
+            gamma, beta = stack.params[f"h{i}.gamma"], stack.params[f"h{i}.beta"]
+            z = np.matmul(h, w.transpose(0, 2, 1)) + b[:, None]
+            mu = z.mean(axis=2, keepdims=True)
+            xhat = (z - mu) * (1.0 / np.sqrt(z.var(axis=2, keepdims=True) + 1e-5))
+            act = np.maximum(gamma[:, None] * xhat + beta[:, None], 0.0)
+            h = act * mask.astype(np.float64) / (1.0 - config.dropout_p)
+        logits = np.matmul(h, stack.params["out.w"].transpose(0, 2, 1))
+        logits = logits + stack.params["out.b"][:, None]
+        shifted = logits - np.max(logits, axis=2, keepdims=True)
+        picked = np.take_along_axis(shifted, y[..., None], axis=2)[..., 0]
+        expected = np.mean(np.log(np.sum(np.exp(shifted), axis=2)) - picked, axis=1)
+        assert losses.tobytes() == expected.tobytes()
+
+
+class TestEpochDraws:
+    def test_epoch_draw_splits_into_step_and_layer_draws(self):
+        """One ``random`` call per epoch, sliced by :func:`_step_masks`, holds
+        exactly the values of one ``random((n_b, width))`` call per step and
+        layer, a short last batch included."""
+        widths, n_train, batch = (9, 7, 5), 37, 8  # steps of 8, 8, 8, 8 and 5
+        for seed in range(3):
+            epoch_rng, step_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(epoch_rng.permutation(n_train), step_rng.permutation(n_train))
+            draws = np.empty(n_train * sum(widths))
+            epoch_rng.random(out=draws)
+            keep = draws >= 0.3
+            for start in range(0, n_train, batch):
+                stop = min(start + batch, n_train)
+                views = _step_masks(draws[None], start, stop, widths)
+                masks = _step_masks(keep[None], start, stop, widths)
+                for width, view, mask in zip(widths, views, masks):
+                    old = step_rng.random((stop - start, width))
+                    assert view.shape == mask.shape == (1, stop - start, width)
+                    assert view[0].tobytes() == old.tobytes()
+                    assert mask[0].tobytes() == (old >= 0.3).tobytes()
+            # both generators are left in the same state
+            assert epoch_rng.random() == step_rng.random()
 
 
 class TestSoftmax:

@@ -4,6 +4,7 @@ import pytest
 from oracles import oracle_rank_vector, oracle_search_order
 from rankgate.search import (
     build_gallery,
+    check_probe,
     extract_rank_vector,
     screen,
     search,
@@ -99,6 +100,13 @@ class TestGalleryIndex:
         with pytest.raises(ValueError, match="unit norm"):
             build_gallery([bad])
 
+    def test_non_finite_rejected(self):
+        """A NaN norm fails no ``> tol`` test; it must still be refused."""
+        bad = make_record("a", "i1")
+        object.__setattr__(bad, "vector", np.full_like(bad.vector, np.nan))
+        with pytest.raises(ValueError, match="finite and unit norm"):
+            build_gallery([make_record("b", "i1"), bad])
+
 
 class TestSearch:
     def test_self_match_is_rank_one(self):
@@ -174,6 +182,14 @@ class TestSearch:
         gallery = build_gallery([make_record("a", "i1", dim=4)])
         with pytest.raises(ValueError, match="unit norm"):
             search(gallery, np.ones(4))
+
+    def test_non_finite_probe_rejected(self):
+        gallery = build_gallery([make_record("a", "i1", dim=4)])
+        probe = np.array([1.0, 0.0, 0.0, np.nan])
+        with pytest.raises(ValueError, match="finite and unit norm, got squared norm nan"):
+            check_probe(gallery, probe)
+        with pytest.raises(ValueError, match="finite and unit norm"):
+            search(gallery, np.full(4, np.nan))
 
 
 def controlled_gallery(identity_ranks, total, dim=None):

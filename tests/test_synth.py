@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +37,15 @@ class TestSynthConfig:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="within_noise_sigma"):
             SynthConfig(n_identities=2, within_noise_sigma=-0.1)
+
+    def test_non_finite_sigmas_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="within_noise_sigma must be finite and >= 0"):
+                SynthConfig(n_identities=2, within_noise_sigma=bad)
+        for levels in ((("mild", math.nan),), (("mild", 0.1), ("harsh", math.nan)),
+                       (("mild", -0.1),), (("harsh", math.inf),)):
+            with pytest.raises(ValueError, match="degradation sigma of .* must be finite"):
+                SynthConfig(n_identities=2, degradation_levels=levels)
 
     def test_accepts_mappings(self):
         cfg = SynthConfig(
