@@ -246,7 +246,7 @@ class TestLoss:
                 for name, arr in single_grad.parameters():
                     assert arr.tobytes() == grad.params[name][f : f + 1].tobytes(), name
 
-    def test_dropout_only_fires_with_masks(self):
+    def test_dropout_only_fires_with_generator(self):
         config = MlpConfig(dropout_p=0.5)
         model = one(init_model(config))
         x, y = np.array([[[0.2, 0.4, 0.6]]]), np.array([[1]])
