@@ -46,7 +46,6 @@ from .search import (
     search,
 )
 from .store import (
-    EmbeddingRecord,
     EmbeddingStore,
     StoreFormatError,
     ingest,
@@ -61,7 +60,6 @@ __all__ = [
     "CentroidModel",
     "ConditionSpec",
     "CurationConfig",
-    "EmbeddingRecord",
     "EmbeddingStore",
     "EvalReport",
     "ExperimentPlan",

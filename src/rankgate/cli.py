@@ -78,7 +78,7 @@ def cmd_ingest(args) -> int:
     store.write_store(loaded, args.out, args.out_format)
     print(
         f"validated {len(loaded)} records ({loaded.dimension}-d, "
-        f"groups: {', '.join(sorted(loaded.groups))}) -> {args.out}"
+        f"groups: {', '.join(sorted(set(loaded.groups)))}) -> {args.out}"
     )
     return 0
 

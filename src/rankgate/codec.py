@@ -26,7 +26,7 @@ def encode_str(s: str) -> bytes:
     """u16 byte length, then the UTF-8 bytes."""
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
-        raise ValueError(f"string field too long to encode: {len(raw)} bytes")
+        raise ValueError(f"string field of {len(raw)} UTF-8 bytes is over 65535")
     return struct.pack("<H", len(raw)) + raw
 
 

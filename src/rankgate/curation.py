@@ -4,15 +4,18 @@ For every eligible identity (at least ``min_images_per_identity`` images in
 the requested group) the most recent image is the probe: highest
 ``capture_index``, ties broken by taking the highest ``image_id``. A fixed
 number of the identity's remaining images is enrolled in a gallery shared
-by all probes of the run. Each probe is scored against the gallery once,
-for two rankings:
+by all probes of the run. Probes and pools are store rows, and the gallery
+holds the pools' rows in selection order: identities ascending, each pool
+in draw order. Each probe is scored against the gallery once, for two
+rankings:
 
 * in-gallery: against the shared gallery, which contains the probe
   identity's enrolled images. Label 1.
 * out-of-gallery: against the shared gallery with every image of the probe
   identity removed. Label 0. This is the in-gallery scoring with those
   rows dropped, exactly: a row's score depends only on its own bits and
-  ties break on the global ``(identity_id, image_id)`` order.
+  ties break on the store's row order, which is ``(identity_id,
+  image_id)`` order.
 
 A sample needs the rank-one identity and the ranks of its other rows, not
 a full ranking, so curation does not sort the gallery. It follows the
@@ -35,7 +38,7 @@ here that cannot happen, the counter exists to keep the contract honest if
 galleries are ever built differently.
 
 Sampling algorithm (reproducible outside this package): the candidate list
-is the identity's non-probe records in ascending ``image_id`` order. A
+is the identity's non-probe rows in ascending ``image_id`` order. A
 stream seed is derived per identity as ``derive_seed(rng_seed,
 identity_id, "pool")`` (see :mod:`rankgate.seeds`), feeding a PCG64
 generator. Enrollment uses a partial Fisher-Yates pass: for draw ``i``,
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -68,7 +72,7 @@ from .search import (
 # by name, so the name stays bound.
 from .search import search  # noqa: F401
 from .seeds import derive_seed
-from .store import EmbeddingRecord, EmbeddingStore, l2_normalize
+from .store import EmbeddingStore, l2_normalize
 
 IN_GALLERY = 1
 OUT_OF_GALLERY = 0
@@ -167,8 +171,9 @@ class SplitDataset:
 
 def select_probes(
     store: EmbeddingStore, config: CurationConfig
-) -> list[tuple[EmbeddingRecord, tuple[EmbeddingRecord, ...]]]:
-    """Pick (probe, enrolled pool) per eligible identity, identities ascending.
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Pick (probe row, enrolled pool rows) per eligible identity, identities
+    ascending; each pool lists its rows in draw order.
 
     The store must already be restricted to the configured group when one
     is set; mixing groups in one curation is an error.
@@ -179,11 +184,14 @@ def select_probes(
             f"store contains groups {extra} beyond configured {config.group!r}"
         )
     out = []
-    for identity_id, recs in store.by_identity().items():
-        if len(recs) < config.min_images_per_identity:
+    # Store rows are sorted by key, so each identity is one run of rows in
+    # ascending image_id order.
+    for identity_id, run in groupby(range(len(store)), store.identity_ids.__getitem__):
+        rows = list(run)
+        if len(rows) < config.min_images_per_identity:
             continue
-        probe = max(recs, key=lambda r: (r.capture_index, r.image_id))
-        candidates = [r for r in recs if r is not probe]
+        probe = max(rows, key=lambda r: (store.capture_index[r], store.image_ids[r]))
+        candidates = [r for r in rows if r != probe]
         pool = _fisher_yates_pool(
             candidates, config.enrolled_per_identity, config.rng_seed, identity_id
         )
@@ -192,8 +200,8 @@ def select_probes(
 
 
 def _fisher_yates_pool(
-    candidates: Sequence[EmbeddingRecord], k: int, rng_seed: int, identity_id: str
-) -> tuple[EmbeddingRecord, ...]:
+    candidates: Sequence[int], k: int, rng_seed: int, identity_id: str
+) -> tuple[int, ...]:
     rng = np.random.Generator(
         np.random.PCG64(derive_seed(rng_seed, identity_id, "pool"))
     )
@@ -223,18 +231,19 @@ def curate_detailed(
             f"need at least 2 eligible identities, found {len(selected)} "
             f"(min_images_per_identity={config.min_images_per_identity})"
         )
-    gallery = build_gallery([r for _, pool in selected for r in pool])
+    gallery = build_gallery(store, [r for _, pool in selected for r in pool])
     samples: list[RankSample] = []
     probe_vectors: dict[str, np.ndarray] = {}
     skipped = 0
     for start in range(0, len(selected), _SCREEN_BLOCK):
         probes = [probe for probe, _pool in selected[start : start + _SCREEN_BLOCK]]
         vecs = [
-            check_probe(gallery, _probe_vector(probe, config, degrade))
+            check_probe(gallery, _probe_vector(store, probe, config, degrade))
             for probe in probes
         ]
         for probe, vec, screened in zip(probes, vecs, screen(gallery, np.stack(vecs))):
-            identity_id = probe.identity_id
+            identity_id = store.identity_ids[probe]
+            group = config.group or store.groups[probe]
             probe_vectors[identity_id] = vec
             ranks, winner, top = extract_rank_vector(
                 gallery, vec, screened, config.d_in
@@ -244,7 +253,7 @@ def curate_detailed(
                     ranks=ranks,
                     label=IN_GALLERY,
                     probe_identity=identity_id,
-                    group=config.group or probe.group,
+                    group=group,
                     condition=config.condition,
                     gallery_size=gallery.size,
                     rank_one_identity=winner,
@@ -266,7 +275,7 @@ def curate_detailed(
                     ranks=ranks,
                     label=OUT_OF_GALLERY,
                     probe_identity=identity_id,
-                    group=config.group or probe.group,
+                    group=group,
                     condition=config.condition,
                     gallery_size=gallery.size - len(own),
                     rank_one_identity=winner,
@@ -277,14 +286,13 @@ def curate_detailed(
 
 
 def _probe_vector(
-    probe: EmbeddingRecord, config: CurationConfig, degrade: Optional[DegradeFn]
+    store: EmbeddingStore, row: int, config: CurationConfig, degrade: Optional[DegradeFn]
 ) -> np.ndarray:
-    vec = probe.vector.astype(np.float64)
+    vec = store.vectors[row].astype(np.float64)
     if degrade is None:
         return vec
-    rng = np.random.Generator(
-        np.random.PCG64(derive_seed(config.rng_seed, probe.identity_id, "degrade"))
-    )
+    seed = derive_seed(config.rng_seed, store.identity_ids[row], "degrade")
+    rng = np.random.Generator(np.random.PCG64(seed))
     return l2_normalize(degrade(vec, rng))
 
 

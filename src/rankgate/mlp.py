@@ -92,8 +92,10 @@ class MlpConfig:
             raise ValueError("hidden sizes must be positive")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
+            )
         if self.batch_size < 1 or self.epochs < 1 or self.folds < 2:
             raise ValueError("batch_size and epochs must be >= 1, folds >= 2")
         if self.input_scaling not in INPUT_SCALINGS:

@@ -2,9 +2,12 @@
 
 Similarities are plain dot products (vectors are unit norm by store
 contract) accumulated in 64-bit arithmetic by one kernel,
-:func:`similarities`. Rank 1 is the best match. Equal similarities are
-ordered by ascending ``(identity_id, image_id)``, so rankings never depend
-on the order gallery records were supplied in.
+:func:`similarities`. Rank 1 is the best match. A gallery is a list of
+rows of one :class:`~rankgate.store.EmbeddingStore`, and equal
+similarities are ordered by store row. The store is sorted by
+``(identity_id, image_id)`` in Python string order, so ties break in that
+order, and a ranking depends neither on the order the gallery's rows are
+listed in nor on the order the store was built from.
 
 :func:`search` materializes the full ranking. Curation needs only a few
 ranks per probe, so it uses a cheaper protocol that gives the same ranks
@@ -36,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .store import EmbeddingRecord
+from .store import EmbeddingStore
 
 _PROBE_NORM_TOLERANCE = 2e-3
 _UNIT_ROUNDOFF = 2.0**-53
@@ -44,53 +47,41 @@ _SMALLEST_SUBNORMAL = 2.0**-1074
 
 
 class GalleryIndex:
-    """Search-ready view of a fixed set of records.
+    """Search-ready view of distinct rows of one store, in the order given.
 
-    Holds the f64 similarity matrix, its largest row norm, positions per
-    identity, and the content-based tie order computed once from record ids.
+    ``tie_rank`` holds each position's store row, which is its place in
+    the tie order. Also holds the f64 matrix of those rows, its largest row
+    norm, each row's identity and the positions per identity. The store
+    has checked every vector already.
     """
 
-    def __init__(self, records: Iterable[EmbeddingRecord]):
-        recs = tuple(records)
-        if not recs:
-            raise ValueError("cannot build a gallery from zero records")
-        dim = recs[0].vector.shape[0]
-        seen: set[tuple[str, str]] = set()
-        for r in recs:
-            if r.vector.shape != (dim,):
-                raise ValueError(
-                    f"record {r.key()} has dimension {r.vector.shape[0]}, "
-                    f"gallery dimension is {dim}"
-                )
-            if r.key() in seen:
-                raise ValueError(f"duplicate record key {r.key()} in gallery")
-            seen.add(r.key())
-        self.records = recs
-        self.dimension = int(dim)
-        self.matrix = np.stack([r.vector for r in recs]).astype(np.float64)
+    def __init__(self, store: EmbeddingStore, rows: Iterable[int]):
+        self.tie_rank = np.array(list(rows), dtype=np.int64)
+        if not self.tie_rank.size:
+            raise ValueError("cannot build a gallery from zero rows")
+        distinct = np.unique(self.tie_rank)
+        if len(distinct) != self.size:
+            raise ValueError("duplicate store row in gallery")
+        if distinct[0] < 0 or distinct[-1] >= len(store):
+            raise ValueError(f"gallery rows must lie in [0, {len(store)})")
+        self.dimension = store.dimension
+        self.matrix = store.vectors[self.tie_rank].astype(np.float64)
         norms_sq = np.einsum("ij,ij->i", self.matrix, self.matrix)
-        if not np.max(np.abs(norms_sq - 1.0)) <= 1e-3:
-            raise ValueError("gallery vectors must be finite and unit norm")
         self.max_norm = math.sqrt(float(np.max(norms_sq)))
-        identities = np.array([r.identity_id for r in recs])
-        images = np.array([r.image_id for r in recs])
-        order = np.lexsort((images, identities))
-        self.tie_rank = np.empty(len(recs), dtype=np.int64)
-        self.tie_rank[order] = np.arange(len(recs))
-        self.identity_map: dict[str, np.ndarray] = {}
-        for pos, r in enumerate(recs):
-            self.identity_map.setdefault(r.identity_id, []).append(pos)  # type: ignore[arg-type]
+        self.identities = tuple(store.identity_ids[r] for r in self.tie_rank.tolist())
+        positions: dict[str, list[int]] = {}
+        for pos, identity_id in enumerate(self.identities):
+            positions.setdefault(identity_id, []).append(pos)
         self.identity_map = {
-            k: np.asarray(v, dtype=np.int64) for k, v in self.identity_map.items()
+            k: np.array(v, dtype=np.int64) for k, v in positions.items()
         }
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return len(self.tie_rank)
 
 
-def build_gallery(records: Iterable[EmbeddingRecord]) -> GalleryIndex:
-    return GalleryIndex(records)
+build_gallery = GalleryIndex  # the name callers and the benchmark's tracer use
 
 
 @dataclass(eq=False)
@@ -99,7 +90,6 @@ class SearchResult:
 
     positions: np.ndarray
     similarities: np.ndarray
-    records: tuple[EmbeddingRecord, ...]
 
 
 def similarities(matrix: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -127,17 +117,15 @@ def check_probe(gallery: GalleryIndex, probe: np.ndarray) -> np.ndarray:
 
 
 def search(gallery: GalleryIndex, probe: np.ndarray) -> SearchResult:
-    """Rank every gallery record against ``probe`` by cosine similarity.
+    """Rank every gallery row against ``probe`` by cosine similarity.
 
     The probe must be unit norm and match the gallery dimension. Ties are
-    broken by ascending ``(identity_id, image_id)``.
+    broken by store row, which is ascending ``(identity_id, image_id)``.
     """
     p = check_probe(gallery, probe)
     sims = similarities(gallery.matrix, p)
     order = np.lexsort((gallery.tie_rank, -sims))
-    return SearchResult(
-        positions=order, similarities=sims[order], records=gallery.records
-    )
+    return SearchResult(positions=order, similarities=sims[order])
 
 
 def screen(gallery: GalleryIndex, probes: np.ndarray) -> np.ndarray:
@@ -186,7 +174,7 @@ def extract_rank_vector(
         exact = similarities(gallery.matrix[near_top], probe)
         near_top = near_top[exact == exact.max()]
     winner = near_top[tie_rank[near_top].argmin()]
-    top_identity = gallery.records[winner].identity_id
+    top_identity = gallery.identities[winner]
     own = gallery.identity_map[top_identity]
     if len(own) - 1 < d_in:
         raise ValueError(

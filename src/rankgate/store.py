@@ -1,9 +1,13 @@
-"""Embedding storage with identity metadata and strict validation.
+"""Columnar embedding storage with identity metadata and strict validation.
 
-Records carry an identity id, an image id unique within the identity, a
-demographic group label, a capture order index, and a unit-norm float32
-vector. A store holds records of one dimension, sorted by
-``(identity_id, image_id)``.
+A store holds one row per image: ``identity_ids``, ``image_ids`` (unique
+within an identity) and ``groups`` as tuples of ``str``, an int64
+``capture_index`` array, and ``vectors``, one C-contiguous float32
+``(n, D)`` matrix of unit-norm rows. Rows are sorted by ``(identity_id,
+image_id)`` once, at construction, where every check runs once over whole
+columns; so row numbers are search's tie order, and each identity is one
+run of rows. Ids stay Python strings: numpy ``U`` arrays drop trailing NUL
+characters, which a binary store can hold.
 
 Two interchangeable on-disk formats:
 
@@ -12,7 +16,9 @@ Two interchangeable on-disk formats:
   group, a u32 capture_index, and ``dimension`` little-endian f32
   components. Read and written with :mod:`rankgate.codec`, which also
   owns :class:`StoreFormatError` (re-exported here); a file with bytes
-  after its last declared record is rejected.
+  after its last declared record is rejected. A store refuses what this
+  format cannot hold (a ``capture_index`` of 2³² or more, an id or group
+  over 65535 UTF-8 bytes), so writing one never fails halfway.
 * CSV: header ``identity_id,image_id,group,capture_index,v0,...,v{d-1}``,
   one record per row, components printed with full round-trip precision.
 
@@ -28,9 +34,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,6 +45,7 @@ NORM_TOLERANCE = 1e-5
 _MAGIC = b"OGEM"
 _VERSION = 1
 _CSV_META_COLUMNS = ("identity_id", "image_id", "group", "capture_index")
+_U32 = struct.Struct("<I")
 
 
 def l2_normalize(v) -> np.ndarray:
@@ -78,106 +83,103 @@ def unit_f32(v) -> np.ndarray:
     return cur
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingRecord:
-    """One enrolled or probe image: metadata plus a unit-norm f32 vector."""
-
-    identity_id: str
-    image_id: str
-    group: str
-    capture_index: int
-    vector: np.ndarray
-
-    def key(self) -> tuple[str, str]:
-        return (self.identity_id, self.image_id)
-
-
 class EmbeddingStore:
-    """Immutable collection of validated records of one dimension.
+    """Immutable, validated columns of one dimension, one row per image.
 
-    Iteration order is always ascending ``(identity_id, image_id)``
-    regardless of construction order.
+    Takes the columns in any row order, ``vectors`` as an ``(n, D)``
+    array-like. Raises ValueError on columns of different lengths, a
+    duplicate key, a non-finite or non-unit vector, or a value the binary
+    format cannot hold.
     """
 
-    def __init__(self, dimension: int, records: Iterable[EmbeddingRecord]):
-        if dimension <= 0:
-            raise ValueError(f"dimension must be positive, got {dimension}")
-        recs = sorted(records, key=lambda r: (r.identity_id, r.image_id))
-        seen: set[tuple[str, str]] = set()
-        for r in recs:
-            if r.vector.shape != (dimension,):
-                raise ValueError(
-                    f"record {r.key()} has shape {r.vector.shape}, "
-                    f"store dimension is {dimension}"
-                )
-            if r.key() in seen:
-                raise ValueError(f"duplicate record key {r.key()}")
-            seen.add(r.key())
-            if not np.all(np.isfinite(r.vector)):
-                raise ValueError(f"record {r.key()} has non-finite components")
-            norm = float(np.linalg.norm(r.vector.astype(np.float64)))
-            if abs(norm - 1.0) > NORM_TOLERANCE:
-                raise ValueError(
-                    f"record {r.key()} has norm {norm!r}, expected 1.0 "
-                    f"within {NORM_TOLERANCE}"
-                )
-            if r.capture_index < 0:
-                raise ValueError(
-                    f"record {r.key()} has negative capture_index "
-                    f"{r.capture_index}"
-                )
-        self._dimension = int(dimension)
-        self._records = tuple(recs)
-        self._groups = frozenset(r.group for r in recs)
+    def __init__(self, identity_ids, image_ids, groups, capture_index, vectors):
+        try:
+            matrix = np.asarray(vectors, dtype=np.float32)
+        except ValueError as exc:  # vectors of different lengths
+            raise ValueError(f"vectors differ in dimension: {exc}") from None
+        try:
+            capture = np.asarray(capture_index, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("capture_index must lie in [0, 2**32)") from None
+        if matrix.ndim != 2 or matrix.shape[1] < 1:
+            raise ValueError(f"vectors must be an (n, dimension) matrix, got {matrix.shape}")
+        n = len(matrix)
+        if not len(identity_ids) == len(image_ids) == len(groups) == len(capture) == n:
+            raise ValueError("store columns differ in length")
+        order = sorted(range(n), key=lambda i: (identity_ids[i], image_ids[i]))
+        self._assign(order, identity_ids, image_ids, groups, capture, matrix)
+        self._check()
+
+    def _assign(self, rows, identity_ids, image_ids, groups, capture_index, vectors):
+        self.identity_ids = tuple(identity_ids[i] for i in rows)
+        self.image_ids = tuple(image_ids[i] for i in rows)
+        self.groups = tuple(groups[i] for i in rows)
+        self.capture_index = capture_index[rows]
+        self.vectors = vectors[rows]
+        self.capture_index.flags.writeable = False
+        self.vectors.flags.writeable = False
+
+    def _check(self) -> None:
+        keys = list(zip(self.identity_ids, self.image_ids))
+        for prev, key in zip(keys, keys[1:]):
+            if key == prev:
+                raise ValueError(f"duplicate record key {key}")
+        # Squares of finite float32 values cannot overflow a float64 sum.
+        v = self.vectors
+        norms = np.sqrt(np.einsum("ij,ij->i", v, v, dtype=np.float64))
+        finite = np.isfinite(norms)
+        if not finite.all():
+            raise ValueError(f"row {keys[finite.argmin()]} has non-finite components")
+        off = np.abs(norms - 1.0) > NORM_TOLERANCE
+        if off.any():
+            bad = int(off.argmax())
+            raise ValueError(
+                f"row {keys[bad]} has norm {float(norms[bad])!r}, expected 1.0 "
+                f"within {NORM_TOLERANCE}"
+            )
+        outside = (self.capture_index < 0) | (self.capture_index >= 2**32)
+        if outside.any():
+            bad = int(outside.argmax())
+            raise ValueError(
+                f"row {keys[bad]} has capture_index {self.capture_index[bad]}, "
+                f"outside [0, 2**32)"
+            )
+        for text in {*self.identity_ids, *self.image_ids, *self.groups}:
+            encode_str(text)  # raises when over 65535 UTF-8 bytes
 
     @property
     def dimension(self) -> int:
-        return self._dimension
-
-    @property
-    def records(self) -> tuple[EmbeddingRecord, ...]:
-        return self._records
-
-    @property
-    def groups(self) -> frozenset[str]:
-        return self._groups
+        return self.vectors.shape[1]
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[EmbeddingRecord]:
-        return iter(self._records)
-
-    def by_identity(self) -> dict[str, tuple[EmbeddingRecord, ...]]:
-        """Group records by identity, identities and images both ascending."""
-        out: dict[str, list[EmbeddingRecord]] = {}
-        for r in self._records:
-            out.setdefault(r.identity_id, []).append(r)
-        return {k: tuple(v) for k, v in out.items()}
+        return len(self.identity_ids)
 
     def filter_by_group(self, group: str) -> "EmbeddingStore":
-        """Substore containing exactly the records labeled ``group``."""
-        if group not in self._groups:
-            known = ", ".join(sorted(self._groups)) or "<none>"
+        """Substore containing exactly the rows labeled ``group``."""
+        if group not in self.groups:
+            known = ", ".join(sorted(set(self.groups))) or "<none>"
             raise ValueError(f"unknown group {group!r}; store has: {known}")
-        return EmbeddingStore(
-            self._dimension, [r for r in self._records if r.group == group]
-        )
+        sub = object.__new__(EmbeddingStore)
+        rows = [i for i, g in enumerate(self.groups) if g == group]
+        columns = self.identity_ids, self.image_ids, self.groups, self.capture_index
+        sub._assign(rows, *columns, self.vectors)
+        return sub
 
 
 def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
     """Write a store to ``path`` in the named format (``binary`` or ``csv``)."""
     path = Path(path)
+    rows = zip(
+        store.identity_ids, store.image_ids, store.groups, store.capture_index.tolist()
+    )
     if format == "binary":
+        vectors = store.vectors.astype("<f4", copy=False)
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<IIQ", _VERSION, store.dimension, len(store)))
-            for r in store:
-                fh.write(encode_str(r.identity_id))
-                fh.write(encode_str(r.image_id))
-                fh.write(encode_str(r.group))
-                fh.write(struct.pack("<I", r.capture_index))
-                fh.write(r.vector.astype("<f4").tobytes())
+            for (*texts, capture), vector in zip(rows, vectors):
+                fh.write(b"".join(map(encode_str, texts)) + _U32.pack(capture))
+                fh.write(vector)
     elif format == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -185,10 +187,10 @@ def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
                 f"v{i}" for i in range(store.dimension)
             ]
             writer.writerow(header)
-            for r in store:
-                row = [r.identity_id, r.image_id, r.group, str(r.capture_index)]
-                row.extend(repr(float(x)) for x in r.vector)
-                writer.writerow(row)
+            writer.writerows(
+                [*texts, str(capture), *map(repr, vector.tolist())]
+                for (*texts, capture), vector in zip(rows, store.vectors)
+            )
     else:
         raise ValueError(f"unknown store format {format!r}")
 
@@ -204,7 +206,7 @@ def ingest(path, format: str = "binary") -> EmbeddingStore:
         StoreFormatError: malformed file (bad magic, truncation, bad header,
             trailing bytes, unparseable values).
         ValueError: contract violations (duplicate keys, non-finite or
-            zero-norm vectors, dimension mismatches).
+            zero-norm vectors, values the binary format cannot hold).
     """
     path = Path(path)
     if format == "binary":
@@ -221,19 +223,17 @@ def _ingest_binary(path: Path) -> EmbeddingStore:
     if dimension == 0:
         raise StoreFormatError("header declares dimension 0")
     count = reader.u64()
-    records = []
+    identity_ids, image_ids, groups, capture, vectors = [], [], [], [], []
     for _ in range(count):
-        identity_id = reader.string()
-        image_id = reader.string()
-        group = reader.string()
-        capture_index = reader.u32()
+        identity_ids.append(reader.string())
+        image_ids.append(reader.string())
+        groups.append(reader.string())
+        capture.append(reader.u32())
         raw = reader.take(4 * dimension)
-        vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        records.append(
-            EmbeddingRecord(identity_id, image_id, group, capture_index, unit_f32(vec))
-        )
+        vectors.append(unit_f32(np.frombuffer(raw, dtype="<f4").astype(np.float64)))
     reader.end(f"{count} declared records")
-    return EmbeddingStore(dimension, records)
+    matrix = np.reshape(vectors, (-1, dimension))  # (0, dimension) when empty
+    return EmbeddingStore(identity_ids, image_ids, groups, capture, matrix)
 
 
 def _ingest_csv(path: Path) -> EmbeddingStore:
@@ -253,7 +253,7 @@ def _ingest_csv(path: Path) -> EmbeddingStore:
         expected = [f"v{i}" for i in range(dimension)]
         if header[4:] != expected:
             raise StoreFormatError("CSV vector columns must be v0..v{d-1} in order")
-        records = []
+        identity_ids, image_ids, groups, capture, vectors = [], [], [], [], []
         for lineno, row in enumerate(rows, start=2):
             if not row:
                 continue
@@ -262,11 +262,13 @@ def _ingest_csv(path: Path) -> EmbeddingStore:
                     f"line {lineno}: expected {4 + dimension} fields, got {len(row)}"
                 )
             try:
-                capture_index = int(row[3])
+                capture.append(int(row[3]))
                 vec = np.array([float(x) for x in row[4:]], dtype=np.float64)
             except ValueError as exc:
                 raise StoreFormatError(f"line {lineno}: {exc}") from exc
-            records.append(
-                EmbeddingRecord(row[0], row[1], row[2], capture_index, unit_f32(vec))
-            )
-    return EmbeddingStore(dimension, records)
+            identity_ids.append(row[0])
+            image_ids.append(row[1])
+            groups.append(row[2])
+            vectors.append(unit_f32(vec))
+    matrix = np.reshape(vectors, (-1, dimension))  # (0, dimension) when empty
+    return EmbeddingStore(identity_ids, image_ids, groups, capture, matrix)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import from_dict
-from .store import EmbeddingRecord, EmbeddingStore, l2_normalize, unit_f32
+from .store import EmbeddingStore, l2_normalize, unit_f32
 
 
 @dataclass(frozen=True)
@@ -74,24 +74,20 @@ class SynthConfig:
 def generate(config: SynthConfig) -> EmbeddingStore:
     """Build the synthetic store described by ``config``."""
     rng = np.random.default_rng(config.rng_seed)
-    d = config.dimension
-    records = []
-    for group, count in config.groups:
-        for i in range(count):
-            identity_id = f"{group}-{i:05d}"
-            mean = _unit_draw(rng, d)
-            for j in range(1, config.images_per_identity + 1):
-                vec = _noisy_unit(rng, mean, config.within_noise_sigma, d)
-                records.append(
-                    EmbeddingRecord(
-                        identity_id=identity_id,
-                        image_id=f"im{j:03d}",
-                        group=group,
-                        capture_index=j,
-                        vector=vec,
-                    )
-                )
-    return EmbeddingStore(d, records)
+    d, k = config.dimension, config.images_per_identity
+    identities = [(g, f"{g}-{i:05d}") for g, n in config.groups for i in range(n)]
+    vectors = np.empty((len(identities) * k, d), dtype=np.float32)
+    for start in range(0, len(vectors), k):
+        mean = _unit_draw(rng, d)
+        for row in range(start, start + k):
+            vectors[row] = _noisy_unit(rng, mean, config.within_noise_sigma, d)
+    return EmbeddingStore(
+        [identity_id for _, identity_id in identities for _ in range(k)],
+        [f"im{j:03d}" for j in range(1, k + 1)] * len(identities),
+        [group for group, _ in identities for _ in range(k)],
+        list(range(1, k + 1)) * len(identities),
+        vectors,
+    )
 
 
 def _unit_draw(rng: np.random.Generator, d: int) -> np.ndarray:

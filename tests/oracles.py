@@ -10,8 +10,25 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import namedtuple
 
 import numpy as np
+
+Row = namedtuple("Row", "identity_id image_id group capture_index vector")
+
+
+def oracle_rows(store) -> list:
+    """A store's rows as plain ``Row`` tuples, read from its columns."""
+    return [
+        Row(*fields)
+        for fields in zip(
+            store.identity_ids,
+            store.image_ids,
+            store.groups,
+            store.capture_index.tolist(),
+            store.vectors,
+        )
+    ]
 
 
 def naive_norm(vector) -> float:
@@ -28,14 +45,15 @@ def oracle_stream_seed(master: int, *parts: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def oracle_search_order(records, probe) -> list[tuple[str, str]]:
-    """Full ranking, best first: per-record dot product, then a plain sort
-    on (-similarity, identity_id, image_id)."""
+def oracle_search_order(rows, probe) -> list[tuple[str, str]]:
+    """Full ranking of ``((identity_id, image_id), vector)`` rows, best
+    first: per-row dot product, then a plain sort on (-similarity,
+    identity_id, image_id)."""
     probe = np.asarray(probe, dtype=np.float64)
     entries = []
-    for rec in records:
-        sim = float(np.dot(rec.vector.astype(np.float64), probe))
-        entries.append((-sim, rec.identity_id, rec.image_id))
+    for (ident, image), vector in rows:
+        sim = float(np.dot(np.asarray(vector, dtype=np.float64), probe))
+        entries.append((-sim, ident, image))
     entries.sort()
     return [(ident, image) for _, ident, image in entries]
 
@@ -66,7 +84,7 @@ def oracle_select(store, d_in, rng_seed, min_images=None, enrolled=None):
     if enrolled is None:
         enrolled = d_in + 1
     per_identity: dict[str, list] = {}
-    for rec in store:
+    for rec in oracle_rows(store):
         per_identity.setdefault(rec.identity_id, []).append(rec)
     chosen = []
     for ident in sorted(per_identity):
@@ -127,7 +145,7 @@ def oracle_curate(
             vec = once / math.sqrt(float(np.dot(once, once)))
         sample_group = group if group else probe.group
 
-        order_in = oracle_search_order(gallery, vec)
+        order_in = oracle_search_order(_keyed(gallery), vec)
         extracted = oracle_rank_vector(order_in, d_in)
         assert extracted is not None
         winner, ranks = extracted
@@ -136,7 +154,7 @@ def oracle_curate(
         )
 
         reduced = [rec for rec in gallery if rec.identity_id != ident]
-        order_out = oracle_search_order(reduced, vec)
+        order_out = oracle_search_order(_keyed(reduced), vec)
         extracted = oracle_rank_vector(order_out, d_in)
         if extracted is None:
             skipped += 1
@@ -146,6 +164,10 @@ def oracle_curate(
             (ranks, 0, ident, sample_group, condition, len(reduced), winner)
         )
     return samples, skipped
+
+
+def _keyed(rows) -> list:
+    return [((r.identity_id, r.image_id), r.vector) for r in rows]
 
 
 def sample_tuple(sample) -> tuple:
@@ -218,13 +240,14 @@ def oracle_centroid(rows, statistic):
     return np.array(center)
 
 
-def oracle_fused_scores(records, probe):
-    """identity -> dot(probe, normalized mean of that identity's vectors)."""
+def oracle_fused_scores(rows, probe):
+    """identity -> dot(probe, normalized mean of that identity's vectors),
+    over ``((identity_id, image_id), vector)`` rows."""
     probe = np.asarray(probe, dtype=np.float64)
     per_identity: dict[str, list] = {}
-    for rec in records:
-        per_identity.setdefault(rec.identity_id, []).append(
-            rec.vector.astype(np.float64)
+    for (ident, _image), vector in rows:
+        per_identity.setdefault(ident, []).append(
+            np.asarray(vector, dtype=np.float64)
         )
     out = {}
     for ident, vecs in per_identity.items():

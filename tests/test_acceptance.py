@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import make_record
+from conftest import gallery_of, make_row, pairs, store_of
 from oracles import (
     finite_difference_gradients,
     oracle_curate,
@@ -46,8 +46,8 @@ from rankgate.mlp import (
     softmax,
     stratified_folds,
 )
-from rankgate.search import build_gallery, search
-from rankgate.store import EmbeddingStore, ingest, l2_normalize, write_store
+from rankgate.search import search
+from rankgate.store import ingest, l2_normalize, write_store
 from rankgate.synth import SynthConfig, generate
 
 
@@ -85,22 +85,23 @@ def test_01_search_ranking_matches_naive_oracle():
     for case in range(200):
         dim = int(rng.choice([8, 64, 512]))
         n = int(rng.integers(2, 1001))
-        records = []
+        rows = []
         for i in range(n):
             ident = f"id{int(rng.integers(0, max(2, n // 3))):04d}"
-            if records and rng.random() < 0.25:
+            if rows and rng.random() < 0.25:
                 # duplicated vectors force exact ties, exercising tie order
-                vec = records[int(rng.integers(0, len(records)))].vector
+                vec = rows[int(rng.integers(0, len(rows)))][4]
             else:
                 vec = rng.standard_normal(dim)
-            records.append(
-                make_record(ident, f"im{i:04d}", dim=dim, vector=np.asarray(vec, dtype=np.float64))
+            rows.append(
+                make_row(ident, f"im{i:04d}", dim=dim, vector=np.asarray(vec, dtype=np.float64))
             )
-        gallery = build_gallery(records)
+        store, gallery = gallery_of(rows)
         probe = l2_normalize(rng.standard_normal(dim))
         result = search(gallery, probe)
-        got = [(result.records[p].identity_id, result.records[p].image_id) for p in result.positions]
-        assert got == oracle_search_order(records, probe), f"case {case} diverged"
+        ranked = gallery.tie_rank[result.positions]
+        got = [(store.identity_ids[r], store.image_ids[r]) for r in ranked]
+        assert got == oracle_search_order(pairs(rows), probe), f"case {case} diverged"
     elapsed = time.monotonic() - t0
     _gate(1, elapsed < 30.0, f"200 galleries ranked identically to the naive oracle in {elapsed:.1f}s")
 
@@ -190,8 +191,8 @@ def test_04_calibrated_threshold_sound_and_minimal():
 
 
 def _closed_set_rank1(store):
-    mat = np.stack([r.vector.astype(np.float64) for r in store.records])
-    idents = [r.identity_id for r in store.records]
+    mat = store.vectors.astype(np.float64)
+    idents = store.identity_ids
     sims = mat @ mat.T
     np.fill_diagonal(sims, -np.inf)
     nearest = np.argmax(sims, axis=1)
@@ -336,17 +337,14 @@ def test_09_invariant_suites(tmp_path):
     sums = softmax(rng.normal(0, 20, size=(1000, 2))).sum(axis=1)
     assert np.all(np.abs(sums - 1.0) <= 1e-6)
 
-    records = [make_record(f"id{i:03d}", f"im{j}", dim=24, seed=i * 10 + j)
-               for i in range(12) for j in range(3)]
-    store = EmbeddingStore(24, records)
+    store = store_of(make_row(f"id{i:03d}", f"im{j}", dim=24, seed=i * 10 + j)
+                     for i in range(12) for j in range(3))
     path = tmp_path / "store.bin"
     write_store(store, path)
     loaded = ingest(path)
-    assert [r.key() for r in loaded.records] == [r.key() for r in store.records]
-    assert all(
-        a.vector.tobytes() == b.vector.tobytes()
-        for a, b in zip(loaded.records, store.records)
-    )
+    assert loaded.identity_ids == store.identity_ids
+    assert loaded.image_ids == store.image_ids
+    assert loaded.vectors.tobytes() == store.vectors.tobytes()
 
     model = init_model(MlpConfig(d_in=4, hidden_sizes=(7, 5)), np.random.default_rng(99))
     save_model(model, tmp_path / "model.bin")

@@ -21,10 +21,10 @@ from rankgate.baselines import (
     threshold_to_json,
 )
 from rankgate.curation import RankSample
-from rankgate.search import build_gallery, similarities
+from rankgate.search import similarities
 from rankgate.store import unit_f32
 
-from conftest import make_record
+from conftest import gallery_of, make_row, pairs
 
 
 def sample(ranks, label, ident="p", gallery_size=10000):
@@ -252,62 +252,62 @@ class TestCentroidJson:
 class TestFusion:
     def test_identical_enrollments_fuse_to_themselves(self):
         vec = unit_f32(np.array([1.0, 2.0, 3.0, 4.0]))
-        records = [make_record("a", f"i{k}", vector=vec.copy()) for k in range(4)]
-        records.append(make_record("b", "i1", dim=4, seed=9))
-        fused = fuse_gallery(build_gallery(records))
+        rows = [make_row("a", f"i{k}", vector=vec.copy()) for k in range(4)]
+        rows.append(make_row("b", "i1", dim=4, seed=9))
+        fused = fuse_gallery(gallery_of(rows)[1])
         row = fused.matrix[fused.identity_ids.index("a")]
         np.testing.assert_allclose(row, vec, atol=1e-12)
 
     def test_antipodal_pair_is_excluded(self):
         vec = unit_f32(np.array([0.5, -0.5, 0.5, 0.5]))
-        records = [
-            make_record("a", "i1", vector=vec.copy()),
-            make_record("a", "i2", vector=-vec),
-            make_record("b", "i1", dim=4, seed=3),
+        rows = [
+            make_row("a", "i1", vector=vec.copy()),
+            make_row("a", "i2", vector=-vec),
+            make_row("b", "i1", dim=4, seed=3),
         ]
-        fused = fuse_gallery(build_gallery(records))
+        fused = fuse_gallery(gallery_of(rows)[1])
         assert fused.excluded == ["a"]
         assert fused.identity_ids == ["b"]
 
     def test_all_identities_degenerate_rejected(self):
         vec = unit_f32(np.array([0.5, -0.5, 0.5, 0.5]))
-        records = [
-            make_record("a", "i1", vector=vec.copy()),
-            make_record("a", "i2", vector=-vec),
+        rows = [
+            make_row("a", "i1", vector=vec.copy()),
+            make_row("a", "i2", vector=-vec),
         ]
         with pytest.raises(ValueError, match="zero vector"):
-            fuse_gallery(build_gallery(records))
+            fuse_gallery(gallery_of(rows)[1])
 
     def test_matches_per_identity_oracle(self):
         rng = np.random.default_rng(6)
-        records = []
+        rows = []
         for i in range(12):
             for j in range(int(rng.integers(1, 5))):
-                records.append(make_record(f"id{i:02d}", f"im{j}", dim=16, seed=int(rng.integers(1 << 30))))
-        gallery = build_gallery(records)
+                rows.append(make_row(f"id{i:02d}", f"im{j}", dim=16, seed=int(rng.integers(1 << 30))))
+        _store, gallery = gallery_of(rows)
         fused = fuse_gallery(gallery)
         probe = unit_f32(rng.standard_normal(16)).astype(np.float64)
         scores = fused_scores(fused, probe)
-        expected = oracle_fused_scores(records, probe)
+        expected = oracle_fused_scores(pairs(rows), probe)
         assert set(fused.identity_ids) == {k for k, v in expected.items() if v is not None}
         for ident, score in zip(fused.identity_ids, scores):
             assert abs(score - expected[ident]) < 1e-6
 
     def test_scores_come_from_the_search_kernel(self):
         rng = np.random.default_rng(8)
-        records = [
-            make_record(f"id{i:02d}", f"im{j}", dim=32, seed=int(rng.integers(1 << 30)))
+        rows = [
+            make_row(f"id{i:02d}", f"im{j}", dim=32, seed=int(rng.integers(1 << 30)))
             for i in range(40)
             for j in range(3)
         ]
-        fused = fuse_gallery(build_gallery(records))
+        fused = fuse_gallery(gallery_of(rows)[1])
         for _ in range(5):
             probe = unit_f32(rng.standard_normal(32)).astype(np.float64)
             got = fused_scores(fused, probe)
             assert got.tobytes() == similarities(fused.matrix, probe).tobytes()
 
     def test_probe_shape_validated(self):
-        records = [make_record("a", "i1", dim=8, seed=1), make_record("b", "i1", dim=8, seed=2)]
-        fused = fuse_gallery(build_gallery(records))
+        rows = [make_row("a", "i1", dim=8, seed=1), make_row("b", "i1", dim=8, seed=2)]
+        fused = fuse_gallery(gallery_of(rows)[1])
         with pytest.raises(ValueError, match="dimension"):
             fused_scores(fused, np.ones(5))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rankgate import mlp
 from rankgate.cli import main
 from rankgate.experiment import ConditionSpec, ExperimentPlan, plan_to_dict
 from rankgate.synth import SynthConfig, config_to_json
@@ -313,6 +314,37 @@ class TestErrorHandling:
         assert code == 1
         assert "probe_noise_sigma must be finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_unwritable_store_value_rejected(self, tmp_path, capsys):
+        """A capture_index the binary format cannot hold stops ingest with a
+        message before any output file is made."""
+        src = tmp_path / "s.csv"
+        src.write_text(
+            "identity_id,image_id,group,capture_index,v0,v1\n"
+            "p1,a,g,4294967296,1.0,0.0\n"
+        )
+        out = tmp_path / "s.bin"
+        code = main(["ingest", "--input", str(src), "--input-format", "csv",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: row ('p1', 'a') has capture_index 4294967296"), err
+        assert not out.exists()
+
+    def test_bad_learning_rate_rejected_before_training(
+        self, tmp_path, samples_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(mlp, "loss_and_grad", lambda *a, **k: calls.append(a))
+        out = tmp_path / "m.bin"
+        for rate in ("nan", "inf", "-inf"):
+            code = main(["train", "--samples", str(samples_path),
+                         f"--learning-rate={rate}", "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: learning_rate must be finite and > 0, got"), err
+        assert calls == []
+        assert not out.exists()
 
     def test_bad_within_sigma_rejected(self, tmp_path, capsys):
         out = tmp_path / "s.bin"

@@ -21,10 +21,10 @@ from rankgate.curation import (
     write_samples_csv,
 )
 from rankgate.search import screen, screen_tolerance, similarities
-from rankgate.store import EmbeddingRecord, EmbeddingStore
+from rankgate.store import EmbeddingStore
 from rankgate.synth import SynthConfig, degrade_probe, generate
 
-from conftest import make_record
+from conftest import make_row, store_of
 
 
 def sample(ranks, label, ident="p", gallery_size=100, group="g", condition="orig"):
@@ -44,12 +44,11 @@ def tie_heavy_store():
     meets exact three-way ties across identities."""
     rng = np.random.default_rng(17)
     bases = [rng.standard_normal((5, 16)) for _ in range(3)]
-    records = [
-        make_record(f"id{k}", f"im{j}", capture=j, vector=bases[k % 3][j])
+    return store_of(
+        make_row(f"id{k}", f"im{j}", capture=j, vector=bases[k % 3][j])
         for k in range(9)
         for j in range(5)
-    ]
-    return EmbeddingStore(16, records)
+    )
 
 
 def near_tie_store():
@@ -73,7 +72,7 @@ def near_tie_store():
         v[0] = 0.0
         return np.round(v / np.linalg.norm(v) / step) * step
 
-    records = []
+    rows = []
     for family in range(4):
         center = rng.standard_normal(16)
         enrolled = [on_grid(center + 0.3 * rng.standard_normal(16)) for _ in range(4)]
@@ -84,13 +83,13 @@ def near_tie_store():
                 if member == 2:
                     vec[[14, 15]] = vec[[15, 14]]
                 vec[0] = int(rng.integers(-6, 7)) * step
-                records.append(EmbeddingRecord(ident, f"im{k}", "g", k, vec.astype(np.float32)))
+                rows.append((ident, f"im{k}", "g", k, vec.astype(np.float32)))
             probe = center + 0.3 * rng.standard_normal(16)
             probe[15] = probe[14]
             probe = on_grid(probe)
             probe[0] = 2.0**-32
-            records.append(EmbeddingRecord(ident, "im4", "g", 4, probe.astype(np.float32)))
-    return EmbeddingStore(16, records)
+            rows.append((ident, "im4", "g", 4, probe.astype(np.float32)))
+    return store_of(rows)
 
 
 def sample_digest(samples) -> str:
@@ -147,57 +146,61 @@ class TestRankSample:
 
 class TestSelectProbes:
     def test_forced_selection_no_sampling_freedom(self):
-        records = [
-            make_record("a", f"i{k}", capture=k, seed=k) for k in range(1, 6)
-        ]
-        store = EmbeddingStore(8, records)
+        store = store_of(make_row("a", f"i{k}", capture=k, seed=k) for k in range(1, 6))
         cfg = CurationConfig(d_in=3)  # enrolled 4 of remaining 4
         [(probe, pool)] = select_probes(store, cfg)
-        assert probe.image_id == "i5"
-        assert sorted(r.image_id for r in pool) == ["i1", "i2", "i3", "i4"]
+        assert store.image_ids[probe] == "i5"
+        assert sorted(store.image_ids[r] for r in pool) == ["i1", "i2", "i3", "i4"]
 
     def test_capture_tie_broken_by_image_id(self):
-        records = [
-            make_record("a", "x1", capture=3, seed=1),
-            make_record("a", "x2", capture=3, seed=2),
-            make_record("a", "a9", capture=2, seed=3),
-            make_record("a", "b1", capture=1, seed=4),
-            make_record("a", "b2", capture=1, seed=5),
-        ]
-        store = EmbeddingStore(8, records)
+        store = store_of([
+            make_row("a", "x1", capture=3, seed=1),
+            make_row("a", "x2", capture=3, seed=2),
+            make_row("a", "a9", capture=2, seed=3),
+            make_row("a", "b1", capture=1, seed=4),
+            make_row("a", "b2", capture=1, seed=5),
+        ])
         [(probe, _)] = select_probes(store, CurationConfig(d_in=3))
-        assert probe.image_id == "x2"
+        assert store.image_ids[probe] == "x2"
 
     def test_identity_below_threshold_excluded(self):
-        records = [make_record("a", f"i{k}", capture=k, seed=k) for k in range(4)]
-        store = EmbeddingStore(8, records)
+        store = store_of(make_row("a", f"i{k}", capture=k, seed=k) for k in range(4))
         assert select_probes(store, CurationConfig(d_in=3)) == []
 
     def test_pool_matches_reference_fisher_yates(self, small_store):
         cfg = CurationConfig(d_in=3, rng_seed=42)
         got = select_probes(small_store, cfg)
         expected = oracle_select(small_store, d_in=3, rng_seed=42)
+        ids, images = small_store.identity_ids, small_store.image_ids
         assert len(got) == len(expected)
         for (probe, pool), (ident, oracle_probe, oracle_pool) in zip(got, expected):
-            assert probe.identity_id == ident
-            assert probe.image_id == oracle_probe.image_id
-            assert [r.image_id for r in pool] == [r.image_id for r in oracle_pool]
+            assert ids[probe] == ident
+            assert images[probe] == oracle_probe.image_id
+            assert all(ids[r] == ident for r in pool)
+            assert [images[r] for r in pool] == [r.image_id for r in oracle_pool]
 
     def test_pool_independent_of_other_identities(self, small_store):
         """Per-identity seeding: dropping other identities keeps this pool."""
         cfg = CurationConfig(d_in=3, rng_seed=8)
-        full = {p.identity_id: pool for p, pool in select_probes(small_store, cfg)}
+        ids, images = small_store.identity_ids, small_store.image_ids
+        full = {
+            ids[p]: [images[r] for r in pool]
+            for p, pool in select_probes(small_store, cfg)
+        }
         idents = sorted(full)[:3]
-        kept = [r for r in small_store if r.identity_id in idents]
-        sub = EmbeddingStore(small_store.dimension, kept)
+        kept = [i for i, ident in enumerate(ids) if ident in idents]
+        sub = EmbeddingStore(
+            [ids[i] for i in kept],
+            [images[i] for i in kept],
+            [small_store.groups[i] for i in kept],
+            small_store.capture_index[kept],
+            small_store.vectors[kept],
+        )
         for probe, pool in select_probes(sub, cfg):
-            assert [r.image_id for r in pool] == [
-                r.image_id for r in full[probe.identity_id]
-            ]
+            assert [sub.image_ids[r] for r in pool] == full[sub.identity_ids[probe]]
 
     def test_group_mismatch_rejected(self):
-        records = [make_record("a", "i1", group="A"), make_record("b", "i1", group="B")]
-        store = EmbeddingStore(8, records)
+        store = store_of([make_row("a", "i1", group="A"), make_row("b", "i1", group="B")])
         with pytest.raises(ValueError, match="beyond configured"):
             select_probes(store, CurationConfig(d_in=1, group="A"))
 
@@ -273,18 +276,17 @@ class TestCurate:
         assert curate_detailed(small_store, cfg).samples == curate_detailed(small_store, cfg).samples
 
     def test_needs_two_identities(self):
-        records = [make_record("a", f"i{k}", capture=k, seed=k) for k in range(1, 6)]
-        store = EmbeddingStore(8, records)
+        store = store_of(make_row("a", f"i{k}", capture=k, seed=k) for k in range(1, 6))
         with pytest.raises(ValueError, match="2 eligible"):
             curate_detailed(store, CurationConfig(d_in=3))
 
     def test_probe_never_enrolled(self, small_store):
         result = curate_detailed(small_store, CurationConfig(d_in=3, rng_seed=0))
         probes = {
-            (p.identity_id, p.image_id)
-            for p, _ in select_probes(small_store, CurationConfig(d_in=3, rng_seed=0))
+            p for p, _ in select_probes(small_store, CurationConfig(d_in=3, rng_seed=0))
         }
-        enrolled = {r.key() for r in result.gallery.records}
+        enrolled = set(result.gallery.tie_rank.tolist())
+        assert len(probes) == 12 and len(enrolled) == 48
         assert probes.isdisjoint(enrolled)
 
     def test_golden_samples(self):

@@ -295,7 +295,7 @@ class TestEmitReport:
 class TestLoadPlanStore:
     def test_synth_source(self):
         store = load_plan_store(tiny_plan())
-        assert len(store.records) == 100
+        assert len(store) == 100
 
     def test_file_source(self, tmp_path):
         from rankgate.store import write_store
@@ -305,6 +305,6 @@ class TestLoadPlanStore:
         write_store(store, path, "binary")
         plan = tiny_plan(synth=None, store_path=str(path))
         loaded = load_plan_store(plan)
-        assert [r.key() for r in loaded.records] == [r.key() for r in store.records]
-        for mine, theirs in zip(loaded.records, store.records):
-            assert mine.vector.tobytes() == theirs.vector.tobytes()
+        assert loaded.identity_ids == store.identity_ids
+        assert loaded.image_ids == store.image_ids
+        assert loaded.vectors.tobytes() == store.vectors.tobytes()

@@ -375,6 +375,14 @@ class TestStratifiedFolds:
             assert len(np.unique(seen)) == n == len(seen)
 
 
+class TestConfig:
+    def test_learning_rate_must_be_finite_and_positive(self):
+        for rate in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
+            with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+                MlpConfig(learning_rate=rate)
+        assert MlpConfig(learning_rate=1e-3).learning_rate == 1e-3
+
+
 class TestTrain:
     def separable(self, n_per_class=100, seed=1):
         rng = np.random.default_rng(seed)

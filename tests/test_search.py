@@ -12,14 +12,12 @@ from rankgate.search import (
 )
 from rankgate.store import unit_f32
 
-from conftest import make_record
+from conftest import gallery_of, make_row, pairs, store_of
 
 
-def ranked_keys(result):
-    return [
-        (result.records[p].identity_id, result.records[p].image_id)
-        for p in result.positions
-    ]
+def ranked_keys(store, gallery, result):
+    rows = gallery.tie_rank[result.positions]
+    return [(store.identity_ids[r], store.image_ids[r]) for r in rows]
 
 
 def counted(gallery, probe, d_in, left_out=()):
@@ -30,10 +28,11 @@ def counted(gallery, probe, d_in, left_out=()):
 
 
 def random_gallery(rng, n_records, dim, n_identities=None, duplicate_every=0):
-    """Random unit-vector gallery; optionally duplicate vectors to force ties."""
+    """Rows of a random unit-vector gallery; optionally duplicate vectors to
+    force ties."""
     if n_identities is None:
         n_identities = max(2, n_records // 4)
-    records = []
+    rows = []
     vectors = []
     for i in range(n_records):
         if duplicate_every and vectors and i % duplicate_every == 0:
@@ -41,8 +40,8 @@ def random_gallery(rng, n_records, dim, n_identities=None, duplicate_every=0):
         else:
             vec = unit_f32(rng.standard_normal(dim))
         vectors.append(vec)
-        records.append(
-            make_record(
+        rows.append(
+            make_row(
                 f"id{rng.integers(0, n_identities):04d}",
                 f"im{i:05d}",
                 dim=dim,
@@ -52,116 +51,148 @@ def random_gallery(rng, n_records, dim, n_identities=None, duplicate_every=0):
     # drop accidental duplicate keys
     seen = set()
     unique = []
-    for r in records:
-        if r.key() not in seen:
-            seen.add(r.key())
+    for r in rows:
+        if r[:2] not in seen:
+            seen.add(r[:2])
             unique.append(r)
     return unique
 
 
 class TestGalleryIndex:
     def test_identity_map_positions(self):
-        records = [
-            make_record("a", "i1"),
-            make_record("a", "i2"),
-            make_record("b", "i1"),
-            make_record("b", "i2"),
+        rows = [
+            make_row("a", "i1"),
+            make_row("a", "i2"),
+            make_row("b", "i1"),
+            make_row("b", "i2"),
         ]
-        gallery = build_gallery(records)
+        _store, gallery = gallery_of(rows)
         assert set(gallery.identity_map) == {"a", "b"}
         assert all(len(v) == 2 for v in gallery.identity_map.values())
 
     def test_single_record(self):
-        gallery = build_gallery([make_record("a", "i1")])
+        _store, gallery = gallery_of([make_row("a", "i1")])
         assert gallery.size == 1
 
     def test_position_count_oracle(self):
         rng = np.random.default_rng(0)
-        records = random_gallery(rng, 200, 16)
-        gallery = build_gallery(records)
+        rows = random_gallery(rng, 200, 16)
+        _store, gallery = gallery_of(rows)
         total = sum(len(v) for v in gallery.identity_map.values())
-        assert total == len(records)
+        assert total == len(rows)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="zero records"):
-            build_gallery([])
+        with pytest.raises(ValueError, match="zero rows"):
+            build_gallery(store_of([make_row("a", "i1")]), [])
 
     def test_duplicate_key_rejected(self):
+        """A gallery lists store rows: the store refuses a repeated key and
+        the gallery a repeated row."""
         with pytest.raises(ValueError, match="duplicate"):
-            build_gallery([make_record("a", "i1", seed=1), make_record("a", "i1", seed=2)])
+            store_of([make_row("a", "i1", seed=1), make_row("a", "i1", seed=2)])
+        store = store_of([make_row("a", "i1"), make_row("b", "i1")])
+        with pytest.raises(ValueError, match="duplicate"):
+            build_gallery(store, [1, 0, 1])
 
-    def test_mixed_dimension_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            build_gallery([make_record("a", "i1", dim=8), make_record("b", "i1", dim=16)])
+    def test_rows_outside_store_rejected(self):
+        store = store_of([make_row("a", "i1"), make_row("b", "i1")])
+        for rows in ([0, 2], [-1, 0]):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+                build_gallery(store, rows)
 
-    def test_non_unit_rejected(self):
-        bad = make_record("a", "i1")
-        object.__setattr__(bad, "vector", bad.vector * 2)
-        with pytest.raises(ValueError, match="unit norm"):
-            build_gallery([bad])
-
-    def test_non_finite_rejected(self):
-        """A NaN norm fails no ``> tol`` test; it must still be refused."""
-        bad = make_record("a", "i1")
-        object.__setattr__(bad, "vector", np.full_like(bad.vector, np.nan))
-        with pytest.raises(ValueError, match="finite and unit norm"):
-            build_gallery([make_record("b", "i1"), bad])
+    def test_tie_rank_is_store_row(self):
+        """Positions keep the order the rows were listed in; the tie order
+        is the store's sorted row order."""
+        rows = [make_row("b", "i1"), make_row("a", "i2"), make_row("a", "i1")]
+        store, gallery = gallery_of(rows)
+        assert gallery.tie_rank.tolist() == [2, 1, 0]
+        assert gallery.identities == ("b", "a", "a")
+        assert gallery.identity_map["a"].tolist() == [1, 2]
+        for pos, row in enumerate(gallery.tie_rank):
+            assert gallery.matrix[pos].tobytes() == (
+                store.vectors[row].astype(np.float64).tobytes()
+            )
 
 
 class TestSearch:
     def test_self_match_is_rank_one(self):
-        records = [make_record("a", "i1", seed=1), make_record("b", "i1", seed=2)]
-        gallery = build_gallery(records)
-        result = search(gallery, records[1].vector.astype(np.float64))
-        assert result.records[result.positions[0]].identity_id == "b"
+        rows = [make_row("a", "i1", seed=1), make_row("b", "i1", seed=2)]
+        _store, gallery = gallery_of(rows)
+        result = search(gallery, rows[1][4].astype(np.float64))
+        assert gallery.identities[result.positions[0]] == "b"
         assert result.similarities[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_orthogonal_pair(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        gallery = build_gallery(
+        store, gallery = gallery_of(
             [
-                make_record("a", "i1", vector=e1, dim=2),
-                make_record("b", "i1", vector=e2, dim=2),
+                make_row("a", "i1", vector=e1, dim=2),
+                make_row("b", "i1", vector=e2, dim=2),
             ]
         )
         result = search(gallery, e1)
-        assert ranked_keys(result) == [("a", "i1"), ("b", "i1")]
+        assert ranked_keys(store, gallery, result) == [("a", "i1"), ("b", "i1")]
         np.testing.assert_allclose(result.similarities, [1.0, 0.0], atol=1e-7)
 
     @pytest.mark.parametrize("dim", [8, 64])
     def test_matches_full_sort_oracle(self, dim):
         rng = np.random.default_rng(dim)
         for _ in range(10):
-            records = random_gallery(rng, int(rng.integers(5, 120)), dim)
-            gallery = build_gallery(records)
+            rows = random_gallery(rng, int(rng.integers(5, 120)), dim)
+            store, gallery = gallery_of(rows)
             probe = unit_f32(rng.standard_normal(dim)).astype(np.float64)
             result = search(gallery, probe)
-            assert ranked_keys(result) == oracle_search_order(records, probe)
+            assert ranked_keys(store, gallery, result) == oracle_search_order(
+                pairs(rows), probe
+            )
 
     def test_tie_order_matches_oracle(self):
         """Bit-identical vectors under several identities force exact ties."""
         rng = np.random.default_rng(99)
         for _ in range(10):
-            records = random_gallery(rng, 60, 8, duplicate_every=3)
-            gallery = build_gallery(records)
+            rows = random_gallery(rng, 60, 8, duplicate_every=3)
+            store, gallery = gallery_of(rows)
             probe = unit_f32(rng.standard_normal(8)).astype(np.float64)
             result = search(gallery, probe)
-            assert ranked_keys(result) == oracle_search_order(records, probe)
+            assert ranked_keys(store, gallery, result) == oracle_search_order(
+                pairs(rows), probe
+            )
 
     def test_input_order_invariance(self):
+        """Neither the order the store is built from nor the order the
+        gallery lists its rows in changes a ranking."""
         rng = np.random.default_rng(17)
-        records = random_gallery(rng, 50, 16, duplicate_every=4)
+        rows = random_gallery(rng, 50, 16, duplicate_every=4)
         probe = unit_f32(rng.standard_normal(16)).astype(np.float64)
-        baseline = ranked_keys(search(build_gallery(records), probe))
+        store, gallery = gallery_of(rows)
+        baseline = ranked_keys(store, gallery, search(gallery, probe))
         for _ in range(5):
-            shuffled = [records[i] for i in rng.permutation(len(records))]
-            assert ranked_keys(search(build_gallery(shuffled), probe)) == baseline
+            shuffled = [rows[i] for i in rng.permutation(len(rows))]
+            store, gallery = gallery_of(shuffled)
+            assert ranked_keys(store, gallery, search(gallery, probe)) == baseline
+
+    def test_ids_differing_by_trailing_nul_tie_in_python_order(self):
+        """Exact ties between identities ``"a"`` and ``"a\\x00"`` (a binary
+        store can hold both) break in Python ``(identity_id, image_id)``
+        order, whichever order the store was built from."""
+        vec = unit_f32(np.array([3.0, 4.0, 0.0, 0.0]))
+        rows = [
+            make_row(ident, image, vector=vec)
+            for ident in ("a", "a\x00")
+            for image in ("i1", "i2")
+        ]
+        want = [("a", "i1"), ("a", "i2"), ("a\x00", "i1"), ("a\x00", "i2")]
+        probe = vec.astype(np.float64)
+        for ordered in (rows, rows[::-1]):
+            store, gallery = gallery_of(ordered)
+            assert ranked_keys(store, gallery, search(gallery, probe)) == want
+            assert counted(gallery, probe, 1)[:2] == ((2,), "a")
 
     def test_similarity_bounds(self):
         rng = np.random.default_rng(23)
-        records = random_gallery(rng, 100, 8)
-        gallery = build_gallery(records)
+        rows = random_gallery(rng, 100, 8)
+        _store, gallery = gallery_of(rows)
         for _ in range(10):
             result = search(gallery, unit_f32(rng.standard_normal(8)).astype(np.float64))
             assert np.all(result.similarities <= 1 + 1e-6)
@@ -169,22 +200,22 @@ class TestSearch:
 
     def test_similarities_sorted_descending(self):
         rng = np.random.default_rng(31)
-        gallery = build_gallery(random_gallery(rng, 80, 16))
+        _store, gallery = gallery_of(random_gallery(rng, 80, 16))
         result = search(gallery, unit_f32(rng.standard_normal(16)).astype(np.float64))
         assert np.all(np.diff(result.similarities) <= 0)
 
     def test_probe_dimension_checked(self):
-        gallery = build_gallery([make_record("a", "i1", dim=8)])
+        _store, gallery = gallery_of([make_row("a", "i1", dim=8)])
         with pytest.raises(ValueError, match="shape"):
             search(gallery, np.ones(4) / 2.0)
 
     def test_probe_norm_checked(self):
-        gallery = build_gallery([make_record("a", "i1", dim=4)])
+        _store, gallery = gallery_of([make_row("a", "i1", dim=4)])
         with pytest.raises(ValueError, match="unit norm"):
             search(gallery, np.ones(4))
 
     def test_non_finite_probe_rejected(self):
-        gallery = build_gallery([make_record("a", "i1", dim=4)])
+        _store, gallery = gallery_of([make_row("a", "i1", dim=4)])
         probe = np.array([1.0, 0.0, 0.0, np.nan])
         with pytest.raises(ValueError, match="finite and unit norm, got squared norm nan"):
             check_probe(gallery, probe)
@@ -193,7 +224,7 @@ class TestSearch:
 
 
 def controlled_gallery(identity_ranks, total, dim=None):
-    """Gallery where the given identity lands exactly at the given ranks.
+    """Rows of a gallery where the given identity lands exactly at the given ranks.
 
     Record at rank r gets similarity to the probe e1 of cos spaced
     decreasing in r, by construction on the plane span(e1, e_{r+1}).
@@ -202,7 +233,7 @@ def controlled_gallery(identity_ranks, total, dim=None):
         dim = total + 2
     probe = np.zeros(dim)
     probe[0] = 1.0
-    records = []
+    rows = []
     want = set(identity_ranks)
     for r in range(1, total + 1):
         c = np.cos(0.1 + 1.2 * r / total)
@@ -210,8 +241,8 @@ def controlled_gallery(identity_ranks, total, dim=None):
         vec[0] = c
         vec[r] = np.sqrt(1 - c * c)
         ident = "target" if r in want else f"other{r:03d}"
-        records.append(make_record(ident, f"im{r:03d}", dim=dim, vector=vec))
-    return records, probe
+        rows.append(make_row(ident, f"im{r:03d}", dim=dim, vector=vec))
+    return rows, probe
 
 
 class TestSimilarities:
@@ -232,15 +263,15 @@ class TestSimilarities:
 
 class TestExtractRankVector:
     def test_contiguous_block(self):
-        records, probe = controlled_gallery({1, 2, 3, 4}, 12)
-        gallery = build_gallery(records)
+        rows, probe = controlled_gallery({1, 2, 3, 4}, 12)
+        _store, gallery = gallery_of(rows)
         ranks, winner, _top = counted(gallery, probe, 3)
         assert ranks == (2, 3, 4)
         assert winner == "target"
 
     def test_smallest_three_rule(self):
-        records, probe = controlled_gallery({1, 5, 9, 40, 77}, 90)
-        gallery = build_gallery(records)
+        rows, probe = controlled_gallery({1, 5, 9, 40, 77}, 90)
+        _store, gallery = gallery_of(rows)
         assert counted(gallery, probe, 3)[0] == (5, 9, 40)
 
     def test_matches_filter_and_sort_oracle(self):
@@ -248,16 +279,16 @@ class TestExtractRankVector:
         one identity's rows left out, on galleries with duplicated vectors."""
         rng = np.random.default_rng(7)
         for case in range(40):
-            records = random_gallery(
+            rows = random_gallery(
                 rng, 50, 16, n_identities=8, duplicate_every=3 if case % 2 else 0
             )
-            gallery = build_gallery(records)
+            _store, gallery = gallery_of(rows)
             probe = unit_f32(rng.standard_normal(16)).astype(np.float64)
             identities = sorted(gallery.identity_map)
             for drop in (None, identities[int(rng.integers(0, len(identities)))]):
-                kept = [r for r in records if r.identity_id != drop]
+                kept = [r for r in rows if r[0] != drop]
                 left_out = gallery.identity_map[drop] if drop else ()
-                order = oracle_search_order(kept, probe)
+                order = oracle_search_order(pairs(kept), probe)
                 top = order[0][0]
                 extra = len(gallery.identity_map[top]) - 1
                 if extra < 1:
@@ -265,17 +296,17 @@ class TestExtractRankVector:
                 d_in = min(3, extra)
                 ranks, winner, top_similarity = counted(gallery, probe, d_in, left_out)
                 assert (winner, ranks) == oracle_rank_vector(order, d_in)
-                full = search(build_gallery(kept), probe)
+                full = search(gallery_of(kept)[1], probe)
                 assert top_similarity.hex() == float(full.similarities[0]).hex()
 
     def test_insufficient_images_error(self):
-        records, probe = controlled_gallery({1, 3}, 10)
-        gallery = build_gallery(records)
+        rows, probe = controlled_gallery({1, 3}, 10)
+        _store, gallery = gallery_of(rows)
         with pytest.raises(ValueError, match="additional images"):
             counted(gallery, probe, 3)
 
     def test_d_in_validated(self):
-        records, probe = controlled_gallery({1, 2}, 5)
-        gallery = build_gallery(records)
+        rows, probe = controlled_gallery({1, 2}, 5)
+        _store, gallery = gallery_of(rows)
         with pytest.raises(ValueError, match="d_in"):
             counted(gallery, probe, 0)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import naive_norm
 from rankgate.store import (
-    EmbeddingRecord,
     EmbeddingStore,
     StoreFormatError,
     ingest,
@@ -14,7 +15,11 @@ from rankgate.store import (
     write_store,
 )
 
-from conftest import make_record
+from conftest import make_row, store_of
+
+
+def keys(store):
+    return list(zip(store.identity_ids, store.image_ids))
 
 
 class TestL2Normalize:
@@ -72,84 +77,142 @@ class TestUnitF32:
 
 class TestEmbeddingStore:
     def test_records_sorted_regardless_of_input_order(self):
-        records = [make_record("b", "i1"), make_record("a", "i2"), make_record("a", "i1")]
-        store = EmbeddingStore(8, records)
-        assert [r.key() for r in store] == [("a", "i1"), ("a", "i2"), ("b", "i1")]
+        rows = [make_row("b", "i1"), make_row("a", "i2"), make_row("a", "i1")]
+        store = store_of(rows)
+        assert keys(store) == [("a", "i1"), ("a", "i2"), ("b", "i1")]
+        for row in rows:
+            r = keys(store).index(row[:2])
+            assert store.vectors[r].tobytes() == row[4].tobytes()
+
+    def test_columns(self):
+        """One C-contiguous read-only float32 matrix, an int64 capture
+        column and Python str ids; no per-row objects."""
+        store = store_of([make_row("a", "i1", capture=7), make_row("b", "i1")])
+        assert store.vectors.dtype == np.float32 and store.vectors.shape == (2, 8)
+        assert store.vectors.flags.c_contiguous
+        assert not store.vectors.flags.writeable
+        assert store.capture_index.dtype == np.int64
+        assert store.capture_index.tolist() == [7, 1]
+        assert not store.capture_index.flags.writeable
+        assert store.identity_ids == ("a", "b") and store.groups == ("g", "g")
 
     def test_duplicate_key_rejected(self):
-        records = [make_record("a", "i1", seed=0), make_record("a", "i1", seed=1)]
+        rows = [make_row("a", "i1", seed=0), make_row("a", "i1", seed=1)]
         with pytest.raises(ValueError, match="duplicate"):
-            EmbeddingStore(8, records)
+            store_of(rows)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            EmbeddingStore(8, [make_record("a", "i1", dim=4)])
+            EmbeddingStore(["a"], ["i1"], ["g"], [1], unit_f32(np.ones(4)))
+        with pytest.raises(ValueError, match="dimension"):
+            EmbeddingStore([], [], [], [], np.zeros((0, 0)))
+
+    def test_mixed_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            EmbeddingStore(
+                ["a", "b"], ["i1", "i1"], ["g", "g"], [1, 1],
+                [unit_f32(np.ones(8)), unit_f32(np.ones(16))],
+            )
+
+    def test_column_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            EmbeddingStore(["a", "b"], ["i1"], ["g"], [1], unit_f32(np.ones(4))[None])
 
     def test_norm_validated(self):
-        bad = EmbeddingRecord("a", "i1", "g", 1, np.full(4, 0.5, dtype=np.float32) * 1.1)
+        bad = np.full(4, 0.5, dtype=np.float32) * 1.1
         with pytest.raises(ValueError, match="norm"):
-            EmbeddingStore(4, [bad])
+            EmbeddingStore(["a"], ["i1"], ["g"], [1], bad[None])
+
+    def test_non_unit_rejected(self):
+        row = make_row("a", "i1")
+        with pytest.raises(ValueError, match="norm"):
+            store_of([make_row("b", "i1"), row[:4] + (row[4] * 2,)])
+
+    def test_non_finite_rejected(self):
+        """A NaN norm fails no ``> tol`` test; it must still be refused."""
+        row = make_row("a", "i1")
+        with pytest.raises(ValueError, match="non-finite"):
+            store_of([make_row("b", "i1"), row[:4] + (np.full_like(row[4], np.nan),)])
 
     def test_negative_capture_index_rejected(self):
-        rec = EmbeddingRecord("a", "i1", "g", -1, unit_f32(np.ones(4)))
         with pytest.raises(ValueError, match="capture_index"):
-            EmbeddingStore(4, [rec])
+            store_of([make_row("a", "i1", capture=-1, dim=4)])
+
+    def test_unwritable_values_rejected(self):
+        """What the binary format cannot hold never gets into a store."""
+        for capture in (2**32, 2**64):
+            with pytest.raises(ValueError, match="capture_index"):
+                store_of([make_row("a", "i1", capture=capture)])
+        store_of([make_row("a", "i1", capture=2**32 - 1)])
+        long_id = "é" * 32768  # 65536 UTF-8 bytes
+        for row in (
+            make_row(long_id, "i1"),
+            make_row("a", long_id),
+            make_row("a", "i1", group=long_id),
+        ):
+            with pytest.raises(ValueError, match="65536 UTF-8 bytes is over 65535"):
+                store_of([row])
+        store_of([make_row("a" * 65535, "i1")])
 
     def test_filter_by_group_partitions_store(self):
-        records = [
-            make_record("a", "i1", group="A"),
-            make_record("a", "i2", group="A"),
-            make_record("b", "i1", group="B"),
+        rows = [
+            make_row("a", "i1", group="A"),
+            make_row("a", "i2", group="A"),
+            make_row("b", "i1", group="B"),
         ]
-        store = EmbeddingStore(8, records)
+        store = store_of(rows)
         part_a = store.filter_by_group("A")
         part_b = store.filter_by_group("B")
         assert len(part_a) == 2 and len(part_b) == 1
-        assert all(r.group == "A" for r in part_a)
+        assert set(part_a.groups) == {"A"}
         assert len(part_a) + len(part_b) == len(store)
+        assert part_b.vectors.tobytes() == store.vectors[2].tobytes()
+        assert part_b.vectors.flags.c_contiguous
 
     def test_filter_only_group_is_identity(self):
-        store = EmbeddingStore(8, [make_record("a", "i1"), make_record("b", "i1")])
+        store = store_of([make_row("a", "i1"), make_row("b", "i1")])
         same = store.filter_by_group("g")
-        assert [r.key() for r in same] == [r.key() for r in store]
+        assert keys(same) == keys(store)
+        assert same.vectors.tobytes() == store.vectors.tobytes()
 
     def test_filter_unknown_group_error_lists_known(self):
-        store = EmbeddingStore(8, [make_record("a", "i1", group="A")])
+        store = store_of([make_row("a", "i1", group="A")])
         with pytest.raises(ValueError, match="unknown group 'C'.*A"):
             store.filter_by_group("C")
 
     def test_by_identity_groups_and_orders(self):
-        records = [
-            make_record("b", "i1"),
-            make_record("a", "i2"),
-            make_record("a", "i1"),
+        """Each identity is one run of rows, identities and images ascending."""
+        rows = [
+            make_row("b", "i1"),
+            make_row("a", "i2"),
+            make_row("c", "i1"),
+            make_row("a", "i1"),
         ]
-        groups = EmbeddingStore(8, records).by_identity()
-        assert list(groups) == ["a", "b"]
-        assert [r.image_id for r in groups["a"]] == ["i1", "i2"]
+        store = store_of(rows)
+        assert store.identity_ids == ("a", "a", "b", "c")
+        assert store.image_ids == ("i1", "i2", "i1", "i1")
 
 
 class TestFormats:
     @pytest.fixture
     def store(self):
         rng = np.random.default_rng(5)
-        records = [
-            make_record(f"id{i:02d}", f"im{j}", dim=16, vector=rng.standard_normal(16))
+        rows = [
+            make_row(f"id{i:02d}", f"im{j}", dim=16, vector=rng.standard_normal(16))
             for i in range(4)
             for j in range(3)
         ]
-        return EmbeddingStore(16, records)
+        return store_of(rows)
 
     def test_binary_round_trip_bit_exact(self, store, tmp_path):
         path = tmp_path / "store.bin"
         write_store(store, path, "binary")
         loaded = ingest(path, "binary")
         assert len(loaded) == len(store)
-        for a, b in zip(store, loaded):
-            assert a.key() == b.key()
-            assert a.group == b.group
-            assert a.capture_index == b.capture_index
-            assert a.vector.tobytes() == b.vector.tobytes()
+        assert keys(loaded) == keys(store)
+        assert loaded.groups == store.groups
+        assert loaded.capture_index.tolist() == store.capture_index.tolist()
+        assert loaded.vectors.tobytes() == store.vectors.tobytes()
 
     def test_binary_round_trip_file_level(self, store, tmp_path):
         """Writing what was ingested reproduces the file byte for byte."""
@@ -163,9 +226,8 @@ class TestFormats:
         path = tmp_path / "store.csv"
         write_store(store, path, "csv")
         loaded = ingest(path, "csv")
-        for a, b in zip(store, loaded):
-            assert a.key() == b.key()
-            assert a.vector.tobytes() == b.vector.tobytes()
+        assert keys(loaded) == keys(store)
+        assert loaded.vectors.tobytes() == store.vectors.tobytes()
 
     def test_csv_ingest_normalizes(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -177,20 +239,20 @@ class TestFormats:
         )
         store = ingest(path, "csv")
         assert len(store) == 3
-        for rec in store:
-            assert abs(naive_norm(rec.vector) - 1.0) < 1e-5
+        for vector in store.vectors:
+            assert abs(naive_norm(vector) - 1.0) < 1e-5
 
     def test_binary_ingest_normalizes_random_rows(self, tmp_path):
-        """Norms of every ingested record check out against the naive oracle."""
+        """Norms of every ingested row check out against the naive oracle."""
         rng = np.random.default_rng(9)
-        records = [
-            make_record(f"r{i}", "x", dim=16, vector=rng.standard_normal(16) * 3)
+        rows = [
+            make_row(f"r{i}", "x", dim=16, vector=rng.standard_normal(16) * 3)
             for i in range(10)
         ]
         path = tmp_path / "s.bin"
-        write_store(EmbeddingStore(16, records), path)
-        for rec in ingest(path):
-            assert abs(naive_norm(rec.vector) - 1.0) < 1e-5
+        write_store(store_of(rows), path)
+        for vector in ingest(path).vectors:
+            assert abs(naive_norm(vector) - 1.0) < 1e-5
 
     def test_csv_duplicate_row_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -201,6 +263,14 @@ class TestFormats:
         )
         with pytest.raises(ValueError, match="duplicate"):
             ingest(path, "csv")
+
+    def test_empty_store_round_trip(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"OGEM" + struct.pack("<IIQ", 1, 5, 0))
+        store = ingest(path)
+        assert len(store) == 0 and store.dimension == 5
+        write_store(store, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -77,38 +77,36 @@ class TestGenerate:
         store = generate(cfg)
         assert len(store) == 28
         assert store.dimension == 16
-        by_ident = store.by_identity()
-        assert len(by_ident) == 7
-        for recs in by_ident.values():
-            assert [r.capture_index for r in recs] == [1, 2, 3, 4]
+        assert len(set(store.identity_ids)) == 7
+        assert store.capture_index.tolist() == [1, 2, 3, 4] * 7
 
     def test_group_structure(self):
         cfg = SynthConfig(n_identities=5, groups=(("ga", 2), ("gb", 3)), dimension=8)
         store = generate(cfg)
-        assert store.groups == {"ga", "gb"}
-        assert len(store.filter_by_group("ga").by_identity()) == 2
-        assert len(store.filter_by_group("gb").by_identity()) == 3
+        assert set(store.groups) == {"ga", "gb"}
+        assert len(set(store.filter_by_group("ga").identity_ids)) == 2
+        assert len(set(store.filter_by_group("gb").identity_ids)) == 3
 
     def test_deterministic(self):
         cfg = SynthConfig(n_identities=6, images_per_identity=3, dimension=16, rng_seed=2)
         a = generate(cfg)
         b = generate(cfg)
-        for ra, rb in zip(a, b):
-            assert ra.key() == rb.key()
-            assert ra.vector.tobytes() == rb.vector.tobytes()
+        assert a.identity_ids == b.identity_ids and a.image_ids == b.image_ids
+        assert a.vectors.tobytes() == b.vectors.tobytes()
 
     def test_zero_noise_collapses_identity_images(self):
         cfg = SynthConfig(n_identities=3, images_per_identity=4, within_noise_sigma=0.0, dimension=16)
         store = generate(cfg)
-        for recs in store.by_identity().values():
-            first = recs[0].vector
-            for rec in recs[1:]:
-                assert rec.vector.tobytes() == first.tobytes()
+        for k in range(3):
+            first = store.vectors[4 * k]
+            for row in range(4 * k + 1, 4 * k + 4):
+                assert store.identity_ids[row] == store.identity_ids[4 * k]
+                assert store.vectors[row].tobytes() == first.tobytes()
 
     def test_all_vectors_unit(self):
         store = generate(SynthConfig(n_identities=10, dimension=24, within_noise_sigma=0.3))
-        for rec in store:
-            assert abs(naive_norm(rec.vector) - 1.0) < 1e-5
+        for vector in store.vectors:
+            assert abs(naive_norm(vector) - 1.0) < 1e-5
 
     def test_cross_identity_near_orthogonality(self):
         """Monte Carlo: dim-64 mean directions rarely come close to parallel."""
@@ -134,13 +132,13 @@ class TestGenerate:
                 )
             )
             sims = []
-            for recs in store.by_identity().values():
-                for i in range(len(recs)):
-                    for j in range(i + 1, len(recs)):
-                        sims.append(
-                            float(np.dot(recs[i].vector.astype(np.float64),
-                                         recs[j].vector.astype(np.float64)))
-                        )
+            vectors = store.vectors.astype(np.float64)
+            for k in range(30):
+                rows = range(4 * k, 4 * k + 4)
+                assert len({store.identity_ids[r] for r in rows}) == 1
+                for i in rows:
+                    for j in range(i + 1, rows.stop):
+                        sims.append(float(np.dot(vectors[i], vectors[j])))
             return np.mean(sims)
 
         values = [mean_within(sigma, 77) for sigma in (0.05, 0.2, 0.6)]
