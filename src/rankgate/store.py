@@ -45,7 +45,6 @@ NORM_TOLERANCE = 1e-5
 _MAGIC = b"OGEM"
 _VERSION = 1
 _CSV_META_COLUMNS = ("identity_id", "image_id", "group", "capture_index")
-_U32 = struct.Struct("<I")
 
 
 def l2_normalize(v) -> np.ndarray:
@@ -97,33 +96,32 @@ class EmbeddingStore:
             matrix = np.asarray(vectors, dtype=np.float32)
         except ValueError as exc:  # vectors of different lengths
             raise ValueError(f"vectors differ in dimension: {exc}") from None
-        try:
-            capture = np.asarray(capture_index, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("capture_index must lie in [0, 2**32)") from None
+        # No integer dtype is forced: an int past 64 bits makes an object
+        # array, so the range check below sees every value as given.
+        capture = np.asarray(capture_index)
         if matrix.ndim != 2 or matrix.shape[1] < 1:
             raise ValueError(f"vectors must be an (n, dimension) matrix, got {matrix.shape}")
         n = len(matrix)
         if not len(identity_ids) == len(image_ids) == len(groups) == len(capture) == n:
             raise ValueError("store columns differ in length")
         order = sorted(range(n), key=lambda i: (identity_ids[i], image_ids[i]))
-        self._assign(order, identity_ids, image_ids, groups, capture, matrix)
-        self._check()
-
-    def _assign(self, rows, identity_ids, image_ids, groups, capture_index, vectors):
-        self.identity_ids = tuple(identity_ids[i] for i in rows)
-        self.image_ids = tuple(image_ids[i] for i in rows)
-        self.groups = tuple(groups[i] for i in rows)
-        self.capture_index = capture_index[rows]
-        self.vectors = vectors[rows]
-        self.capture_index.flags.writeable = False
-        self.vectors.flags.writeable = False
-
-    def _check(self) -> None:
+        self.identity_ids = tuple(identity_ids[i] for i in order)
+        self.image_ids = tuple(image_ids[i] for i in order)
+        self.groups = tuple(groups[i] for i in order)
         keys = list(zip(self.identity_ids, self.image_ids))
         for prev, key in zip(keys, keys[1:]):
             if key == prev:
                 raise ValueError(f"duplicate record key {key}")
+        capture = capture[order]
+        outside = (capture < 0) | (capture >= 2**32)
+        if outside.any():
+            bad = int(outside.argmax())
+            raise ValueError(
+                f"row {keys[bad]} has capture_index {capture[bad]}, "
+                f"outside [0, 2**32)"
+            )
+        self.capture_index = capture.astype(np.int64)
+        self.vectors = matrix[order]
         # Squares of finite float32 values cannot overflow a float64 sum.
         v = self.vectors
         norms = np.sqrt(np.einsum("ij,ij->i", v, v, dtype=np.float64))
@@ -137,15 +135,10 @@ class EmbeddingStore:
                 f"row {keys[bad]} has norm {float(norms[bad])!r}, expected 1.0 "
                 f"within {NORM_TOLERANCE}"
             )
-        outside = (self.capture_index < 0) | (self.capture_index >= 2**32)
-        if outside.any():
-            bad = int(outside.argmax())
-            raise ValueError(
-                f"row {keys[bad]} has capture_index {self.capture_index[bad]}, "
-                f"outside [0, 2**32)"
-            )
         for text in {*self.identity_ids, *self.image_ids, *self.groups}:
             encode_str(text)  # raises when over 65535 UTF-8 bytes
+        self.capture_index.flags.writeable = False
+        self.vectors.flags.writeable = False
 
     @property
     def dimension(self) -> int:
@@ -159,11 +152,14 @@ class EmbeddingStore:
         if group not in self.groups:
             known = ", ".join(sorted(set(self.groups))) or "<none>"
             raise ValueError(f"unknown group {group!r}; store has: {known}")
-        sub = object.__new__(EmbeddingStore)
         rows = [i for i, g in enumerate(self.groups) if g == group]
-        columns = self.identity_ids, self.image_ids, self.groups, self.capture_index
-        sub._assign(rows, *columns, self.vectors)
-        return sub
+        return EmbeddingStore(
+            [self.identity_ids[i] for i in rows],
+            [self.image_ids[i] for i in rows],
+            [group] * len(rows),
+            self.capture_index[rows],
+            self.vectors[rows],
+        )
 
 
 def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
@@ -177,8 +173,11 @@ def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<IIQ", _VERSION, store.dimension, len(store)))
-            for (*texts, capture), vector in zip(rows, vectors):
-                fh.write(b"".join(map(encode_str, texts)) + _U32.pack(capture))
+            for (identity_id, image_id, group, capture), vector in zip(rows, vectors):
+                fh.write(encode_str(identity_id))
+                fh.write(encode_str(image_id))
+                fh.write(encode_str(group))
+                fh.write(struct.pack("<I", capture))
                 fh.write(vector)
     elif format == "csv":
         with open(path, "w", newline="") as fh:
@@ -187,10 +186,10 @@ def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
                 f"v{i}" for i in range(store.dimension)
             ]
             writer.writerow(header)
-            writer.writerows(
-                [*texts, str(capture), *map(repr, vector.tolist())]
-                for (*texts, capture), vector in zip(rows, store.vectors)
-            )
+            for (identity_id, image_id, group, capture), vector in zip(rows, store.vectors):
+                row = [identity_id, image_id, group, str(capture)]
+                row.extend(repr(x) for x in vector.tolist())
+                writer.writerow(row)
     else:
         raise ValueError(f"unknown store format {format!r}")
 
@@ -230,7 +229,8 @@ def _ingest_binary(path: Path) -> EmbeddingStore:
         groups.append(reader.string())
         capture.append(reader.u32())
         raw = reader.take(4 * dimension)
-        vectors.append(unit_f32(np.frombuffer(raw, dtype="<f4").astype(np.float64)))
+        vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        vectors.append(unit_f32(vec))
     reader.end(f"{count} declared records")
     matrix = np.reshape(vectors, (-1, dimension))  # (0, dimension) when empty
     return EmbeddingStore(identity_ids, image_ids, groups, capture, matrix)

@@ -81,13 +81,14 @@ def generate(config: SynthConfig) -> EmbeddingStore:
         mean = _unit_draw(rng, d)
         for row in range(start, start + k):
             vectors[row] = _noisy_unit(rng, mean, config.within_noise_sigma, d)
-    return EmbeddingStore(
-        [identity_id for _, identity_id in identities for _ in range(k)],
-        [f"im{j:03d}" for j in range(1, k + 1)] * len(identities),
-        [group for group, _ in identities for _ in range(k)],
-        list(range(1, k + 1)) * len(identities),
-        vectors,
-    )
+    identity_ids, image_ids, groups, capture = [], [], [], []
+    for group, identity_id in identities:
+        for j in range(1, k + 1):
+            identity_ids.append(identity_id)
+            image_ids.append(f"im{j:03d}")
+            groups.append(group)
+            capture.append(j)
+    return EmbeddingStore(identity_ids, image_ids, groups, capture, vectors)
 
 
 def _unit_draw(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -140,8 +140,9 @@ class TestEmbeddingStore:
 
     def test_unwritable_values_rejected(self):
         """What the binary format cannot hold never gets into a store."""
-        for capture in (2**32, 2**64):
-            with pytest.raises(ValueError, match="capture_index"):
+        for capture in (-1, 2**32, 2**64):
+            message = rf"row \('a', 'i1'\) has capture_index {capture}, outside"
+            with pytest.raises(ValueError, match=message):
                 store_of([make_row("a", "i1", capture=capture)])
         store_of([make_row("a", "i1", capture=2**32 - 1)])
         long_id = "é" * 32768  # 65536 UTF-8 bytes
