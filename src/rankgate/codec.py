@@ -47,33 +47,40 @@ class Reader:
 
     def end(self, what: str) -> None:
         """Reject bytes left over after the declared contents (``what``)."""
-        if self.pos != len(self.data):
-            raise StoreFormatError(
-                f"{len(self.data) - self.pos} trailing bytes after {what}"
-            )
+        if self.remaining():
+            raise StoreFormatError(f"{self.remaining()} trailing bytes after {what}")
+
+    def remaining(self) -> int:
+        """Bytes not yet consumed."""
+        return len(self.data) - self.pos
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+        start = self.pos
+        end = start + n
+        if end > len(self.data):
             raise StoreFormatError("unexpected end of file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        self.pos = end
+        return self.data[start:end]
 
     def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
+        return _U16.unpack(self.take(2))[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return _U32.unpack(self.take(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+        return _U64.unpack(self.take(8))[0]
 
     def string(self) -> str:
-        n = self.u16()
         try:
-            return self.take(n).decode("utf-8")
+            return self.take(self.u16()).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise StoreFormatError(f"invalid UTF-8 in string field: {exc}") from exc
+
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 
 
 def from_dict(cls, payload, what: str, required=()):

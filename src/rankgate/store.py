@@ -18,15 +18,30 @@ Two interchangeable on-disk formats:
   owns :class:`StoreFormatError` (re-exported here); a file with bytes
   after its last declared record is rejected. A store refuses what this
   format cannot hold (a ``capture_index`` of 2³² or more, an id or group
-  over 65535 UTF-8 bytes), so writing one never fails halfway.
+  over 65535 UTF-8 bytes), so writing one never fails halfway. The reader
+  parses the strings and capture_index of each record and gathers the
+  vector bytes into one buffer, read as one matrix. A header whose record
+  count cannot fit in the bytes that follow is refused before any buffer
+  is sized from it.
 * CSV: header ``identity_id,image_id,group,capture_index,v0,...,v{d-1}``,
   one record per row, components printed with full round-trip precision.
 
 Vectors are normalized exactly once, at ingest, so downstream search can
 treat dot products as cosine similarities. Normalization iterates
 ``x -> f32(x / ||x||)`` with the norm accumulated in f64 until the f32 bits
-stop changing; stored vectors are therefore fixed points of the map and a
-written store re-ingests bit-equal.
+stop changing (at most 8 times); stored vectors are therefore fixed points
+of the map and a written store re-ingests bit-equal.
+
+:func:`unit_rows` normalizes a whole matrix ``BLOCK_ROWS`` (256) rows at a
+time: it copies a block to float64, divides, and iterates again only the
+rows whose f32 bits still change. Every temporary is one block, so ingest
+holds no float64 copy of the whole matrix, and 256 rows spread numpy's
+per-call cost thin. A row's squared norm is the stacked product
+``x[:, None, :] @ x[:, :, None]``, which runs the same BLAS ``ddot`` as
+``np.dot(w, w)``. ``einsum("ij,ij->i")`` and ``(x * x).sum(1)`` add in
+other orders and change the last bit on about half the rows, and with it
+the stored bits. So each row gets exactly the bits of :func:`unit_f32`,
+which is the one-row call.
 """
 
 from __future__ import annotations
@@ -41,6 +56,8 @@ import numpy as np
 from .codec import Reader, StoreFormatError, encode_str
 
 NORM_TOLERANCE = 1e-5
+# Rows that unit_rows normalizes together; the size of its temporaries.
+BLOCK_ROWS = 256
 
 _MAGIC = b"OGEM"
 _VERSION = 1
@@ -67,19 +84,77 @@ def l2_normalize(v) -> np.ndarray:
     return w / n
 
 
+class RowError(ValueError):
+    """A row that cannot be normalized; ``row`` is its index in the input."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(reason)
+        self.row = row
+
+
+def unit_rows(rows) -> np.ndarray:
+    """Normalize each row of an ``(n, D)`` matrix to a float32 unit vector.
+
+    Each row becomes the fixed point described in the module docstring,
+    with the bits a loop over single rows gives. The rows are worked
+    through ``BLOCK_ROWS`` at a time, so no temporary is larger than one
+    block, whatever ``n`` is.
+
+    Raises:
+        RowError: for the first row that has a non-finite component, a zero
+            norm, or a norm past the float64 range; ``row`` is its index.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ValueError(f"expected an (n, dimension) matrix, got shape {rows.shape}")
+    out = np.empty(rows.shape, dtype=np.float32)
+    for start in range(0, len(rows), BLOCK_ROWS):
+        x = np.array(rows[start : start + BLOCK_ROWS], dtype=np.float64, order="C")
+        with np.errstate(over="ignore", invalid="ignore"):  # raised as RowError below
+            norms = np.sqrt(_row_dots(x))
+        bad = ~((norms > 0) & (norms < math.inf))  # NaN fails both tests
+        if bad.any():
+            row = int(bad.argmax())
+            if not np.isfinite(x[row]).all():
+                raise RowError(start + row, "vector has non-finite components")
+            if norms[row] == 0:
+                raise RowError(start + row, "cannot normalize a zero vector")
+            raise RowError(start + row, "vector norm overflows float64")
+        x /= norms[:, None]
+        cur = out[start : start + len(x)]
+        cur[:] = x
+        # Iterate only the rows whose f32 bits still change.
+        active = np.arange(len(x))
+        for _ in range(8):
+            prev = cur[active]
+            y = prev.astype(np.float64)
+            y /= np.sqrt(_row_dots(y))[:, None]
+            nxt = y.astype(np.float32)
+            moved = (nxt.view(np.uint32) != prev.view(np.uint32)).any(axis=1)
+            if not moved.any():
+                break
+            active = active[moved]
+            cur[active] = nxt[moved]
+    return out
+
+
 def unit_f32(v) -> np.ndarray:
     """Normalize ``v`` and round to float32, iterated to a bit-stable fixed point.
 
     Re-ingesting a vector produced here reproduces its bits exactly, which is
-    what makes store round-trips byte-deterministic.
+    what makes store round-trips byte-deterministic. This is the one-row
+    call of :func:`unit_rows`.
     """
-    cur = l2_normalize(v).astype(np.float32)
-    for _ in range(8):
-        nxt = l2_normalize(cur.astype(np.float64)).astype(np.float32)
-        if nxt.tobytes() == cur.tobytes():
-            break
-        cur = nxt
-    return cur
+    w = np.asarray(v, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValueError(f"expected a 1-d vector, got shape {w.shape}")
+    return unit_rows(w[None])[0]
+
+
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    """Each row's ``np.dot(w, w)``, bit for bit, for a C-contiguous float64
+    ``x``: a stack of ``(1, D) @ (D, 1)`` products runs the same ``ddot``."""
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 class EmbeddingStore:
@@ -186,10 +261,9 @@ def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
                 f"v{i}" for i in range(store.dimension)
             ]
             writer.writerow(header)
+            # csv formats a float with repr, so each row's floats go in as is.
             for (identity_id, image_id, group, capture), vector in zip(rows, store.vectors):
-                row = [identity_id, image_id, group, str(capture)]
-                row.extend(repr(x) for x in vector.tolist())
-                writer.writerow(row)
+                writer.writerow([identity_id, image_id, group, capture, *vector.tolist()])
     else:
         raise ValueError(f"unknown store format {format!r}")
 
@@ -222,17 +296,31 @@ def _ingest_binary(path: Path) -> EmbeddingStore:
     if dimension == 0:
         raise StoreFormatError("header declares dimension 0")
     count = reader.u64()
-    identity_ids, image_ids, groups, capture, vectors = [], [], [], [], []
-    for _ in range(count):
+    size = 4 * dimension
+    remaining = reader.remaining()
+    # Three empty strings, the capture index and the vector.
+    if count * (10 + size) > remaining:
+        raise StoreFormatError(
+            f"unexpected end of file: header declares {count} records, more "
+            f"than the {remaining} remaining bytes can hold"
+        )
+    identity_ids, image_ids, groups, capture = [], [], [], []
+    raw = bytearray(count * size)
+    for i in range(count):
         identity_ids.append(reader.string())
         image_ids.append(reader.string())
         groups.append(reader.string())
         capture.append(reader.u32())
-        raw = reader.take(4 * dimension)
-        vec = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        vectors.append(unit_f32(vec))
+        raw[i * size : (i + 1) * size] = reader.take(size)
     reader.end(f"{count} declared records")
-    matrix = np.reshape(vectors, (-1, dimension))  # (0, dimension) when empty
+    # The file's bytes, then the raw vectors, go before the store's sorted copy.
+    del reader
+    try:
+        matrix = unit_rows(np.frombuffer(raw, dtype="<f4").reshape(count, dimension))
+    except RowError as exc:
+        key = (identity_ids[exc.row], image_ids[exc.row])
+        raise ValueError(f"record {exc.row} {key}: {exc}") from None
+    del raw
     return EmbeddingStore(identity_ids, image_ids, groups, capture, matrix)
 
 
@@ -253,7 +341,11 @@ def _ingest_csv(path: Path) -> EmbeddingStore:
         expected = [f"v{i}" for i in range(dimension)]
         if header[4:] != expected:
             raise StoreFormatError("CSV vector columns must be v0..v{d-1} in order")
-        identity_ids, image_ids, groups, capture, vectors = [], [], [], [], []
+        identity_ids, image_ids, groups, capture = [], [], [], []
+        # Rows are parsed into one float64 block and normalized a block at
+        # a time; ``lines`` holds the line number of each row in the block.
+        block = np.empty((BLOCK_ROWS, dimension))
+        lines, blocks = [], []
         for lineno, row in enumerate(rows, start=2):
             if not row:
                 continue
@@ -263,12 +355,24 @@ def _ingest_csv(path: Path) -> EmbeddingStore:
                 )
             try:
                 capture.append(int(row[3]))
-                vec = np.array([float(x) for x in row[4:]], dtype=np.float64)
+                block[len(lines)] = np.fromiter(map(float, row[4:]), np.float64, dimension)
             except ValueError as exc:
                 raise StoreFormatError(f"line {lineno}: {exc}") from exc
             identity_ids.append(row[0])
             image_ids.append(row[1])
             groups.append(row[2])
-            vectors.append(unit_f32(vec))
-    matrix = np.reshape(vectors, (-1, dimension))  # (0, dimension) when empty
+            lines.append(lineno)
+            if len(lines) == BLOCK_ROWS:
+                blocks.append(_unit_lines(block, lines))
+                lines = []
+    blocks.append(_unit_lines(block[: len(lines)], lines))
+    matrix = np.concatenate(blocks)
     return EmbeddingStore(identity_ids, image_ids, groups, capture, matrix)
+
+
+def _unit_lines(block: np.ndarray, lines: list) -> np.ndarray:
+    """:func:`unit_rows` of CSV rows; an error names the row's line."""
+    try:
+        return unit_rows(block)
+    except RowError as exc:
+        raise ValueError(f"line {lines[exc.row]}: {exc}") from None

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import from_dict
-from .store import EmbeddingStore, l2_normalize, unit_f32
+from .store import BLOCK_ROWS, EmbeddingStore, l2_normalize, unit_rows
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,15 @@ def generate(config: SynthConfig) -> EmbeddingStore:
     d, k = config.dimension, config.images_per_identity
     identities = [(g, f"{g}-{i:05d}") for g, n in config.groups for i in range(n)]
     vectors = np.empty((len(identities) * k, d), dtype=np.float32)
-    for start in range(0, len(vectors), k):
-        mean = _unit_draw(rng, d)
-        for row in range(start, start + k):
-            vectors[row] = _noisy_unit(rng, mean, config.within_noise_sigma, d)
+    # Draws go into one float64 block, normalized into ``vectors`` when full.
+    block = np.empty((BLOCK_ROWS, d))
+    for row in range(len(vectors)):
+        if row % k == 0:
+            mean = _unit_draw(rng, d)
+        block[row % BLOCK_ROWS] = _noisy_draw(rng, mean, config.within_noise_sigma, d)
+        if row % BLOCK_ROWS == BLOCK_ROWS - 1 or row == len(vectors) - 1:
+            start = row - row % BLOCK_ROWS
+            vectors[start : row + 1] = unit_rows(block[: row + 1 - start])
     identity_ids, image_ids, groups, capture = [], [], [], []
     for group, identity_id in identities:
         for j in range(1, k + 1):
@@ -99,13 +104,14 @@ def _unit_draw(rng: np.random.Generator, d: int) -> np.ndarray:
     raise RuntimeError("could not draw a nonzero direction")
 
 
-def _noisy_unit(
+def _noisy_draw(
     rng: np.random.Generator, mean: np.ndarray, sigma: float, d: int
 ) -> np.ndarray:
+    """``mean`` plus noise, redrawn until nonzero; not yet normalized."""
     for _ in range(100):
         v = mean + sigma * rng.standard_normal(d)
         if float(np.dot(v, v)) > 0:
-            return unit_f32(v)
+            return v
     raise RuntimeError("could not draw a nonzero image vector")
 
 

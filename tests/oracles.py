@@ -36,6 +36,32 @@ def naive_norm(vector) -> float:
     return math.sqrt(math.fsum(float(x) * float(x) for x in vector))
 
 
+def oracle_l2_normalize(v) -> np.ndarray:
+    """``v / ||v||`` in float64, one row at a time: the per-row normalization
+    the store used before it worked on blocks, kept as written."""
+    w = np.asarray(v, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValueError(f"expected a 1-d vector, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("vector has non-finite components")
+    n = math.sqrt(float(np.dot(w, w)))
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    return w / n
+
+
+def oracle_unit_f32(v) -> np.ndarray:
+    """Per-row ``x -> f32(x / ||x||)`` iterated until the f32 bits stop
+    changing, at most 8 times; the reference for ``store.unit_rows``."""
+    cur = oracle_l2_normalize(v).astype(np.float32)
+    for _ in range(8):
+        nxt = oracle_l2_normalize(cur.astype(np.float64)).astype(np.float32)
+        if nxt.tobytes() == cur.tobytes():
+            break
+        cur = nxt
+    return cur
+
+
 def oracle_stream_seed(master: int, *parts: str) -> int:
     """First 8 bytes of sha256("{master}|{part}|..."), little-endian."""
     text = str(int(master))

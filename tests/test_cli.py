@@ -331,6 +331,21 @@ class TestErrorHandling:
         assert err.startswith("error: row ('p1', 'a') has capture_index 4294967296"), err
         assert not out.exists()
 
+    def test_zero_vector_error_names_line(self, tmp_path, capsys):
+        src = tmp_path / "zero.csv"
+        src.write_text(
+            "identity_id,image_id,group,capture_index,v0,v1\n"
+            "p1,a,g,1,1.0,0.0\n"
+            "p1,b,g,2,0.0,0.0\n"
+        )
+        out = tmp_path / "zero.bin"
+        code = main(["ingest", "--input", str(src), "--input-format", "csv",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: cannot normalize a zero vector"), err
+        assert not out.exists()
+
     def test_bad_learning_rate_rejected_before_training(
         self, tmp_path, samples_path, capsys, monkeypatch
     ):

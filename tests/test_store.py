@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_norm
+from oracles import naive_norm, oracle_l2_normalize, oracle_unit_f32
+from rankgate import store as store_module
 from rankgate.store import (
+    BLOCK_ROWS,
     EmbeddingStore,
+    RowError,
     StoreFormatError,
     ingest,
     l2_normalize,
     unit_f32,
+    unit_rows,
     write_store,
 )
+from rankgate.synth import SynthConfig, generate
 
 from conftest import make_row, store_of
 
@@ -73,6 +78,93 @@ class TestUnitF32:
 
     def test_dtype(self):
         assert unit_f32([3.0, 4.0]).dtype == np.float32
+
+
+def oracle_matrix(rows, dimension):
+    """The per-row oracle over every row, as one float32 matrix."""
+    return np.array([oracle_unit_f32(r) for r in rows], dtype=np.float32).reshape(
+        -1, dimension
+    )
+
+
+def moves_twice(row) -> bool:
+    """True when the oracle's fixed point needs two or more iterations."""
+    first = oracle_l2_normalize(row).astype(np.float32)
+    again = oracle_l2_normalize(first.astype(np.float64)).astype(np.float32)
+    return first.tobytes() != again.tobytes()
+
+
+class TestUnitRows:
+    """``unit_rows`` gives every row the bits of the per-row oracle."""
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 8, 64, 65, 512])
+    def test_bit_equal_to_oracle(self, dimension):
+        rng = np.random.default_rng(dimension)
+        for scale in (1e-3, 1.0, 1e5):
+            rows = rng.standard_normal((BLOCK_ROWS + 44, dimension)) * scale
+            expected = oracle_matrix(rows, dimension)
+            assert unit_rows(rows).tobytes() == expected.tobytes()
+            narrow = rows.astype(np.float32)
+            expected = oracle_matrix(narrow.astype(np.float64), dimension)
+            assert unit_rows(narrow).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 2500])
+    def test_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        scales = rng.choice([1e-3, 1.0, 1e5], size=(n, 1))
+        rows = rng.standard_normal((n, 64)) * scales
+        got = unit_rows(rows)
+        assert got.shape == (n, 64) and got.dtype == np.float32
+        assert got.tobytes() == oracle_matrix(rows, 64).tobytes()
+        assert unit_rows(np.asfortranarray(rows)).tobytes() == got.tobytes()
+
+    def test_rows_needing_several_iterations(self):
+        """Rows that move on the second pass sit in one block with rows that
+        settle at once; each keeps iterating only as long as its own bits do."""
+        rng = np.random.default_rng(17)
+        rows = rng.standard_normal((3000, 8))
+        slow = np.array([moves_twice(r) for r in rows])
+        assert slow.sum() >= 10 and (~slow).sum() >= 10
+        mixed = np.concatenate([rows[slow][:150], rows[~slow][:150]])
+        rng.shuffle(mixed)
+        assert unit_rows(mixed).tobytes() == oracle_matrix(mixed, 8).tobytes()
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 7, 8, 16, 31, 64, 65, 128, 512])
+    def test_stacked_product_is_dot(self, dimension):
+        """The block norm is ``np.dot(w, w)`` bit for bit on every row."""
+        rng = np.random.default_rng(dimension)
+        rows = rng.standard_normal((300, dimension)) * rng.choice([1e-3, 1.0, 1e5], (300, 1))
+        expected = np.array([np.dot(w, w) for w in rows])
+        got = store_module._row_dots(rows)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_unit_f32_is_one_row_call(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            v = rng.standard_normal(16) * 1e3
+            assert unit_f32(v).tobytes() == oracle_unit_f32(v).tobytes()
+        with pytest.raises(ValueError, match="1-d"):
+            unit_f32(np.ones((2, 2)))
+
+    def test_first_bad_row_is_reported(self):
+        rows = np.ones((2 * BLOCK_ROWS, 4))
+        rows[300] = 0.0
+        rows[400, 2] = np.nan
+        with pytest.raises(RowError, match="zero") as info:
+            unit_rows(rows)
+        assert info.value.row == 300
+        rows[20, 1] = np.inf
+        with pytest.raises(RowError, match="non-finite") as info:
+            unit_rows(rows)
+        assert info.value.row == 20
+        rows[5] = 1e300
+        with pytest.raises(RowError, match="overflows") as info:
+            unit_rows(rows)
+        assert info.value.row == 5
+
+    def test_not_a_matrix_rejected(self):
+        with pytest.raises(ValueError, match="matrix"):
+            unit_rows(np.ones(4))
 
 
 class TestEmbeddingStore:
@@ -272,6 +364,66 @@ class TestFormats:
         assert len(store) == 0 and store.dimension == 5
         write_store(store, tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    def test_round_trip_2500_rows_byte_identical(self, tmp_path):
+        """binary -> CSV -> binary over several normalization blocks."""
+        store = generate(
+            SynthConfig(n_identities=500, images_per_identity=5, dimension=64, rng_seed=4)
+        )
+        write_store(store, tmp_path / "a.bin")
+        write_store(ingest(tmp_path / "a.bin"), tmp_path / "a.csv", "csv")
+        write_store(ingest(tmp_path / "a.csv", "csv"), tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_csv_components_are_float_repr(self, store, tmp_path):
+        path = tmp_path / "store.csv"
+        write_store(store, path, "csv")
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(store) + 1
+        for line, vector, capture in zip(lines[1:], store.vectors, store.capture_index):
+            fields = line.split(",")
+            assert fields[3] == str(int(capture))
+            assert fields[4:] == [repr(float(x)) for x in vector]
+
+    def test_csv_bad_vector_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        header = "identity_id,image_id,group,capture_index,v0,v1\n"
+        good = "".join(f"p{i},a,g,1,1.0,{i}.0\n" for i in range(BLOCK_ROWS + 5))
+        for vector, message in (("0.0,0.0", "cannot normalize a zero vector"),
+                                ("nan,1.0", "vector has non-finite components")):
+            # A blank line before the bad one: line numbers count it.
+            path.write_text(header + good + "\n" + f"q,a,g,1,{vector}\n" + good)
+            with pytest.raises(ValueError, match=f"^line {BLOCK_ROWS + 8}: {message}$"):
+                ingest(path, "csv")
+
+    def test_binary_bad_vector_names_record(self, tmp_path):
+        def record(i, vector):
+            fields = b"".join(
+                struct.pack("<H", len(text)) + text.encode()
+                for text in ("p", f"{i:03d}", "g")
+            )
+            return fields + struct.pack("<I2f", 1, *vector)
+
+        path = tmp_path / "bad.bin"
+        row = BLOCK_ROWS + 2
+        for vector, message in (((0.0, 0.0), "cannot normalize a zero vector"),
+                                ((np.inf, 1.0), "vector has non-finite components")):
+            records = [record(i, (1.0, float(i))) for i in range(BLOCK_ROWS + 5)]
+            records[row] = record(row, vector)
+            header = b"OGEM" + struct.pack("<IIQ", 1, 2, len(records))
+            path.write_bytes(header + b"".join(records))
+            with pytest.raises(
+                ValueError, match=rf"^record {row} \('p', '{row:03d}'\): {message}$"
+            ):
+                ingest(path)
+
+    def test_declared_count_beyond_file_rejected(self, tmp_path):
+        """A header that promises more records than the bytes left can hold
+        fails before any buffer is sized from its count."""
+        path = tmp_path / "huge.bin"
+        path.write_bytes((b"OGEM" + struct.pack("<IIQ", 1, 4, 2**40)).ljust(100, b"\0"))
+        with pytest.raises(StoreFormatError, match="declares 1099511627776 records"):
+            ingest(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

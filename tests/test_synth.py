@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import naive_norm
+from oracles import naive_norm, oracle_l2_normalize, oracle_unit_f32
 from rankgate.synth import (
     SynthConfig,
     config_from_json,
@@ -93,6 +93,21 @@ class TestGenerate:
         b = generate(cfg)
         assert a.identity_ids == b.identity_ids and a.image_ids == b.image_ids
         assert a.vectors.tobytes() == b.vectors.tobytes()
+
+    def test_rows_are_per_row_normalized_draws(self):
+        """Block normalization keeps the draw order and each row's bits:
+        265 rows cross a normalization block."""
+        cfg = SynthConfig(
+            n_identities=53, images_per_identity=5, dimension=8,
+            within_noise_sigma=0.3, rng_seed=5,
+        )
+        rng = np.random.default_rng(5)
+        expected = []
+        for _ in range(53):
+            mean = oracle_l2_normalize(rng.standard_normal(8))
+            for _ in range(5):
+                expected.append(oracle_unit_f32(mean + 0.3 * rng.standard_normal(8)))
+        assert generate(cfg).vectors.tobytes() == np.array(expected).tobytes()
 
     def test_zero_noise_collapses_identity_images(self):
         cfg = SynthConfig(n_identities=3, images_per_identity=4, within_noise_sigma=0.0, dimension=16)
