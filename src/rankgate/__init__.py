@@ -8,6 +8,11 @@ dual-search protocol (:mod:`rankgate.curation`), train the classifier
 (:mod:`rankgate.experiment`), optionally on synthetic stores
 (:mod:`rankgate.synth`). The binary store and model formats and the
 plan and config JSON are read through :mod:`rankgate.codec`.
+
+``rankgate.search`` is the function :func:`rankgate.search.search`, not
+the submodule it shadows; ``import rankgate.search as m`` gives the
+function too. Import the module's other names from it directly:
+``from rankgate.search import similarities, screen, extract_rank_vector``.
 """
 
 from .baselines import (

@@ -5,7 +5,9 @@ method sees the same curation and the same train/test split, so accuracy
 differences come from the method, not the data. Feature permutation
 augmentation is applied to the classifier's training samples only; score
 baselines calibrate on the unaugmented training split, and nothing
-augmented ever reaches the test side.
+augmented ever reaches the test side. A score baseline thresholds one top
+score per sample; fusion takes a probe's in-gallery and out-of-gallery
+scores from one fused-score row.
 
 Reports are deterministic: rows are emitted in a fixed sort order, floats
 are printed reproducibly, and no timestamps or host details are embedded,
@@ -24,7 +26,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import (
-    FusedGallery,
     ThresholdModel,
     calibrate_threshold,
     centroid_classify,
@@ -35,6 +36,7 @@ from .baselines import (
 )
 from .codec import from_dict
 from .curation import (
+    IN_GALLERY,
     OUT_OF_GALLERY,
     CurationConfig,
     CurationResult,
@@ -107,9 +109,11 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one seed")
         if not all(isinstance(c, ConditionSpec) for c in self.conditions):
             raise ValueError("every plan condition must be a ConditionSpec")
-        tags = [c.tag for c in self.conditions]
-        if len(set(tags)) != len(tags):
-            raise ValueError(f"condition tags must be unique, got {tags}")
+        tags = tuple(c.tag for c in self.conditions)
+        named = (("groups", self.groups), ("seeds", self.seeds), ("condition tags", tags))
+        for name, values in named:
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be unique, got {list(values)}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; known: {METHODS}")
@@ -160,47 +164,29 @@ def _confusion(pairs: Sequence[tuple[int, int]]) -> tuple[int, int, int, int]:
     return tp, tn, fp, fn
 
 
-@dataclass
-class _Calibration:
-    image_threshold: ThresholdModel
-    fused_threshold: ThresholdModel
-
-
-def _best_fused_score(
-    fused: FusedGallery, index: dict[str, int], cur: CurationResult, s: RankSample
-) -> float:
-    """Best fused-centroid score the sample's search sees; an out-of-gallery
-    search does not see the probe identity's centroid."""
-    scores = fused_scores(fused, cur.probe_vectors[s.probe_identity])
-    if s.label == OUT_OF_GALLERY and s.probe_identity in index:
-        scores = np.delete(scores, index[s.probe_identity])
-    return float(np.max(scores))
-
-
-def _calibrate_thresholds(
-    cur: CurationResult,
-    train_samples: Sequence[RankSample],
-    fused: FusedGallery,
-    fused_index: dict[str, int],
-    target_fpir: float,
-) -> _Calibration:
-    """Thresholds from the training split's out-of-gallery samples.
-
-    Each contributes the top score of its own search, the exact number
-    ``classify_score`` is later applied to, so the calibration set's
-    decision-level false-positive rate is within the target and no test
-    sample's score sets a threshold.
-    """
-    nonmated = [s for s in train_samples if s.label == OUT_OF_GALLERY]
-    return _Calibration(
-        image_threshold=calibrate_threshold(
-            [s.top_similarity for s in nonmated], target_fpir
-        ),
-        fused_threshold=calibrate_threshold(
-            [_best_fused_score(fused, fused_index, cur, s) for s in nonmated],
-            target_fpir,
-        ),
-    )
+def _top_score_tables(
+    cur: CurationResult, methods: Sequence[str]
+) -> dict[str, dict[tuple[str, int], float]]:
+    """Per planned score method, the top score of each sample's own search,
+    keyed by ``(probe_identity, label)``. Fusion scores each probe once; its
+    out-of-gallery search does not see the probe identity's centroid."""
+    tables = {}
+    if "threshold" in methods:
+        tables["threshold"] = {
+            (s.probe_identity, s.label): s.top_similarity for s in cur.samples
+        }
+    if "fusion" in methods:
+        fused = fuse_gallery(cur.gallery)
+        index = {ident: i for i, ident in enumerate(fused.identity_ids)}
+        table = {}
+        for ident, vec in cur.probe_vectors.items():
+            scores = fused_scores(fused, vec)
+            table[ident, IN_GALLERY] = float(np.max(scores))
+            if ident in index:
+                scores[index[ident]] = -np.inf
+            table[ident, OUT_OF_GALLERY] = float(np.max(scores))
+        tables["fusion"] = table
+    return tables
 
 
 def _mlp_config(plan: ExperimentPlan, seed: int) -> MlpConfig:
@@ -223,9 +209,16 @@ def run_cell(
     group: str,
     condition: ConditionSpec,
     seed: int,
-    calibration: Optional[_Calibration] = None,
-) -> tuple[list[CellResult], Optional[_Calibration]]:
-    """Evaluate every planned method on one (group, condition, seed) cell."""
+    calibration: Optional[dict[str, ThresholdModel]] = None,
+) -> tuple[list[CellResult], dict[str, ThresholdModel]]:
+    """Evaluate every planned method on one (group, condition, seed) cell.
+
+    A score method decides on one top score per sample. Unless
+    ``calibration`` carries thresholds from an earlier cell, each is
+    calibrated on the training split's out-of-gallery scores, the exact
+    numbers ``classify_score`` is later applied to, so no test sample's
+    score sets a threshold. Returns the rows and the thresholds by method.
+    """
     config = CurationConfig(
         d_in=plan.d_in, rng_seed=seed, group=group, condition=condition.tag
     )
@@ -240,16 +233,15 @@ def run_cell(
     if overlap:
         raise RuntimeError(f"train/test overlap on {sorted(overlap)[:3]}")
 
-    needs_scores = "threshold" in plan.methods or "fusion" in plan.methods
-    fused = None
-    fused_index: dict[str, int] = {}
-    if needs_scores:
-        fused = fuse_gallery(cur.gallery)
-        fused_index = {ident: i for i, ident in enumerate(fused.identity_ids)}
-        if calibration is None:
-            calibration = _calibrate_thresholds(
-                cur, train_s, fused, fused_index, plan.target_fpir
-            )
+    tables = _top_score_tables(cur, plan.methods)
+    if calibration is None:
+        nonmated = [
+            (s.probe_identity, s.label) for s in train_s if s.label == OUT_OF_GALLERY
+        ]
+        calibration = {
+            method: calibrate_threshold([table[k] for k in nonmated], plan.target_fpir)
+            for method, table in tables.items()
+        }
 
     rows = []
     for method in METHODS:
@@ -262,21 +254,15 @@ def run_cell(
             for s in test_s:
                 label, _probs = predict(model, s.ranks, s.gallery_size)
                 pairs.append((s.label, label))
-        elif method == "threshold":
-            assert calibration is not None
+        elif method in tables:
+            table = tables[method]
             for s in test_s:
-                pred = classify_score(calibration.image_threshold, s.top_similarity)
-                pairs.append((s.label, pred))
+                score = table[s.probe_identity, s.label]
+                pairs.append((s.label, classify_score(calibration[method], score)))
         elif method in ("mean", "median"):
             centroids = fit_centroid(train_s, method)
             for s in test_s:
                 pairs.append((s.label, centroid_classify(centroids, s.ranks)))
-        elif method == "fusion":
-            assert calibration is not None and fused is not None
-            for s in test_s:
-                score = _best_fused_score(fused, fused_index, cur, s)
-                pred = classify_score(calibration.fused_threshold, score)
-                pairs.append((s.label, pred))
         tp, tn, fp, fn = _confusion(pairs)
         rows.append(
             CellResult(
@@ -313,7 +299,7 @@ def run_experiment(
                         _failure(group, condition.tag, seed, exc)
                     )
                 continue
-            carried: Optional[_Calibration] = None
+            carried: Optional[dict[str, ThresholdModel]] = None
             for condition in plan.conditions:
                 try:
                     cell_rows, calibration = run_cell(

@@ -1,9 +1,19 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from rankgate.curation import CurationConfig, curate_detailed, stratified_split
+import rankgate.experiment as experiment
+from conftest import make_row, store_of
+from oracles import oracle_fused_scores
+from rankgate.curation import (
+    IN_GALLERY,
+    OUT_OF_GALLERY,
+    CurationConfig,
+    curate_detailed,
+    stratified_split,
+)
 from rankgate.experiment import (
     CellResult,
     ConditionSpec,
@@ -21,6 +31,7 @@ from rankgate.experiment import (
     run_experiment,
     write_sweep_csv,
 )
+from rankgate.store import unit_f32
 from rankgate.synth import SynthConfig
 
 
@@ -59,6 +70,10 @@ class TestPlanValidation:
     def test_duplicate_condition_tags_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             tiny_plan(conditions=(ConditionSpec("a"), ConditionSpec("a", 0.1)))
+        with pytest.raises(ValueError, match="groups must be unique"):
+            tiny_plan(groups=("a", "a"))
+        with pytest.raises(ValueError, match="seeds must be unique"):
+            tiny_plan(seeds=(0, 0))
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown methods"):
@@ -150,7 +165,7 @@ class TestCalibrationReuse:
         sub = store.filter_by_group("synth")
         rows, calibration = run_cell(sub, plan, "synth", plan.conditions[0], 0)
         assert calibration is not None
-        assert calibration.image_threshold.n_nonmated > 0
+        assert calibration["threshold"].n_nonmated > 0
 
     def test_image_threshold_calibrated_on_training_out_of_gallery_scores(self):
         plan = tiny_plan(target_fpir=0.1)
@@ -163,7 +178,7 @@ class TestCalibrationReuse:
         )
         train = stratified_split(cur.samples, plan.test_fraction, 0).train
         scores = np.array([s.top_similarity for s in train if s.label == 0])
-        model = calibration.image_threshold
+        model = calibration["threshold"]
         assert model.n_nonmated == len(scores)
         assert np.count_nonzero(scores >= model.threshold) / len(scores) <= plan.target_fpir
 
@@ -185,6 +200,91 @@ class TestCalibrationReuse:
         md = tmp_path / "r.md"
         emit_report(report, "markdown", md)
         assert "calibrated on the first condition" in md.read_text()
+
+
+class TestScoreBaselines:
+    def antipodal_store(self):
+        """Eleven identities of three random images, plus ``x``, whose two
+        enrolled images are antipodal, so fusion excludes it (``d_in`` 1)."""
+        rows = [
+            make_row(f"id{i:02d}", f"im{j}", dim=8, seed=100 * i + j, capture=j)
+            for i in range(11)
+            for j in range(3)
+        ]
+        vec = unit_f32(np.array([0.5, -0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0]))
+        rows += [
+            make_row("x", "im0", vector=vec, capture=0),
+            make_row("x", "im1", vector=-vec, capture=1),
+            make_row("x", "im2", dim=8, seed=7, capture=2),
+        ]
+        return store_of(rows)
+
+    def test_fusion_scores_match_per_sample_reference(self, monkeypatch):
+        store = self.antipodal_store()
+        plan = tiny_plan(d_in=1, methods=("fusion",), target_fpir=0.1)
+        condition = ConditionSpec("clean")
+        seen = {"train": [], "test": []}
+        calibrate, classify = experiment.calibrate_threshold, experiment.classify_score
+
+        def spy_calibrate(scores, target_fpir):
+            seen["train"].extend(scores)
+            return calibrate(scores, target_fpir)
+
+        def spy_classify(model, score):
+            seen["test"].append(score)
+            return classify(model, score)
+
+        monkeypatch.setattr(experiment, "calibrate_threshold", spy_calibrate)
+        monkeypatch.setattr(experiment, "classify_score", spy_classify)
+        run_cell(store, plan, "g", condition, 0)
+
+        cur = curate_detailed(
+            store, CurationConfig(d_in=1, rng_seed=0, group="g", condition="clean")
+        )
+        split = stratified_split(cur.samples, plan.test_fraction, 0)
+        enrolled = [
+            ((store.identity_ids[r], store.image_ids[r]), store.vectors[r])
+            for r in cur.gallery.tie_rank
+        ]
+
+        def reference(s):
+            per_identity = oracle_fused_scores(enrolled, cur.probe_vectors[s.probe_identity])
+            assert per_identity["x"] is None
+            return max(
+                score
+                for ident, score in per_identity.items()
+                if score is not None
+                and (s.label == IN_GALLERY or ident != s.probe_identity)
+            )
+
+        assert {(s.probe_identity, s.label) for s in cur.samples} >= {
+            ("x", IN_GALLERY),
+            ("x", OUT_OF_GALLERY),
+        }
+        train = [s for s in split.train if s.label == OUT_OF_GALLERY]
+        for samples, got in ((train, seen["train"]), (list(split.test), seen["test"])):
+            assert len(got) == len(samples)
+            for s, score in zip(samples, got):
+                assert abs(score - reference(s)) < 1e-6, (s.probe_identity, s.label)
+
+    def test_only_a_fusion_cell_fuses(self, monkeypatch):
+        calls = Counter()
+        for name in ("fuse_gallery", "fused_scores"):
+            def counted(*args, _real=getattr(experiment, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(experiment, name, counted)
+        plan = tiny_plan(methods=("threshold",))
+        sub = load_plan_store(plan).filter_by_group("synth")
+        rows, calibration = run_cell(sub, plan, "synth", plan.conditions[0], 0)
+        assert [r.method for r in rows] == ["threshold"]
+        assert set(calibration) == {"threshold"}
+        assert not calls
+
+        plan = tiny_plan(methods=("fusion",))
+        run_cell(sub, plan, "synth", plan.conditions[0], 0)
+        assert calls == {"fuse_gallery": 1, "fused_scores": 20}
 
 
 class TestPlanSerialization:
