@@ -6,9 +6,11 @@ UTF-8 strings, and end exactly where their declared contents end.
 :class:`Reader` checks all three, so a truncated, foreign or padded file is
 rejected the same way whichever format it claims to be.
 
-JSON blocks (experiment plans, synth configs, the model's config block)
-are written with :func:`dataclasses.asdict` and read back with
-:func:`from_dict`, so a dataclass's fields are the only list of its keys.
+JSON blocks (experiment plans, synth configs, the model's config block,
+evaluation reports) are written with :func:`dataclasses.asdict` and read
+back with :func:`from_dict`, so a dataclass's fields are the only list of
+its keys. Nested records, such as a plan's conditions or a report's rows
+and failures, decode through the same function.
 """
 
 from __future__ import annotations
@@ -95,34 +97,49 @@ def from_dict(cls, payload, what: str, required=()):
     float (``1`` becomes ``1.0``); a string for a str; an object for a dict;
     and ``null`` only where the field is ``Optional``. So a loaded object
     equals, and serializes like, the one that was written. A field annotated
-    with a dataclass takes a value the caller has already built. Raises
-    ValueError prefixed with ``what``, also for a value the dataclass itself
-    rejects.
+    with a dataclass is decoded from its JSON object by these same rules
+    (``required`` applies to ``cls`` alone), or takes an instance the caller
+    has already built. Raises ValueError prefixed with ``what``, also for a
+    value the dataclass itself rejects; an error inside a nested record or a
+    list names the way to it, as in ``report: field rows item 1 unknown
+    field 'extra'``.
     """
+    try:
+        return _record(cls, payload, required)
+    except _Invalid as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
+class _Invalid(Exception):
+    """A JSON value that does not fit its type; the message says how, from
+    the value's own place (``field rows item 1 ...``) down."""
+
+
+def _record(cls, payload, required=()):
     if not isinstance(payload, dict):
-        raise ValueError(f"{what}: expected a JSON object, got {type(payload).__name__}")
+        raise _Invalid(f"expected a JSON object, got {type(payload).__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     for key in payload:
         if key not in fields:
-            raise ValueError(f"{what}: unknown field {key!r}")
+            raise _Invalid(f"unknown field {key!r}")
     for name, f in fields.items():
         no_default = (
             f.default is dataclasses.MISSING
             and f.default_factory is dataclasses.MISSING
         )
         if name not in payload and (no_default or name in required):
-            raise ValueError(f"{what}: missing required field {name!r}")
+            raise _Invalid(f"missing required field {name!r}")
     hints = typing.get_type_hints(cls)
     values = {}
     for key, value in payload.items():
         try:
             values[key] = _cast(hints[key], value)
-        except TypeError as exc:
-            raise ValueError(f"{what}: field {key} {exc}") from None
+        except _Invalid as exc:
+            raise _Invalid(f"field {key} {exc}") from None
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what}: {exc}") from None
+        raise _Invalid(str(exc)) from None
 
 
 # JSON types a scalar field accepts; a bool is never taken for a number.
@@ -130,7 +147,7 @@ _SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: 
 
 
 def _cast(tp, value):
-    """``value`` as a field annotated ``tp``; TypeError says what was expected."""
+    """``value`` as a field annotated ``tp``; _Invalid says what was expected."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Union:  # Optional[X]
         return None if value is None else _cast(args[0], value)
@@ -138,15 +155,20 @@ def _cast(tp, value):
         fixed = origin is tuple and args[-1] is not Ellipsis
         if not isinstance(value, (list, tuple)) or (fixed and len(value) != len(args)):
             of = f"{len(args)} items" if fixed else _name(args[0])
-            raise TypeError(f"must be a JSON list of {of}, got {_name(type(value))}")
+            raise _Invalid(f"must be a JSON list of {of}, got {_name(type(value))}")
         types = args if fixed else args[:1] * len(value)
-        items = [_cast(t, v) for t, v in zip(types, value)]
+        items = []
+        for i, (t, v) in enumerate(zip(types, value)):
+            try:
+                items.append(_cast(t, v))
+            except _Invalid as exc:
+                raise _Invalid(f"item {i} {exc}") from None
         return tuple(items) if origin is tuple else items
-    accepted = _SCALARS.get(tp)
-    if accepted is None:  # a dataclass the caller has built already
-        return value
+    if dataclasses.is_dataclass(tp):
+        return value if isinstance(value, tp) else _record(tp, value)
+    accepted = _SCALARS[tp]
     if not isinstance(value, accepted) or (tp is not bool and isinstance(value, bool)):
-        raise TypeError(f"must be {_name(tp)}, got {_name(type(value))}")
+        raise _Invalid(f"must be {_name(tp)}, got {_name(type(value))}")
     return float(value) if tp is float else value
 
 

@@ -1,13 +1,14 @@
 """Dual-search curation: labeled rank vectors from one embedding store.
 
-For every eligible identity (at least ``min_images_per_identity`` images in
-the requested group) the most recent image is the probe: highest
-``capture_index``, ties broken by taking the highest ``image_id``. A fixed
-number of the identity's remaining images is enrolled in a gallery shared
-by all probes of the run. Probes and pools are store rows, and the gallery
-holds the pools' rows in selection order: identities ascending, each pool
-in draw order. Each probe is scored against the gallery once, for two
-rankings:
+For every eligible identity (at least ``d_in + 2`` images in the requested
+group) the most recent image is the probe: highest ``capture_index``, ties
+broken by taking the highest ``image_id``. ``d_in + 1`` of the identity's
+remaining images are enrolled in a gallery shared by all probes of the run:
+one image wins rank one, the other ``d_in`` supply the rank vector, and at
+least one non-probe image is left over, so the draw is a real choice.
+Probes and pools are store rows, and the gallery holds the pools' rows in
+selection order: identities ascending, each pool in draw order. Each probe
+is scored against the gallery once, for two rankings:
 
 * in-gallery: against the shared gallery, which contains the probe
   identity's enrolled images. Label 1.
@@ -43,8 +44,8 @@ stream seed is derived per identity as ``derive_seed(rng_seed,
 identity_id, "pool")`` (see :mod:`rankgate.seeds`), feeding a PCG64
 generator. Enrollment uses a partial Fisher-Yates pass: for draw ``i``,
 swap index ``i`` with ``rng.integers(i, n)`` and keep the first
-``enrolled_per_identity`` entries in draw order. Probe degradation draws
-from an analogous per-identity stream labeled ``"degrade"``.
+``d_in + 1`` entries in draw order. Probe degradation draws from an
+analogous per-identity stream labeled ``"degrade"``.
 
 Rank samples have one file format, the CSV written by
 :func:`write_samples_csv` and read by :func:`load_samples_csv`.
@@ -53,7 +54,7 @@ Rank samples have one file format, the CSV written by
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -84,17 +85,10 @@ DegradeFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 @dataclass(frozen=True)
 class CurationConfig:
-    """Protocol knobs. Defaults follow the 1 probe + 4 enrolled pairing.
-
-    ``min_images_per_identity`` defaults to ``d_in + 2`` and
-    ``enrolled_per_identity`` to ``d_in + 1``: one image wins rank one, the
-    other ``d_in`` supply the rank vector, and at least one non-probe image
-    must be left over for the draw to be a real choice.
-    """
+    """Protocol knobs. The default ``d_in`` gives the 1 probe + 4 enrolled
+    pairing; see the module docstring."""
 
     d_in: int = 3
-    min_images_per_identity: Optional[int] = None
-    enrolled_per_identity: Optional[int] = None
     rng_seed: int = 0
     group: str = ""
     condition: str = "original"
@@ -102,20 +96,6 @@ class CurationConfig:
     def __post_init__(self):
         if self.d_in < 1:
             raise ValueError(f"d_in must be >= 1, got {self.d_in}")
-        if self.enrolled_per_identity is None:
-            object.__setattr__(self, "enrolled_per_identity", self.d_in + 1)
-        if self.min_images_per_identity is None:
-            object.__setattr__(self, "min_images_per_identity", self.d_in + 2)
-        if self.enrolled_per_identity < self.d_in + 1:
-            raise ValueError(
-                f"enrolled_per_identity={self.enrolled_per_identity} cannot "
-                f"supply a rank-one image plus d_in={self.d_in} additional ones"
-            )
-        if self.min_images_per_identity < self.enrolled_per_identity + 1:
-            raise ValueError(
-                f"min_images_per_identity={self.min_images_per_identity} must "
-                f"exceed enrolled_per_identity={self.enrolled_per_identity}"
-            )
 
 
 @dataclass(frozen=True)
@@ -188,13 +168,11 @@ def select_probes(
     # ascending image_id order.
     for identity_id, run in groupby(range(len(store)), store.identity_ids.__getitem__):
         rows = list(run)
-        if len(rows) < config.min_images_per_identity:
+        if len(rows) < config.d_in + 2:
             continue
         probe = max(rows, key=lambda r: (store.capture_index[r], store.image_ids[r]))
         candidates = [r for r in rows if r != probe]
-        pool = _fisher_yates_pool(
-            candidates, config.enrolled_per_identity, config.rng_seed, identity_id
-        )
+        pool = _fisher_yates_pool(candidates, config.d_in + 1, config.rng_seed, identity_id)
         out.append((probe, pool))
     return out
 
@@ -229,7 +207,7 @@ def curate_detailed(
     if len(selected) < 2:
         raise ValueError(
             f"need at least 2 eligible identities, found {len(selected)} "
-            f"(min_images_per_identity={config.min_images_per_identity})"
+            f"(each needs d_in + 2 = {config.d_in + 2} images)"
         )
     gallery = build_gallery(store, [r for _, pool in selected for r in pool])
     samples: list[RankSample] = []
@@ -344,18 +322,7 @@ def permute_augment(
         d = len(sample.ranks)
         for _ in range(copies_per_sample):
             perm = _non_identity_permutation(rng, d)
-            out.append(
-                RankSample(
-                    ranks=tuple(sample.ranks[p] for p in perm),
-                    label=sample.label,
-                    probe_identity=sample.probe_identity,
-                    group=sample.group,
-                    condition=sample.condition,
-                    gallery_size=sample.gallery_size,
-                    rank_one_identity=sample.rank_one_identity,
-                    top_similarity=sample.top_similarity,
-                )
-            )
+            out.append(replace(sample, ranks=tuple(sample.ranks[p] for p in perm)))
     return out
 
 

@@ -139,11 +139,21 @@ class CellResult:
     fn: int
 
 
+@dataclass(frozen=True)
+class CellFailure:
+    """A cell that raised instead of producing rows."""
+
+    group: str
+    condition: str
+    seed: int
+    error: str
+
+
 @dataclass
 class EvalReport:
     rows: list[CellResult]
     metadata: dict
-    failures: list[dict] = field(default_factory=list)
+    failures: list[CellFailure] = field(default_factory=list)
 
 
 def load_plan_store(plan: ExperimentPlan) -> EmbeddingStore:
@@ -166,17 +176,21 @@ def _confusion(pairs: Sequence[tuple[int, int]]) -> tuple[int, int, int, int]:
 
 def _top_score_tables(
     cur: CurationResult, methods: Sequence[str]
-) -> dict[str, dict[tuple[str, int], float]]:
+) -> tuple[dict[str, dict[tuple[str, int], float]], list[str]]:
     """Per planned score method, the top score of each sample's own search,
-    keyed by ``(probe_identity, label)``. Fusion scores each probe once; its
-    out-of-gallery search does not see the probe identity's centroid."""
+    keyed by ``(probe_identity, label)``, plus the identities fusion
+    excluded. Fusion scores each probe once; its out-of-gallery search does
+    not see the probe identity's centroid, so it scores ``-inf`` when no
+    other centroid is left."""
     tables = {}
+    excluded: list[str] = []
     if "threshold" in methods:
         tables["threshold"] = {
             (s.probe_identity, s.label): s.top_similarity for s in cur.samples
         }
     if "fusion" in methods:
         fused = fuse_gallery(cur.gallery)
+        excluded = fused.excluded
         index = {ident: i for i, ident in enumerate(fused.identity_ids)}
         table = {}
         for ident, vec in cur.probe_vectors.items():
@@ -186,7 +200,7 @@ def _top_score_tables(
                 scores[index[ident]] = -np.inf
             table[ident, OUT_OF_GALLERY] = float(np.max(scores))
         tables["fusion"] = table
-    return tables
+    return tables, excluded
 
 
 def _mlp_config(plan: ExperimentPlan, seed: int) -> MlpConfig:
@@ -233,15 +247,23 @@ def run_cell(
     if overlap:
         raise RuntimeError(f"train/test overlap on {sorted(overlap)[:3]}")
 
-    tables = _top_score_tables(cur, plan.methods)
+    tables, excluded = _top_score_tables(cur, plan.methods)
     if calibration is None:
         nonmated = [
             (s.probe_identity, s.label) for s in train_s if s.label == OUT_OF_GALLERY
         ]
-        calibration = {
-            method: calibrate_threshold([table[k] for k in nonmated], plan.target_fpir)
-            for method, table in tables.items()
-        }
+        calibration = {}
+        for method, table in tables.items():
+            scores = [table[k] for k in nonmated]
+            # Only a fusion score can be -inf: see _top_score_tables.
+            blind = [ident for (ident, _), v in zip(nonmated, scores) if v == -np.inf]
+            if blind:
+                raise ValueError(
+                    f"{method} score of the training out-of-gallery sample of probe "
+                    f"{blind[0]!r} is -inf: no fused centroid is left besides its "
+                    f"own (excluded identities: {excluded})"
+                )
+            calibration[method] = calibrate_threshold(scores, plan.target_fpir)
 
     rows = []
     for method in METHODS:
@@ -288,7 +310,7 @@ def run_experiment(
     if store is None:
         store = load_plan_store(plan)
     rows: list[CellResult] = []
-    failures: list[dict] = []
+    failures: list[CellFailure] = []
     for seed in plan.seeds:
         for group in plan.groups:
             try:
@@ -312,7 +334,7 @@ def run_experiment(
                 if plan.reuse_first_condition_threshold and carried is None:
                     carried = calibration
     rows.sort(key=lambda r: (r.group, r.condition, r.method, r.seed))
-    failures.sort(key=lambda f: (f["group"], f["condition"], f["seed"]))
+    failures.sort(key=lambda f: (f.group, f.condition, f.seed))
     metadata = {
         "format": REPORT_FORMAT,
         "plan": plan_to_dict(plan),
@@ -322,13 +344,8 @@ def run_experiment(
     return EvalReport(rows=rows, metadata=metadata, failures=failures)
 
 
-def _failure(group: str, condition: str, seed: int, exc: Exception) -> dict:
-    return {
-        "group": group,
-        "condition": condition,
-        "seed": seed,
-        "error": f"{type(exc).__name__}: {exc}",
-    }
+def _failure(group: str, condition: str, seed: int, exc: Exception) -> CellFailure:
+    return CellFailure(group, condition, seed, f"{type(exc).__name__}: {exc}")
 
 
 def _plan_notes(plan: ExperimentPlan) -> list[str]:
@@ -382,8 +399,8 @@ def cardinality_sweep(
             first = report.failures[0]
             raise RuntimeError(
                 f"sweep cell failed at d_in={d} "
-                f"[group={first['group']} condition={first['condition']} "
-                f"seed={first['seed']}]: {first['error']}"
+                f"[group={first.group} condition={first.condition} "
+                f"seed={first.seed}]: {first.error}"
             )
         accs = [r.accuracy for r in report.rows]
         rows.append(SweepRow(d, float(np.mean(accs)), len(accs)))
@@ -410,11 +427,6 @@ def plan_from_dict(payload: dict) -> ExperimentPlan:
     """
     if isinstance(payload, dict):
         payload = {k: v for k, v in payload.items() if k != "plan_hash"}
-        if isinstance(payload.get("conditions"), (list, tuple)):
-            payload["conditions"] = [
-                from_dict(ConditionSpec, c, f"plan condition {i}")
-                for i, c in enumerate(payload["conditions"])
-            ]
         if payload.get("synth") is not None:
             payload["synth"] = config_from_dict(payload["synth"])
     return from_dict(ExperimentPlan, payload, "plan")
@@ -429,14 +441,6 @@ def plan_hash(plan: ExperimentPlan) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "metadata": report.metadata,
-        "rows": [asdict(r) for r in report.rows],
-        "failures": report.failures,
-    }
-
-
 def emit_report(report: EvalReport, format: str, path) -> None:
     """Write the report as ``json``, ``csv`` or ``markdown``.
 
@@ -446,7 +450,7 @@ def emit_report(report: EvalReport, format: str, path) -> None:
     path = Path(path)
     if format == "json":
         path.write_text(
-            json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+            json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
         )
     elif format == "csv":
         with open(path, "w") as fh:
@@ -471,9 +475,7 @@ def emit_report(report: EvalReport, format: str, path) -> None:
             lines.append("")
             lines.append("Failed cells:")
             for f in report.failures:
-                lines.append(
-                    f"- {f['group']}/{f['condition']}/seed {f['seed']}: {f['error']}"
-                )
+                lines.append(f"- {f.group}/{f.condition}/seed {f.seed}: {f.error}")
         path.write_text("\n".join(lines) + "\n")
     else:
         raise ValueError(f"unknown report format {format!r}")

@@ -170,7 +170,6 @@ class TrainReport:
     fold_accuracies: list[float]
     best_epochs: list[int]
     selected_fold: int
-    final_test_accuracy: Optional[float] = None
 
     def write_json(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")

@@ -231,6 +231,18 @@ class TestEvalCommands:
         assert code == 0
         assert rendered.read_bytes() == (out_dir / "report.csv").read_bytes()
 
+    def test_report_rerenders_failures_byte_for_byte(self, tmp_path):
+        plan = plan_file(tmp_path, groups=("synth", "ghost"), methods=("mean",))
+        out_dir = tmp_path / "out"
+        assert main(["eval", "--plan", str(plan), "--out-dir", str(out_dir)]) == 1
+        assert json.loads((out_dir / "report.json").read_text())["failures"]
+        for fmt, name in (("json", "report.json"), ("markdown", "report.md")):
+            rendered = tmp_path / name
+            code = main(["report", "--input", str(out_dir / "report.json"),
+                         "--format", fmt, "--out", str(rendered)])
+            assert code == 0
+            assert rendered.read_bytes() == (out_dir / name).read_bytes(), name
+
     def test_resolved_plan_repeats_the_run(self, tmp_path):
         config = tmp_path / "synth.json"
         config_to_json(
@@ -371,13 +383,21 @@ class TestErrorHandling:
             assert err.startswith("error: within_noise_sigma must be finite and >= 0, got"), err
         assert not out.exists()
 
+    def test_bad_group_spec_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s.bin"
+        code = main(["synth", "--out", str(out), "--groups", "a"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: group spec 'a' must look like name:count"), err
+        assert not out.exists()
+
     def test_plan_missing_field_or_not_object(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         plan = {"groups": ["g"], "conditions": [{"tag": "c"}], "store_path": "s.bin"}
         cases = (
             ({"conditions": []}, "'groups'"),
             ([], "JSON object"),
-            ({**plan, "conditions": ["clean"]}, "plan condition 0: "),
+            ({**plan, "conditions": ["clean"]}, "plan: field conditions item 0 "),
             ({**plan, "conditions": "clean"}, "ConditionSpec"),
             ({**plan, "mlp_epoch": 3}, "'mlp_epoch'"),
             ({**plan, "groups": "ga"}, "plan: field groups "),
@@ -398,11 +418,18 @@ class TestErrorHandling:
         row = dict(group="g", condition="c", method="mean", seed=0, accuracy=0.5,
                    n_test=2, tp=1, tn=0, fp=1, fn=0)
         bad_rows = ({**row, "extra": 1}, {k: v for k, v in row.items() if k != "fp"}, [1, 2])
-        cases = [({"metadata": {}, "rows": [row, bad_row]}, "report row 1: ") for bad_row in bad_rows]
+        cases = [({"metadata": {}, "rows": [row, bad_row]}, "report: field rows item 1 ")
+                 for bad_row in bad_rows]
         cases += [({"metadata": {}}, "report: "), ({"metadata": {}, "rows": 5}, "report: "),
                   ([1, 2], "report: "), ({"metadata": [], "rows": [row]}, "report: "),
                   ({"metadata": {}, "rows": [row], "failures": [1]}, "report: "),
                   ({"metadata": {}, "rows": [row], "failures": [{"group": "g"}]}, "report: ")]
+        failure = dict(group="g", condition="c", seed=0, error="ValueError: x")
+        bad_failures = [{**failure, key: value} for key, value in
+                        (("group", 1), ("condition", []), ("seed", "x"), ("error", None),
+                         ("junk", 1))]
+        cases += [({"metadata": {}, "rows": [row], "failures": [bad]},
+                   "report: field failures item 0 ") for bad in bad_failures]
         for payload, prefix in cases:
             report = tmp_path / "r.json"
             report.write_text(json.dumps(payload))

@@ -64,6 +64,32 @@ class TestFromDict:
         synth = from_dict(SynthConfig, {**base, "groups": [["a", 3]]}, "synth config")
         assert synth.groups == (("a", 3),)
 
+    def test_errors_name_the_item_and_nested_field(self):
+        plan = {"groups": ["g"], "conditions": [{"tag": "c"}], "store_path": "s.bin"}
+        cases = (
+            ({"seeds": [0, "1"]}, "field seeds item 1 must be int, got str"),
+            ({"conditions": [{"tag": "c"}, {"tag": 2}]},
+             "field conditions item 1 field tag must be str, got int"),
+            ({"conditions": [{"probe_noise_sigma": 0.1}]},
+             "field conditions item 0 missing required field 'tag'"),
+            ({"conditions": [{"tag": ""}]},
+             "field conditions item 0 condition tag must be non-empty"),
+        )
+        for change, message in cases:
+            with pytest.raises(ValueError) as caught:
+                plan_from_dict({**plan, **change})
+            assert str(caught.value) == f"plan: {message}"
+        base = {"n_identities": 3, "images_per_identity": 3}
+        with pytest.raises(ValueError) as caught:
+            from_dict(SynthConfig, {**base, "groups": [["a", 3], ["b", "3"]]}, "synth config")
+        assert str(caught.value) == "synth config: field groups item 1 item 1 must be int, got str"
+
+    def test_built_record_passes_through(self):
+        condition = ConditionSpec("c", 0.1)
+        plan = from_dict(ExperimentPlan, {"groups": ["g"], "conditions": [condition],
+                                          "store_path": "s.bin"}, "plan")
+        assert plan.conditions[0] is condition
+
 
 class TestGolden:
     """Serialized bytes pinned as literals; a serializer change must not move them."""

@@ -104,17 +104,11 @@ def sample_digest(samples) -> str:
 
 class TestCurationConfig:
     def test_defaults_follow_d_in(self):
-        cfg = CurationConfig(d_in=3)
-        assert cfg.enrolled_per_identity == 4
-        assert cfg.min_images_per_identity == 5
-
-    def test_enrolled_must_cover_rank_vector(self):
-        with pytest.raises(ValueError, match="enrolled_per_identity"):
-            CurationConfig(d_in=3, enrolled_per_identity=3)
-
-    def test_min_images_must_reserve_probe(self):
-        with pytest.raises(ValueError, match="min_images_per_identity"):
-            CurationConfig(d_in=3, min_images_per_identity=4)
+        rows = [make_row("a", f"i{j}", capture=j) for j in range(5)]
+        rows += [make_row("b", f"i{j}", capture=j) for j in range(4)]
+        [(probe, pool)] = select_probes(store_of(rows), CurationConfig(d_in=3))
+        assert probe == 4
+        assert len(pool) == 4
 
 
 class TestRankSample:

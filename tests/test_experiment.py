@@ -15,6 +15,7 @@ from rankgate.curation import (
     stratified_split,
 )
 from rankgate.experiment import (
+    CellFailure,
     CellResult,
     ConditionSpec,
     EvalReport,
@@ -138,8 +139,8 @@ class TestRunExperiment:
         assert len(report.rows) == 2 * len(METHODS)
         assert len(report.failures) == 2
         for failure in report.failures:
-            assert failure["group"] == "ghost"
-            assert "ValueError" in failure["error"]
+            assert failure.group == "ghost"
+            assert "ValueError" in failure.error
 
     def test_failing_condition_isolated(self, monkeypatch):
         def boom(vec, sigma, rng):
@@ -149,8 +150,8 @@ class TestRunExperiment:
         report = run_experiment(tiny_plan())
         assert {r.condition for r in report.rows} == {"clean"}
         assert len(report.failures) == 1
-        assert report.failures[0]["condition"] == "noisy"
-        assert report.failures[0]["error"].startswith("RuntimeError")
+        assert report.failures[0].condition == "noisy"
+        assert report.failures[0].error.startswith("RuntimeError")
 
     def test_metadata_has_no_volatile_fields(self):
         report = run_experiment(tiny_plan(conditions=(ConditionSpec("clean"),)))
@@ -267,6 +268,19 @@ class TestScoreBaselines:
             for s, score in zip(samples, got):
                 assert abs(score - reference(s)) < 1e-6, (s.probe_identity, s.label)
 
+    def test_fusion_without_another_centroid_names_the_probe(self):
+        # x enrolls an antipodal pair, so fusion excludes it and y's
+        # out-of-gallery search sees no centroid at all.
+        v = unit_f32(np.array([1.0]))
+        rows = [make_row("x", f"im{j}", vector=-v if j == 1 else v, capture=j) for j in range(3)]
+        rows += [make_row("y", f"im{j}", vector=v, capture=j) for j in range(3)]
+        for test_fraction in (0.25, 0.5):
+            plan = tiny_plan(groups=("g",), conditions=(ConditionSpec("clean"),), d_in=1,
+                             methods=("fusion",), test_fraction=test_fraction)
+            [failure] = run_experiment(plan, store_of(rows)).failures
+            assert "fusion" in failure.error and "'y'" in failure.error, failure.error
+            assert "['x']" in failure.error, failure.error
+
     def test_only_a_fusion_cell_fuses(self, monkeypatch):
         calls = Counter()
         for name in ("fuse_gallery", "fused_scores"):
@@ -359,9 +373,7 @@ class TestEmitReport:
             CellResult("g", "clean", "threshold", 0, 0.5, 8, 2, 2, 2, 2),
         ]
         metadata = {"format": "rankgate-eval-report-v1", "notes": ["a note"]}
-        failures = [
-            {"group": "g", "condition": "bad", "seed": 1, "error": "ValueError: x"}
-        ]
+        failures = [CellFailure("g", "bad", 1, "ValueError: x")]
         return EvalReport(rows=rows, metadata=metadata, failures=failures)
 
     def test_csv_layout(self, tmp_path):

@@ -510,7 +510,7 @@ class TestTrain:
         ]
         assert digests == [
             "c32d1bbd688d04f901c795d2ddee7292bbe7de20869166e60994637c0e49709f",
-            "9664e6731dc842209ad85c0814b2023183ba413d60b01e89cf165b82d8bc7228",
+            "22398de31e359bb6387fe27269b50391bfbb7e06f4f3c666450c4635e918124a",
         ]
 
     def test_report_json(self, tmp_path):
