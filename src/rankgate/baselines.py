@@ -6,21 +6,29 @@
 * Centroid classifiers: per-class coordinatewise mean or median of rank
   vectors; a probe takes the label of the nearer center (Euclidean).
 * Naive feature fusion: average each identity's enrolled vectors,
-  re-normalize, and threshold the best fused score.
+  re-normalize, and threshold the best fused score. Top fused scores go
+  through the screen → refine protocol of :mod:`rankgate.search`, a block
+  of probes at a time, and are the exact kernel's values.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .curation import IN_GALLERY, OUT_OF_GALLERY, RankSample
-from .search import GalleryIndex, similarities
+from .search import (
+    GalleryIndex,
+    max_row_norm,
+    screen,
+    screen_tolerance,
+    screened_best,
+)
 
 
 @dataclass(frozen=True)
@@ -140,11 +148,22 @@ class FusedGallery:
 
     Identities whose enrolled vectors average to (numerically) zero cannot
     be fused; they are excluded and reported so callers can surface it.
+    ``vectors`` is the float32 copy of ``matrix`` that the screen reads,
+    ``max_norm`` the largest row norm of ``matrix`` and ``position`` each
+    fused identity's row.
     """
 
     identity_ids: list[str]
     matrix: np.ndarray
     excluded: list[str]
+    vectors: np.ndarray = field(init=False, repr=False)
+    max_norm: float = field(init=False)
+    position: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.vectors = self.matrix.astype(np.float32)
+        self.max_norm = max_row_norm(self.matrix)
+        self.position = {ident: i for i, ident in enumerate(self.identity_ids)}
 
 
 def fuse_gallery(gallery: GalleryIndex) -> FusedGallery:
@@ -153,7 +172,7 @@ def fuse_gallery(gallery: GalleryIndex) -> FusedGallery:
     excluded = []
     for identity_id in sorted(gallery.identity_map):
         positions = gallery.identity_map[identity_id]
-        mean = gallery.matrix[positions].mean(axis=0)
+        mean = gallery.vectors[positions].astype(np.float64).mean(axis=0)
         norm = float(np.linalg.norm(mean))
         if norm < 1e-12:
             excluded.append(identity_id)
@@ -165,10 +184,29 @@ def fuse_gallery(gallery: GalleryIndex) -> FusedGallery:
     return FusedGallery(ids, np.stack(rows), excluded)
 
 
-def fused_scores(fused: FusedGallery, probe: np.ndarray) -> np.ndarray:
-    p = np.asarray(probe, dtype=np.float64)
-    if p.shape != (fused.matrix.shape[1],):
+def fused_scores(
+    fused: FusedGallery, probes: np.ndarray, identities: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top fused scores of a ``(b, D)`` block of probes, ``(b,)`` each.
+
+    ``identities`` names each probe's identity. Returns the in-gallery
+    top score, the maximum over every centroid, and the out-of-gallery
+    one, the maximum with the probe identity's centroid left out, which is
+    ``-inf`` when no other centroid is left. Both are exact kernel values,
+    the bits of :func:`rankgate.search.similarities`.
+    """
+    p = np.asarray(probes, dtype=np.float64)
+    want = (len(identities), fused.matrix.shape[1])
+    if p.shape != want:
         raise ValueError(
-            f"probe has shape {p.shape}, fused dimension is {fused.matrix.shape[1]}"
+            f"probes have shape {p.shape}, need {want}: one probe per identity "
+            f"of the fused dimension"
         )
-    return similarities(fused.matrix, p)
+    screened = screen(fused, p)
+    window = 2 * screen_tolerance(fused, p)
+    _rows, inside = screened_best(fused.matrix, p, screened, window)
+    for j, identity_id in enumerate(identities):
+        if identity_id in fused.position:
+            screened[j, fused.position[identity_id]] = -np.inf
+    _rows, outside = screened_best(fused.matrix, p, screened, window)
+    return inside, outside

@@ -20,17 +20,17 @@ is scored against the gallery once, for two rankings:
 
 A sample needs the rank-one identity and the ranks of its other rows, not
 a full ranking, so curation does not sort the gallery. It follows the
-screen → refine → count protocol of :mod:`rankgate.search`: one BLAS
-product scores a block of probes against every row, the exact kernel
-rescores only the rows whose screened score lies within twice the error
-bound ``δ`` of a decision, and each rank is a count of the rows ahead. The
-out-of-gallery ranking reuses the probe's screened row with the probe
-identity's rows set to ``-inf``. Samples, ``top_similarity`` included,
-are bit-identical to those of a full :func:`rankgate.search.search`. A
-block holds a constant ``_SCREEN_BLOCK = 8`` probes: its ``8·N`` float64
-scores are no larger than the ``(N, D)`` product the exact kernel
-allocates for one probe (``D >= 8``), and the BLAS packing buffer, which
-grows with the block, stays small.
+screen → refine → count protocol of :mod:`rankgate.search`, a block of
+probes at a time: one float32 BLAS product scores the block against every
+row, the exact kernel rescores only the rows whose screened score lies
+within twice the error bound ``δ`` of a decision, and each rank is a
+count of the rows ahead. The out-of-gallery rankings reuse the block's
+screened scores with each probe identity's rows set to ``-inf``. Samples,
+``top_similarity`` included, are bit-identical to those of a full
+:func:`rankgate.search.search`. A block holds
+:func:`rankgate.search.screen_block` probes, ``D`` of them, so its
+``(b, N)`` float32 scores take no more bytes than the gallery's ``(N, D)``
+float32 rows.
 
 Both rankings yield the rank vector of whatever identity came back at rank
 one. If an out-of-gallery winner has fewer than ``d_in`` additional images
@@ -67,6 +67,7 @@ from .search import (
     check_probe,
     extract_rank_vector,
     screen,
+    screen_block,
 )
 
 # Not called here. The benchmark tracer wraps ``rankgate.curation.search``
@@ -77,8 +78,6 @@ from .store import EmbeddingStore, l2_normalize
 
 IN_GALLERY = 1
 OUT_OF_GALLERY = 0
-
-_SCREEN_BLOCK = 8
 
 DegradeFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
@@ -135,11 +134,16 @@ class RankSample:
 
 @dataclass
 class CurationResult:
-    """Samples plus everything score baselines need from the same run."""
+    """Samples plus everything score baselines need from the same run.
+
+    ``probe_vectors`` is the ``(n_probes, D)`` float64 matrix of the probes
+    as searched (degraded, if so), in selection order: the order of the
+    in-gallery samples.
+    """
 
     samples: list[RankSample]
     gallery: GalleryIndex
-    probe_vectors: dict[str, np.ndarray]
+    probe_vectors: np.ndarray
     skipped_out_of_gallery: int
 
 
@@ -201,7 +205,7 @@ def curate_detailed(
     by the out-of-gallery sample. The degrade hook, when given, perturbs the
     probe vector once (then re-normalized) and the same degraded probe is
     used for both rankings. Probes are screened in blocks of
-    ``_SCREEN_BLOCK``; see the module docstring.
+    :func:`rankgate.search.screen_block`; see the module docstring.
     """
     selected = select_probes(store, config)
     if len(selected) < 2:
@@ -211,55 +215,47 @@ def curate_detailed(
         )
     gallery = build_gallery(store, [r for _, pool in selected for r in pool])
     samples: list[RankSample] = []
-    probe_vectors: dict[str, np.ndarray] = {}
+    probe_vectors = np.empty((len(selected), gallery.dimension))
     skipped = 0
-    for start in range(0, len(selected), _SCREEN_BLOCK):
-        probes = [probe for probe, _pool in selected[start : start + _SCREEN_BLOCK]]
-        vecs = [
-            check_probe(gallery, _probe_vector(store, probe, config, degrade))
-            for probe in probes
-        ]
-        for probe, vec, screened in zip(probes, vecs, screen(gallery, np.stack(vecs))):
-            identity_id = store.identity_ids[probe]
-            group = config.group or store.groups[probe]
-            probe_vectors[identity_id] = vec
-            ranks, winner, top = extract_rank_vector(
-                gallery, vec, screened, config.d_in
-            )
-            samples.append(
-                RankSample(
-                    ranks=ranks,
-                    label=IN_GALLERY,
-                    probe_identity=identity_id,
-                    group=group,
-                    condition=config.condition,
-                    gallery_size=gallery.size,
-                    rank_one_identity=winner,
-                    top_similarity=top,
+    block = screen_block(gallery)
+    for start in range(0, len(selected), block):
+        rows = [probe for probe, _pool in selected[start : start + block]]
+        probes = probe_vectors[start : start + len(rows)]
+        for i, row in enumerate(rows):
+            probes[i] = check_probe(gallery, _probe_vector(store, row, config, degrade))
+        screened = screen(gallery, probes)
+        inside = extract_rank_vector(gallery, probes, screened, config.d_in)
+        identities = [store.identity_ids[row] for row in rows]
+        owns = [gallery.identity_map[identity_id] for identity_id in identities]
+        block_rows = np.repeat(np.arange(len(rows)), [len(own) for own in owns])
+        screened[block_rows, np.concatenate(owns)] = -np.inf
+        outside = extract_rank_vector(gallery, probes, screened, config.d_in)
+        for row, identity_id, own, found_in, found_out in zip(
+            rows, identities, owns, inside, outside
+        ):
+            group = config.group or store.groups[row]
+            # Every enrolled identity holds d_in + 1 rows, so no winner
+            # lacks d_in more images here; see the module docstring.
+            for label, found, size in (
+                (IN_GALLERY, found_in, gallery.size),
+                (OUT_OF_GALLERY, found_out, gallery.size - len(own)),
+            ):
+                if found is None:
+                    skipped += 1
+                    continue
+                ranks, winner, top = found
+                samples.append(
+                    RankSample(
+                        ranks=ranks,
+                        label=label,
+                        probe_identity=identity_id,
+                        group=group,
+                        condition=config.condition,
+                        gallery_size=size,
+                        rank_one_identity=winner,
+                        top_similarity=top,
+                    )
                 )
-            )
-
-            own = gallery.identity_map[identity_id]
-            screened[own] = -np.inf
-            try:
-                ranks, winner, top = extract_rank_vector(
-                    gallery, vec, screened, config.d_in
-                )
-            except ValueError:
-                skipped += 1
-                continue
-            samples.append(
-                RankSample(
-                    ranks=ranks,
-                    label=OUT_OF_GALLERY,
-                    probe_identity=identity_id,
-                    group=group,
-                    condition=config.condition,
-                    gallery_size=gallery.size - len(own),
-                    rank_one_identity=winner,
-                    top_similarity=top,
-                )
-            )
     return CurationResult(samples, gallery, probe_vectors, skipped)
 
 

@@ -7,7 +7,8 @@ augmentation is applied to the classifier's training samples only; score
 baselines calibrate on the unaugmented training split, and nothing
 augmented ever reaches the test side. A score baseline thresholds one top
 score per sample; fusion takes a probe's in-gallery and out-of-gallery
-scores from one fused-score row.
+scores from one screened row of the fused gallery, a block of probes at a
+time.
 
 Reports are deterministic: rows are emitted in a fixed sort order, floats
 are printed reproducibly, and no timestamps or host details are embedded,
@@ -46,6 +47,7 @@ from .curation import (
     stratified_split,
 )
 from .mlp import MlpConfig, predict, train
+from .search import screen_block
 from .store import EmbeddingStore, ingest
 from .synth import (
     SynthConfig,
@@ -149,10 +151,21 @@ class CellFailure:
     error: str
 
 
+@dataclass(frozen=True)
+class ReportMetadata:
+    """What a report was made from: its format, the plan and its hash, and
+    notes on how to read the rows."""
+
+    format: str
+    plan: dict
+    plan_hash: str
+    notes: list[str]
+
+
 @dataclass
 class EvalReport:
     rows: list[CellResult]
-    metadata: dict
+    metadata: ReportMetadata
     failures: list[CellFailure] = field(default_factory=list)
 
 
@@ -179,9 +192,9 @@ def _top_score_tables(
 ) -> tuple[dict[str, dict[tuple[str, int], float]], list[str]]:
     """Per planned score method, the top score of each sample's own search,
     keyed by ``(probe_identity, label)``, plus the identities fusion
-    excluded. Fusion scores each probe once; its out-of-gallery search does
-    not see the probe identity's centroid, so it scores ``-inf`` when no
-    other centroid is left."""
+    excluded. Fusion scores a block of probes at a time; a probe's
+    out-of-gallery search does not see its own identity's centroid, so it
+    scores ``-inf`` when no other centroid is left."""
     tables = {}
     excluded: list[str] = []
     if "threshold" in methods:
@@ -191,14 +204,19 @@ def _top_score_tables(
     if "fusion" in methods:
         fused = fuse_gallery(cur.gallery)
         excluded = fused.excluded
-        index = {ident: i for i, ident in enumerate(fused.identity_ids)}
+        # One in-gallery sample per probe, in the order of probe_vectors.
+        probes = [s.probe_identity for s in cur.samples if s.label == IN_GALLERY]
+        block = screen_block(fused)
         table = {}
-        for ident, vec in cur.probe_vectors.items():
-            scores = fused_scores(fused, vec)
-            table[ident, IN_GALLERY] = float(np.max(scores))
-            if ident in index:
-                scores[index[ident]] = -np.inf
-            table[ident, OUT_OF_GALLERY] = float(np.max(scores))
+        for start in range(0, len(probes), block):
+            identities = probes[start : start + block]
+            vectors = cur.probe_vectors[start : start + block]
+            inside, outside = fused_scores(fused, vectors, identities)
+            for ident, score_in, score_out in zip(
+                identities, inside.tolist(), outside.tolist()
+            ):
+                table[ident, IN_GALLERY] = score_in
+                table[ident, OUT_OF_GALLERY] = score_out
         tables["fusion"] = table
     return tables, excluded
 
@@ -335,12 +353,12 @@ def run_experiment(
                     carried = calibration
     rows.sort(key=lambda r: (r.group, r.condition, r.method, r.seed))
     failures.sort(key=lambda f: (f.group, f.condition, f.seed))
-    metadata = {
-        "format": REPORT_FORMAT,
-        "plan": plan_to_dict(plan),
-        "plan_hash": plan_hash(plan),
-        "notes": _plan_notes(plan),
-    }
+    metadata = ReportMetadata(
+        format=REPORT_FORMAT,
+        plan=plan_to_dict(plan),
+        plan_hash=plan_hash(plan),
+        notes=_plan_notes(plan),
+    )
     return EvalReport(rows=rows, metadata=metadata, failures=failures)
 
 
@@ -468,7 +486,7 @@ def emit_report(report: EvalReport, format: str, path) -> None:
                 f"| {r.group} | {r.condition} | {r.method} | {r.seed} "
                 f"| {r.n_test} | {r.accuracy * 100:.2f}% |"
             )
-        for note in report.metadata.get("notes", []):
+        for note in report.metadata.notes:
             lines.append("")
             lines.append(f"Note: {note}")
         if report.failures:

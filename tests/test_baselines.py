@@ -286,28 +286,62 @@ class TestFusion:
                 rows.append(make_row(f"id{i:02d}", f"im{j}", dim=16, seed=int(rng.integers(1 << 30))))
         _store, gallery = gallery_of(rows)
         fused = fuse_gallery(gallery)
-        probe = unit_f32(rng.standard_normal(16)).astype(np.float64)
-        scores = fused_scores(fused, probe)
-        expected = oracle_fused_scores(pairs(rows), probe)
-        assert set(fused.identity_ids) == {k for k, v in expected.items() if v is not None}
-        for ident, score in zip(fused.identity_ids, scores):
-            assert abs(score - expected[ident]) < 1e-6
+        identities = ["id00", "id05", "ghost"]
+        probes = np.stack([unit_f32(rng.standard_normal(16)) for _ in identities])
+        inside, outside = fused_scores(fused, probes.astype(np.float64), identities)
+        for probe, ident, got_in, got_out in zip(probes, identities, inside, outside):
+            expected = oracle_fused_scores(pairs(rows), probe)
+            assert set(fused.identity_ids) == {k for k, v in expected.items() if v is not None}
+            assert abs(got_in - max(v for v in expected.values() if v is not None)) < 1e-6
+            others = [v for k, v in expected.items() if v is not None and k != ident]
+            assert abs(got_out - max(others)) < 1e-6
 
     def test_scores_come_from_the_search_kernel(self):
+        """Both top scores of every probe of a block are the bits of the
+        kernel's maxima, with and without the probe's own centroid, also
+        where identical enrollments make centroids tie exactly."""
         rng = np.random.default_rng(8)
+        # id{k} and id{k + 20} enroll the same vectors, so their centroids tie.
+        enrolled = rng.standard_normal((20, 1, 32)) + 0.3 * rng.standard_normal((20, 3, 32))
         rows = [
-            make_row(f"id{i:02d}", f"im{j}", dim=32, seed=int(rng.integers(1 << 30)))
+            make_row(f"id{i:02d}", f"im{j}", vector=enrolled[i % 20, j])
             for i in range(40)
             for j in range(3)
         ]
         fused = fuse_gallery(gallery_of(rows)[1])
-        for _ in range(5):
-            probe = unit_f32(rng.standard_normal(32)).astype(np.float64)
-            got = fused_scores(fused, probe)
-            assert got.tobytes() == similarities(fused.matrix, probe).tobytes()
+        for b in (1, 5, 32):
+            probes = np.stack([unit_f32(rng.standard_normal(32)) for _ in range(b)])
+            probes[b // 2] = fused.vectors[7]  # a probe on a centroid: a near top
+            probes = probes.astype(np.float64)
+            probes /= np.linalg.norm(probes, axis=1)[:, None]
+            identities = [fused.identity_ids[int(i)] for i in rng.integers(0, 40, b)]
+            identities[-1] = "not-enrolled"
+            inside, outside = fused_scores(fused, probes, identities)
+            for probe, ident, got_in, got_out in zip(probes, identities, inside, outside):
+                scores = similarities(fused.matrix, probe)
+                assert got_in.hex() == scores.max().hex()
+                if ident in fused.identity_ids:
+                    scores[fused.identity_ids.index(ident)] = -np.inf
+                assert got_out.hex() == scores.max().hex()
+
+    def test_no_other_centroid_scores_minus_inf(self):
+        vec = unit_f32(np.array([0.5, -0.5, 0.5, 0.5]))
+        rows = [
+            make_row("a", "i1", vector=vec.copy()),
+            make_row("a", "i2", vector=-vec),
+            make_row("b", "i1", dim=4, seed=3),
+        ]
+        fused = fuse_gallery(gallery_of(rows)[1])
+        probes = np.stack([vec, vec, vec]).astype(np.float64)
+        inside, outside = fused_scores(fused, probes, ["b", "a", "b"])
+        top = similarities(fused.matrix, probes[0]).max()
+        assert [v.hex() for v in inside] == [top.hex()] * 3
+        assert outside.tolist() == [-np.inf, float(top), -np.inf]
 
     def test_probe_shape_validated(self):
         rows = [make_row("a", "i1", dim=8, seed=1), make_row("b", "i1", dim=8, seed=2)]
         fused = fuse_gallery(gallery_of(rows)[1])
-        with pytest.raises(ValueError, match="dimension"):
-            fused_scores(fused, np.ones(5))
+        for probes, identities in ((np.ones(5), ["a"]), (np.ones((1, 5)), ["a"]),
+                                   (np.ones((2, 8)) / 8**0.5, ["a"])):
+            with pytest.raises(ValueError, match="dimension"):
+                fused_scores(fused, probes, identities)

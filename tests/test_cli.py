@@ -417,18 +417,23 @@ class TestErrorHandling:
     def test_report_row_with_unknown_or_missing_key(self, tmp_path, capsys):
         row = dict(group="g", condition="c", method="mean", seed=0, accuracy=0.5,
                    n_test=2, tp=1, tn=0, fp=1, fn=0)
+        meta = dict(format="rankgate-eval-report-v1", plan={}, plan_hash="", notes=[])
         bad_rows = ({**row, "extra": 1}, {k: v for k, v in row.items() if k != "fp"}, [1, 2])
-        cases = [({"metadata": {}, "rows": [row, bad_row]}, "report: field rows item 1 ")
+        cases = [({"metadata": meta, "rows": [row, bad_row]}, "report: field rows item 1 ")
                  for bad_row in bad_rows]
-        cases += [({"metadata": {}}, "report: "), ({"metadata": {}, "rows": 5}, "report: "),
-                  ([1, 2], "report: "), ({"metadata": [], "rows": [row]}, "report: "),
-                  ({"metadata": {}, "rows": [row], "failures": [1]}, "report: "),
-                  ({"metadata": {}, "rows": [row], "failures": [{"group": "g"}]}, "report: ")]
+        cases += [({"metadata": meta}, "report: missing required field 'rows'"),
+                  ({"metadata": meta, "rows": 5}, "report: field rows "),
+                  ([1, 2], "report: expected a JSON object"),
+                  ({"metadata": [], "rows": [row]}, "report: field metadata "),
+                  ({"metadata": meta, "rows": [row], "failures": [1]},
+                   "report: field failures item 0 "),
+                  ({"metadata": meta, "rows": [row], "failures": [{"group": "g"}]},
+                   "report: field failures item 0 missing")]
         failure = dict(group="g", condition="c", seed=0, error="ValueError: x")
         bad_failures = [{**failure, key: value} for key, value in
                         (("group", 1), ("condition", []), ("seed", "x"), ("error", None),
                          ("junk", 1))]
-        cases += [({"metadata": {}, "rows": [row], "failures": [bad]},
+        cases += [({"metadata": meta, "rows": [row], "failures": [bad]},
                    "report: field failures item 0 ") for bad in bad_failures]
         for payload, prefix in cases:
             report = tmp_path / "r.json"
@@ -437,3 +442,15 @@ class TestErrorHandling:
                          "--out", str(tmp_path / "r.md")])
             assert code == 1
             assert capsys.readouterr().err.startswith("error: " + prefix)
+
+    def test_report_metadata_typed(self, tmp_path, capsys):
+        meta = dict(format="rankgate-eval-report-v1", plan={}, plan_hash="", notes=["n"])
+        bad_metas = ({**meta, "notes": 5}, {**meta, "notes": [1]}, {**meta, "plan": []},
+                     {k: v for k, v in meta.items() if k != "plan_hash"}, {**meta, "junk": 1})
+        for bad in bad_metas:
+            report = tmp_path / "r.json"
+            report.write_text(json.dumps({"metadata": bad, "rows": []}))
+            code = main(["report", "--input", str(report), "--format", "markdown",
+                         "--out", str(tmp_path / "r.md")])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: report: field metadata ")

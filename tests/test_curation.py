@@ -59,8 +59,8 @@ def near_tie_store():
     integer j. Every product and partial sum of a score is then exact in
     float64 whatever the summation order, so the oracle, the kernel and a BLAS
     screen agree, while enrolled copies that differ in component 0 score
-    j * 2^-52 apart, well inside the screen's error bound (about 16 * 2^-52
-    at 16 dimensions). The three identities of a family share their enrolled
+    j * 2^-52 apart, far inside the screen's error bound (about 10^-6 at 16
+    dimensions). The three identities of a family share their enrolled
     vectors apart from component 0; the third stores them with components 14
     and 15 swapped, which every probe weights equally.
     """
@@ -312,8 +312,9 @@ class TestCurate:
         rng = np.random.default_rng(0)
 
         def shaken(gallery, probes):
-            exact = np.stack([similarities(gallery.matrix, p) for p in probes])
-            bound = np.array([screen_tolerance(gallery, p) for p in probes])
+            rows = gallery.vectors.astype(np.float64)
+            exact = np.stack([similarities(rows, p) for p in probes])
+            bound = screen_tolerance(gallery, probes)
             return exact + 0.9 * rng.uniform(-1.0, 1.0, exact.shape) * bound[:, None]
 
         digests = set()

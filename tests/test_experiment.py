@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rankgate.experiment import (
     EvalReport,
     ExperimentPlan,
     METHODS,
+    ReportMetadata,
     cardinality_sweep,
     emit_report,
     load_plan_store,
@@ -155,8 +157,8 @@ class TestRunExperiment:
 
     def test_metadata_has_no_volatile_fields(self):
         report = run_experiment(tiny_plan(conditions=(ConditionSpec("clean"),)))
-        assert set(report.metadata) == {"format", "plan", "plan_hash", "notes"}
-        assert report.metadata["plan_hash"] == plan_hash(tiny_plan(conditions=(ConditionSpec("clean"),)))
+        assert set(asdict(report.metadata)) == {"format", "plan", "plan_hash", "notes"}
+        assert report.metadata.plan_hash == plan_hash(tiny_plan(conditions=(ConditionSpec("clean"),)))
 
 
 class TestCalibrationReuse:
@@ -248,8 +250,11 @@ class TestScoreBaselines:
             for r in cur.gallery.tie_rank
         ]
 
+        probes = [s.probe_identity for s in cur.samples if s.label == IN_GALLERY]
+
         def reference(s):
-            per_identity = oracle_fused_scores(enrolled, cur.probe_vectors[s.probe_identity])
+            vector = cur.probe_vectors[probes.index(s.probe_identity)]
+            per_identity = oracle_fused_scores(enrolled, vector)
             assert per_identity["x"] is None
             return max(
                 score
@@ -298,7 +303,8 @@ class TestScoreBaselines:
 
         plan = tiny_plan(methods=("fusion",))
         run_cell(sub, plan, "synth", plan.conditions[0], 0)
-        assert calls == {"fuse_gallery": 1, "fused_scores": 20}
+        # One call per screen block: 20 probes in blocks of D = 16.
+        assert calls == {"fuse_gallery": 1, "fused_scores": 2}
 
 
 class TestPlanSerialization:
@@ -372,7 +378,7 @@ class TestEmitReport:
             CellResult("g", "clean", "mlp", 0, 0.75, 8, 3, 3, 1, 1),
             CellResult("g", "clean", "threshold", 0, 0.5, 8, 2, 2, 2, 2),
         ]
-        metadata = {"format": "rankgate-eval-report-v1", "notes": ["a note"]}
+        metadata = ReportMetadata("rankgate-eval-report-v1", {}, "", ["a note"])
         failures = [CellFailure("g", "bad", 1, "ValueError: x")]
         return EvalReport(rows=rows, metadata=metadata, failures=failures)
 

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_rank_vector, oracle_search_order
+from rankgate.baselines import fuse_gallery
 from rankgate.search import (
     build_gallery,
     check_probe,
     extract_rank_vector,
     screen,
+    screen_tolerance,
     search,
     similarities,
 )
-from rankgate.store import unit_f32
+from rankgate.store import l2_normalize, unit_f32
+from rankgate.synth import degrade_probe
 
 from conftest import gallery_of, make_row, pairs, store_of
 
@@ -21,10 +26,11 @@ def ranked_keys(store, gallery, result):
 
 
 def counted(gallery, probe, d_in, left_out=()):
-    """extract_rank_vector on the probe's screened row, ``left_out`` rows at -inf."""
-    screened = screen(gallery, probe[None])[0]
-    screened[list(left_out)] = -np.inf
-    return extract_rank_vector(gallery, probe, screened, d_in)
+    """extract_rank_vector on a block of one probe, ``left_out`` rows at -inf."""
+    screened = screen(gallery, probe[None])
+    screened[0, list(left_out)] = -np.inf
+    [found] = extract_rank_vector(gallery, probe[None], screened, d_in)
+    return found
 
 
 def random_gallery(rng, n_records, dim, n_identities=None, duplicate_every=0):
@@ -109,9 +115,7 @@ class TestGalleryIndex:
         assert gallery.identities == ("b", "a", "a")
         assert gallery.identity_map["a"].tolist() == [1, 2]
         for pos, row in enumerate(gallery.tie_rank):
-            assert gallery.matrix[pos].tobytes() == (
-                store.vectors[row].astype(np.float64).tobytes()
-            )
+            assert gallery.vectors[pos].tobytes() == store.vectors[row].tobytes()
 
 
 class TestSearch:
@@ -261,7 +265,84 @@ class TestSimilarities:
             assert similarities(matrix[[one]], probe).tobytes() == full[[one]].tobytes()
 
 
+class TestScreen:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(1, 512),
+        n_rows=st.integers(1, 30),
+        sigma=st.sampled_from([0.0, 0.05, 0.3, 2.0]),
+        tiny=st.booleans(),
+        flat=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_within_tolerance_row_by_row(self, dim, n_rows, sigma, tiny, flat, seed):
+        """``|screen − similarities| <= screen_tolerance`` on every row, for
+        a gallery's float32 rows and a fused gallery's float64 centroids, with
+        degraded, re-normalized float64 probes. With ``tiny``, components of
+        rows and probes lie below the float32 normal range; with ``flat``,
+        rows are nearly constant, so every product has the same sign and
+        the float32 rounding errors pile up instead of cancelling."""
+        rng = np.random.default_rng(seed)
+
+        def shrink(v):
+            v = v.copy()
+            mask = rng.random(v.shape) < 0.3
+            v[mask] = 1e-40 * rng.choice([-1.0, 1.0], size=int(mask.sum()))
+            return v
+
+        raw = rng.standard_normal((n_rows, dim))
+        if flat:
+            raw = 1.0 + 0.01 * raw
+        if tiny:
+            raw = shrink(raw)
+        store, gallery = gallery_of(
+            [make_row(f"id{i % 4}", f"im{i}", vector=raw[i]) for i in range(n_rows)]
+        )
+        probes = []
+        for row in rng.integers(0, n_rows, int(rng.integers(1, 6))):
+            probe = degrade_probe(store.vectors[row], sigma, rng)
+            probes.append(l2_normalize(shrink(probe)) if tiny else probe)
+        probes = np.stack(probes)
+        fused = fuse_gallery(gallery)
+        for index, matrix in ((gallery, gallery.vectors.astype(np.float64)),
+                              (fused, fused.matrix)):
+            screened = screen(index, probes).astype(np.float64)
+            bound = screen_tolerance(index, probes)
+            for probe, row, delta in zip(probes, screened, bound):
+                assert (np.abs(row - similarities(matrix, probe)) <= delta).all()
+
+
 class TestExtractRankVector:
+    def test_block_equals_blocks_of_one(self):
+        """On tie-heavy galleries, with an identity left out of some probes'
+        searches and a probe mid-block whose winner is skipped, a block gives
+        what its probes give one at a time, ``top_similarity`` bits included."""
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            rows = random_gallery(rng, 60, 8, n_identities=8, duplicate_every=3)
+            solo = unit_f32(rng.standard_normal(8)).astype(np.float64)
+            rows.append(make_row("solo", "im0", vector=solo))
+            _store, gallery = gallery_of(rows)
+            b = int(rng.integers(2, 12))
+            probes = np.stack([unit_f32(rng.standard_normal(8)) for _ in range(b)])
+            probes = probes.astype(np.float64)
+            probes[b // 2] = solo
+            others = sorted(set(gallery.identity_map) - {"solo"})
+            screened = screen(gallery, probes)
+            left_out = []
+            for j in range(b):
+                drop = others[int(rng.integers(len(others)))] if rng.random() < 0.5 else None
+                left_out.append(gallery.identity_map[drop] if drop else [])
+                screened[j, left_out[-1]] = -np.inf
+            block = extract_rank_vector(gallery, probes, screened, 2)
+            assert len(block) == b and block[b // 2] is None
+            for probe, found, out in zip(probes, block, left_out):
+                one = counted(gallery, probe, 2, out)
+                assert found == one
+                if found is not None:
+                    assert found[2].hex() == one[2].hex()
+
+
     def test_contiguous_block(self):
         rows, probe = controlled_gallery({1, 2, 3, 4}, 12)
         _store, gallery = gallery_of(rows)
@@ -300,10 +381,12 @@ class TestExtractRankVector:
                 assert top_similarity.hex() == float(full.similarities[0]).hex()
 
     def test_insufficient_images_error(self):
+        """A winner without d_in more images gives None, which curation
+        counts as a skipped sample."""
         rows, probe = controlled_gallery({1, 3}, 10)
         _store, gallery = gallery_of(rows)
-        with pytest.raises(ValueError, match="additional images"):
-            counted(gallery, probe, 3)
+        assert counted(gallery, probe, 3) is None
+        assert counted(gallery, probe, 1)[:2] == ((3,), "target")
 
     def test_d_in_validated(self):
         rows, probe = controlled_gallery({1, 2}, 5)
