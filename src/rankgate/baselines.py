@@ -204,9 +204,11 @@ def fused_scores(
         )
     screened = screen(fused, p)
     window = 2 * screen_tolerance(fused, p)
-    _rows, inside = screened_best(fused.matrix, p, screened, window)
+    # Only the top scores are wanted, so any tie order will do.
+    tie_rank = np.arange(len(fused.matrix))
+    _rows, inside = screened_best(fused.matrix, p, screened, window, tie_rank)
     for j, identity_id in enumerate(identities):
         if identity_id in fused.position:
             screened[j, fused.position[identity_id]] = -np.inf
-    _rows, outside = screened_best(fused.matrix, p, screened, window)
+    _rows, outside = screened_best(fused.matrix, p, screened, window, tie_rank)
     return inside, outside

@@ -34,9 +34,10 @@ float32 rows.
 
 Both rankings yield the rank vector of whatever identity came back at rank
 one. If an out-of-gallery winner has fewer than ``d_in`` additional images
-the sample is skipped and counted; with the uniform enrollment produced
-here that cannot happen, the counter exists to keep the contract honest if
-galleries are ever built differently.
+the sample is skipped and counted, and an in-gallery one is an error; with
+the uniform enrollment produced here neither can happen, the counter
+exists to keep the contract honest if galleries are ever built
+differently.
 
 Sampling algorithm (reproducible outside this package): the candidate list
 is the identity's non-probe rows in ascending ``image_id`` order. A
@@ -225,6 +226,13 @@ def curate_detailed(
             probes[i] = check_probe(gallery, _probe_vector(store, row, config, degrade))
         screened = screen(gallery, probes)
         inside = extract_rank_vector(gallery, probes, screened, config.d_in)
+        # Every enrolled identity holds d_in + 1 rows, so no in-gallery
+        # winner lacks d_in more images; see the module docstring.
+        if any(found is None for found in inside):
+            raise ValueError(
+                f"an in-gallery rank-one identity has fewer than d_in = "
+                f"{config.d_in} additional images"
+            )
         identities = [store.identity_ids[row] for row in rows]
         owns = [gallery.identity_map[identity_id] for identity_id in identities]
         block_rows = np.repeat(np.arange(len(rows)), [len(own) for own in owns])
@@ -234,13 +242,11 @@ def curate_detailed(
             rows, identities, owns, inside, outside
         ):
             group = config.group or store.groups[row]
-            # Every enrolled identity holds d_in + 1 rows, so no winner
-            # lacks d_in more images here; see the module docstring.
             for label, found, size in (
                 (IN_GALLERY, found_in, gallery.size),
                 (OUT_OF_GALLERY, found_out, gallery.size - len(own)),
             ):
-                if found is None:
+                if found is None:  # out-of-gallery only, checked above
                     skipped += 1
                     continue
                 ranks, winner, top = found

@@ -30,12 +30,12 @@ block of probes at a time:
   screened scores decide for rows outside the rescored band, exact
   scores and the tie order inside it (:func:`extract_rank_vector`).
 
-Every mask is taken over a whole ``(b, N)`` score block. A screened
-score is compared with a threshold only after the threshold is rounded
-down to a float32, or after both are converted to float64, where the
-subtraction of two float32 scores rounds monotonically; so each score
-lands in exactly one class (certainly ahead, certainly behind, or
-rescored), and a rounding can only move a score into the rescored band.
+Every mask is taken over a whole ``(b, N)`` score block. Each threshold
+is computed in float64 and rounded outward to a float32 (a floor down, a
+ceiling up) before it is compared with a float32 screened score; so
+each score lands in exactly one class (certainly ahead, certainly
+behind, or rescored), and a rounding can only move a score into the
+rescored band.
 
 **The bound.** Write ``m`` for a row as the kernel reads it (a float32
 store row upcast exactly, or a float64 fused centroid), ``p`` for a
@@ -241,7 +241,7 @@ def screened_best(
     probes: np.ndarray,
     screened: np.ndarray,
     window: np.ndarray,
-    tie_rank: Optional[np.ndarray] = None,
+    tie_rank: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each probe's best row of ``matrix`` and its kernel score, ``(b,)`` each.
 
@@ -249,15 +249,15 @@ def screened_best(
     rows of ``matrix``, ``-inf`` on rows left out, and ``window`` is ``2δ``
     per probe. The kernel rescores the rows screened within ``window`` of
     each probe's screened maximum, which hold every row of the highest
-    kernel score; ties go to the lowest ``tie_rank`` (the lowest position
-    when None). A probe with every row left out gets row -1 and ``-inf``.
+    kernel score; ties go to the lowest ``tie_rank``, one per row. A probe
+    with every row left out gets row -1 and ``-inf``.
     """
     top = screened.max(axis=1)
     floor = _floor_f32(top.astype(np.float64) - window)
     floor[top == -np.inf] = np.inf
     pidx, ridx = _pairs(screened >= floor[:, None])
     exact = rescore(matrix, probes, pidx, ridx)
-    order = np.lexsort((ridx if tie_rank is None else tie_rank[ridx], -exact, pidx))
+    order = np.lexsort((tie_rank[ridx], -exact, pidx))
     first = order[np.flatnonzero(np.diff(pidx, prepend=-1))]
     rows = np.full(len(top), -1, dtype=np.int64)
     scores = np.full(len(top), -np.inf)

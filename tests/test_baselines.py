@@ -292,6 +292,9 @@ class TestFusion:
         for probe, ident, got_in, got_out in zip(probes, identities, inside, outside):
             expected = oracle_fused_scores(pairs(rows), probe)
             assert set(fused.identity_ids) == {k for k, v in expected.items() if v is not None}
+            scores = similarities(fused.matrix, probe.astype(np.float64))
+            for centroid in fused.identity_ids:
+                assert abs(scores[fused.position[centroid]] - expected[centroid]) < 1e-6
             assert abs(got_in - max(v for v in expected.values() if v is not None)) < 1e-6
             others = [v for k, v in expected.items() if v is not None and k != ident]
             assert abs(got_out - max(others)) < 1e-6

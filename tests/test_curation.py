@@ -259,6 +259,16 @@ class TestCurate:
         n_out = sum(1 for s in result.samples if s.label == 0)
         assert n_in - n_out == result.skipped_out_of_gallery
 
+    def test_short_in_gallery_winner_rejected(self, small_store, monkeypatch):
+        """Only an out-of-gallery sample may be skipped: dropping an
+        in-gallery one would misalign probe_vectors with the samples."""
+        def short(gallery, probes, screened, d_in):
+            return [None] * len(probes)
+
+        monkeypatch.setattr(curation, "extract_rank_vector", short)
+        with pytest.raises(ValueError, match="in-gallery rank-one identity"):
+            curate_detailed(small_store, CurationConfig(d_in=3, rng_seed=0))
+
     def test_out_search_excludes_probe_identity(self, small_store):
         result = curate_detailed(small_store, CurationConfig(d_in=3, rng_seed=0))
         for s in result.samples:
