@@ -97,12 +97,8 @@ def cmd_curate(args) -> int:
         degrade = lambda v, rng: synth.degrade_probe(v, args.probe_sigma, rng)  # noqa: E731
     result = curation.curate_detailed(loaded, config, degrade)
     curation.write_samples_csv(result.samples, args.out)
-    n_in = sum(1 for s in result.samples if s.label == curation.IN_GALLERY)
-    n_out = len(result.samples) - n_in
-    print(
-        f"curated {len(result.samples)} samples ({n_in} in-gallery, {n_out} "
-        f"out-of-gallery, {result.skipped_out_of_gallery} skipped) -> {args.out}"
-    )
+    n = len(result.probe_vectors)  # each probe yields one sample of each label
+    print(f"curated {2 * n} samples ({n} in-gallery, {n} out-of-gallery) -> {args.out}")
     return 0
 
 

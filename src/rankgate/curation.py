@@ -33,11 +33,11 @@ screened scores with each probe identity's rows set to ``-inf``. Samples,
 float32 rows.
 
 Both rankings yield the rank vector of whatever identity came back at rank
-one. If an out-of-gallery winner has fewer than ``d_in`` additional images
-the sample is skipped and counted, and an in-gallery one is an error; with
-the uniform enrollment produced here neither can happen, the counter
-exists to keep the contract honest if galleries are ever built
-differently.
+one. Every enrolled identity holds ``d_in + 1`` rows, so every rank-one
+identity has the ``d_in`` additional images a sample needs, and each probe
+yields its in-gallery sample and then its out-of-gallery sample, in
+selection order. :attr:`CurationResult.probe_vectors` and the score
+baselines rely on that order.
 
 Sampling algorithm (reproducible outside this package): the candidate list
 is the identity's non-probe rows in ascending ``image_id`` order. A
@@ -138,14 +138,13 @@ class CurationResult:
     """Samples plus everything score baselines need from the same run.
 
     ``probe_vectors`` is the ``(n_probes, D)`` float64 matrix of the probes
-    as searched (degraded, if so), in selection order: the order of the
-    in-gallery samples.
+    as searched (degraded, if so), in selection order: row ``j`` is the
+    probe of ``samples[2j]`` and ``samples[2j + 1]``.
     """
 
     samples: list[RankSample]
     gallery: GalleryIndex
     probe_vectors: np.ndarray
-    skipped_out_of_gallery: int
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,6 @@ def curate_detailed(
     gallery = build_gallery(store, [r for _, pool in selected for r in pool])
     samples: list[RankSample] = []
     probe_vectors = np.empty((len(selected), gallery.dimension))
-    skipped = 0
     block = screen_block(gallery)
     for start in range(0, len(selected), block):
         rows = [probe for probe, _pool in selected[start : start + block]]
@@ -226,13 +224,6 @@ def curate_detailed(
             probes[i] = check_probe(gallery, _probe_vector(store, row, config, degrade))
         screened = screen(gallery, probes)
         inside = extract_rank_vector(gallery, probes, screened, config.d_in)
-        # Every enrolled identity holds d_in + 1 rows, so no in-gallery
-        # winner lacks d_in more images; see the module docstring.
-        if any(found is None for found in inside):
-            raise ValueError(
-                f"an in-gallery rank-one identity has fewer than d_in = "
-                f"{config.d_in} additional images"
-            )
         identities = [store.identity_ids[row] for row in rows]
         owns = [gallery.identity_map[identity_id] for identity_id in identities]
         block_rows = np.repeat(np.arange(len(rows)), [len(own) for own in owns])
@@ -242,14 +233,10 @@ def curate_detailed(
             rows, identities, owns, inside, outside
         ):
             group = config.group or store.groups[row]
-            for label, found, size in (
+            for label, (ranks, winner, top), size in (
                 (IN_GALLERY, found_in, gallery.size),
                 (OUT_OF_GALLERY, found_out, gallery.size - len(own)),
             ):
-                if found is None:  # out-of-gallery only, checked above
-                    skipped += 1
-                    continue
-                ranks, winner, top = found
                 samples.append(
                     RankSample(
                         ranks=ranks,
@@ -262,7 +249,7 @@ def curate_detailed(
                         top_similarity=top,
                     )
                 )
-    return CurationResult(samples, gallery, probe_vectors, skipped)
+    return CurationResult(samples, gallery, probe_vectors)
 
 
 def _probe_vector(
@@ -431,8 +418,8 @@ def load_samples_csv(path) -> list[RankSample]:
                 continue
             if len(row) != len(fixed) + d:
                 raise ValueError(f"line {lineno}: wrong field count")
-            samples.append(
-                RankSample(
+            try:
+                sample = RankSample(
                     ranks=tuple(int(x) for x in row[5:]),
                     label=int(row[3]),
                     probe_identity=row[0],
@@ -440,5 +427,7 @@ def load_samples_csv(path) -> list[RankSample]:
                     condition=row[2],
                     gallery_size=int(row[4]),
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+            samples.append(sample)
     return samples

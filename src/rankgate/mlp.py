@@ -390,10 +390,11 @@ def stratified_folds(
     """Disjoint covering folds, each class spread within one sample of even.
 
     Per class: shuffle its indices, deal them round robin across folds.
+    Both classes, 0 and 1, must have at least ``k`` samples.
     """
     labels = np.asarray(labels)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for label in np.unique(labels):
+    for label in np.union1d(labels, (0, 1)):
         idx = np.flatnonzero(labels == label)
         if len(idx) < k:
             raise ValueError(

@@ -67,11 +67,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .store import BLOCK_ROWS, EmbeddingStore
+from .store import EmbeddingStore
 
 _PROBE_NORM_TOLERANCE = 2e-3
 _U32 = 2.0**-24
@@ -118,12 +118,8 @@ build_gallery = GalleryIndex  # the name callers and the benchmark's tracer use
 
 
 def max_row_norm(rows: np.ndarray) -> float:
-    """Largest row norm of ``rows``, in float64, ``BLOCK_ROWS`` rows at a time."""
-    peak = 0.0
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start : start + BLOCK_ROWS].astype(np.float64)
-        peak = max(peak, float(np.einsum("ij,ij->i", block, block).max()))
-    return math.sqrt(peak)
+    """Largest row norm of ``rows``, in float64, without a float64 copy of ``rows``."""
+    return math.sqrt(float(np.einsum("ij,ij->i", rows, rows, dtype=np.float64).max()))
 
 
 @dataclass(eq=False)
@@ -271,7 +267,7 @@ RankResult = tuple[tuple[int, ...], str, float]
 
 def extract_rank_vector(
     gallery: GalleryIndex, probes: np.ndarray, screened: np.ndarray, d_in: int
-) -> list[Optional[RankResult]]:
+) -> list[RankResult]:
     """Ranks of each probe's rank-one identity's additional images, counted.
 
     ``probes`` is a ``(b, D)`` block of checked probes and ``screened``
@@ -280,8 +276,8 @@ def extract_rank_vector(
     one row is left in. Per probe, returns the ``d_in`` smallest
     additional ranks ascending, the rank-one identity and its exact
     similarity: what :func:`search` over the rows left in would give, bit
-    for bit. Returns None for a probe whose rank-one identity has fewer
-    than ``d_in`` images beyond the winner.
+    for bit. Raises ValueError when a rank-one identity has fewer than
+    ``d_in`` images beyond the winner.
     """
     if d_in < 1:
         raise ValueError(f"d_in must be >= 1, got {d_in}")
@@ -295,9 +291,12 @@ def extract_rank_vector(
     identities = [gallery.identities[w] for w in winners.tolist()]
     owns = [gallery.identity_map[identity_id] for identity_id in identities]
     sizes = np.array([len(own) for own in owns])
-    kept = sizes > d_in
-    if not kept.any():
-        return [None] * b
+    short = np.flatnonzero(sizes <= d_in)
+    if short.size:
+        raise ValueError(
+            f"rank-one identity {identities[short[0]]!r} has fewer than "
+            f"d_in = {d_in} additional images"
+        )
     # Each probe's winner-identity positions, (b, k), padded with the winner.
     k = int(sizes.max())
     valid = np.arange(k) < sizes[:, None]
@@ -312,9 +311,7 @@ def extract_rank_vector(
     # ``below``, outside the reach, sort after all own rows.
     above = _ceil_f32(own_screened + window[:, None])
     below = _floor_f32(own_screened - window[:, None])
-    floor = below.min(axis=1)
-    floor[~kept] = np.inf
-    rp, rr = _pairs(screened >= floor[:, None])
+    rp, rr = _pairs(screened >= below.min(axis=1)[:, None])
     scores = screened[rp, rr]
     # One own row at a time, so each temporary is one score per reach row.
     ahead = np.empty((k, len(rp)), dtype=bool)
@@ -338,10 +335,10 @@ def extract_rank_vector(
     counts = np.stack([np.bincount(rp[column], minlength=b) for column in ahead], axis=1)
     ranks = np.where(valid, counts + 1, n + 1)
     ranks.sort(axis=1)
-    assert (ranks[kept, 0] == 1).all()
+    assert (ranks[:, 0] == 1).all()
     return [
-        (tuple(r), identity_id, top) if keep else None
-        for r, identity_id, top, keep in zip(
-            ranks[:, 1 : d_in + 1].tolist(), identities, tops.tolist(), kept.tolist()
+        (tuple(r), identity_id, top)
+        for r, identity_id, top in zip(
+            ranks[:, 1 : d_in + 1].tolist(), identities, tops.tolist()
         )
     ]

@@ -5,6 +5,8 @@ Each identity gets a mean direction drawn uniformly on the unit sphere
 isotropic Gaussian noise, re-normalized. This is a deliberate small-bias
 stand-in for a spherical cluster distribution; what matters downstream is
 only that images of one identity cluster and clusters are well spread.
+Each draw is used as drawn: it is nonzero in practice, and a zero vector
+would stop the normalization with ``cannot normalize a zero vector``.
 
 Generation is single-stream and ordered (groups in declared order, then
 identity index, then capture index), so a fixed seed reproduces the store
@@ -81,8 +83,8 @@ def generate(config: SynthConfig) -> EmbeddingStore:
     block = np.empty((BLOCK_ROWS, d))
     for row in range(len(vectors)):
         if row % k == 0:
-            mean = _unit_draw(rng, d)
-        block[row % BLOCK_ROWS] = _noisy_draw(rng, mean, config.within_noise_sigma, d)
+            mean = l2_normalize(rng.standard_normal(d))
+        block[row % BLOCK_ROWS] = mean + config.within_noise_sigma * rng.standard_normal(d)
         if row % BLOCK_ROWS == BLOCK_ROWS - 1 or row == len(vectors) - 1:
             start = row - row % BLOCK_ROWS
             vectors[start : row + 1] = unit_rows(block[: row + 1 - start])
@@ -94,25 +96,6 @@ def generate(config: SynthConfig) -> EmbeddingStore:
             groups.append(group)
             capture.append(j)
     return EmbeddingStore(identity_ids, image_ids, groups, capture, vectors)
-
-
-def _unit_draw(rng: np.random.Generator, d: int) -> np.ndarray:
-    for _ in range(100):
-        v = rng.standard_normal(d)
-        if float(np.dot(v, v)) > 0:
-            return l2_normalize(v)
-    raise RuntimeError("could not draw a nonzero direction")
-
-
-def _noisy_draw(
-    rng: np.random.Generator, mean: np.ndarray, sigma: float, d: int
-) -> np.ndarray:
-    """``mean`` plus noise, redrawn until nonzero; not yet normalized."""
-    for _ in range(100):
-        v = mean + sigma * rng.standard_normal(d)
-        if float(np.dot(v, v)) > 0:
-            return v
-    raise RuntimeError("could not draw a nonzero image vector")
 
 
 def check_sigma(name: str, sigma: float) -> None:
@@ -133,11 +116,7 @@ def degrade_probe(
     check_sigma("sigma", sigma)
     if sigma == 0:
         return v.copy()
-    for _ in range(100):
-        w = v + sigma * rng.standard_normal(v.shape[0])
-        if float(np.dot(w, w)) > 0:
-            return l2_normalize(w)
-    raise RuntimeError("degradation kept producing zero vectors")
+    return l2_normalize(v + sigma * rng.standard_normal(len(v)))
 
 
 def config_to_json(config: SynthConfig, path) -> None:

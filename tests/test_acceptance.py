@@ -158,7 +158,7 @@ def test_03_curation_matches_straight_line_replay(medium_store):
         medium_store, d_in=3, rng_seed=17, group="", condition="orig"
     )
     got = [sample_tuple(s) for s in result.samples]
-    ok = got == expected and result.skipped_out_of_gallery == skipped
+    ok = got == expected and skipped == 0
     _gate(3, ok, f"{len(got)} curated samples equal the straight-line replay exactly")
 
 

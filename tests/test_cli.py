@@ -96,6 +96,10 @@ class TestPipelineCommands:
         header = samples_path.read_text().splitlines()[0]
         assert header == "probe_identity,group,condition,label,gallery_size,r1,r2,r3"
 
+    def test_curate_reports_one_pair_per_probe(self, capsys, samples_path):
+        out = capsys.readouterr().out
+        assert f"curated 30 samples (15 in-gallery, 15 out-of-gallery) -> {samples_path}\n" in out
+
     def test_rankdist(self, tmp_path, samples_path, capsys):
         out_path = tmp_path / "dist.csv"
         code = main(
@@ -371,6 +375,20 @@ class TestErrorHandling:
             err = capsys.readouterr().err
             assert err.startswith("error: learning_rate must be finite and > 0, got"), err
         assert calls == []
+        assert not out.exists()
+
+    def test_train_on_one_label_rejected(self, tmp_path, samples_path, capsys):
+        one_label = tmp_path / "in_only.csv"
+        lines = samples_path.read_text().splitlines(keepends=True)
+        one_label.write_text(lines[0] + "".join(lines[1::2]))
+        out = tmp_path / "m.bin"
+        code = main(["train", "--samples", str(one_label), "--folds", "2",
+                     "--epochs", "2", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: class 0 has 0 samples, need at least 2 for 2-fold validation"
+        ), err
         assert not out.exists()
 
     def test_bad_within_sigma_rejected(self, tmp_path, capsys):

@@ -239,7 +239,7 @@ class TestCurate:
                 store, d_in=3, rng_seed=21, group="", condition="orig"
             )
             assert [sample_tuple(s) for s in result.samples] == expected
-            assert result.skipped_out_of_gallery == skipped
+            assert skipped == 0
 
     def test_matches_protocol_oracle_with_degradation(self, small_store):
         sigma = 0.15
@@ -253,21 +253,24 @@ class TestCurate:
         )
         assert [sample_tuple(s) for s in result.samples] == expected
 
-    def test_label_balance_equals_skip_count(self, medium_store):
-        result = curate_detailed(medium_store, CurationConfig(d_in=3, rng_seed=0))
-        n_in = sum(1 for s in result.samples if s.label == 1)
-        n_out = sum(1 for s in result.samples if s.label == 0)
-        assert n_in - n_out == result.skipped_out_of_gallery
-
-    def test_short_in_gallery_winner_rejected(self, small_store, monkeypatch):
-        """Only an out-of-gallery sample may be skipped: dropping an
-        in-gallery one would misalign probe_vectors with the samples."""
-        def short(gallery, probes, screened, d_in):
-            return [None] * len(probes)
-
-        monkeypatch.setattr(curation, "extract_rank_vector", short)
-        with pytest.raises(ValueError, match="in-gallery rank-one identity"):
-            curate_detailed(small_store, CurationConfig(d_in=3, rng_seed=0))
+    def test_each_probe_yields_its_pair_in_selection_order(self, medium_store):
+        """Samples alternate in-gallery, out-of-gallery for one probe
+        identity, identities ascending, and at sigma 0 probe_vectors[j] is
+        the store row select_probes picked for samples[2j]."""
+        cfg = CurationConfig(d_in=3, rng_seed=0)
+        result = curate_detailed(medium_store, cfg)
+        selected = select_probes(medium_store, cfg)
+        assert len(result.samples) == 2 * len(selected) == 2 * len(result.probe_vectors)
+        inside, outside = result.samples[::2], result.samples[1::2]
+        assert all(s.label == 1 for s in inside) and all(s.label == 0 for s in outside)
+        identities = [s.probe_identity for s in inside]
+        assert identities == [s.probe_identity for s in outside]
+        assert identities == sorted(set(identities))
+        for (row, _pool), identity_id, vector in zip(
+            selected, identities, result.probe_vectors
+        ):
+            assert medium_store.identity_ids[row] == identity_id
+            assert vector.tobytes() == medium_store.vectors[row].astype(np.float64).tobytes()
 
     def test_out_search_excludes_probe_identity(self, small_store):
         result = curate_detailed(small_store, CurationConfig(d_in=3, rng_seed=0))
@@ -332,7 +335,7 @@ class TestCurate:
             monkeypatch.setattr(curation, "screen", screen_fn)
             result = curate_detailed(store, cfg)
             assert [sample_tuple(s) for s in result.samples] == expected
-            assert result.skipped_out_of_gallery == skipped
+            assert skipped == 0
             digests.add(sample_digest(result.samples))
         assert len(digests) == 1
 
@@ -553,6 +556,20 @@ class TestSampleSerialization:
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError, match="header"):
             load_samples_csv(path)
+
+    def test_csv_row_errors_name_their_line(self, tmp_path):
+        header = "probe_identity,group,condition,label,gallery_size,r1,r2\n"
+        good = "p1,g,c,1,120,2,3\n"
+        path = tmp_path / "bad.csv"
+        for bad, message in (
+            ("p2,g,c,1,120,1,3\n", "line 3: rank 1 outside [2, gallery_size=120]"),
+            ("p2,g,c,x,120,2,3\n", "line 3: invalid literal for int()"),
+            ("p2,g,c,2,120,2,3\n", "line 3: label must be 0 or 1"),
+        ):
+            path.write_text(header + good + bad)
+            with pytest.raises(ValueError) as info:
+                load_samples_csv(path)
+            assert str(info.value).startswith(message), info.value
 
     def test_mixed_widths_rejected(self):
         samples = [sample((2, 3), 1), sample((2, 3, 4), 0, ident="q")]

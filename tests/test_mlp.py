@@ -362,6 +362,13 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError, match="class 0"):
             stratified_folds(labels, 5, np.random.default_rng(0))
 
+    def test_missing_class_rejected(self):
+        """One label alone is not two-class data: the absent class has 0 samples."""
+        for present in (0, 1):
+            labels = np.full(30, present)
+            with pytest.raises(ValueError, match=f"class {1 - present} has 0 samples"):
+                stratified_folds(labels, 2, np.random.default_rng(0))
+
     def test_random_sets_property(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -314,33 +316,41 @@ class TestScreen:
 
 class TestExtractRankVector:
     def test_block_equals_blocks_of_one(self):
-        """On tie-heavy galleries, with an identity left out of some probes'
-        searches and a probe mid-block whose winner is skipped, a block gives
-        what its probes give one at a time, ``top_similarity`` bits included."""
+        """On tie-heavy galleries whose identities all hold more than d_in
+        rows, with an identity left out of some probes' searches, a block
+        gives what its probes give one at a time, ``top_similarity`` bits
+        included. A probe mid-block whose winner lacks d_in more rows stops
+        the block with an error that names the winner."""
         rng = np.random.default_rng(41)
         for _ in range(20):
             rows = random_gallery(rng, 60, 8, n_identities=8, duplicate_every=3)
-            solo = unit_f32(rng.standard_normal(8)).astype(np.float64)
-            rows.append(make_row("solo", "im0", vector=solo))
+            sizes = Counter(row[0] for row in rows)
+            rows = [row for row in rows if sizes[row[0]] > 2]
             _store, gallery = gallery_of(rows)
             b = int(rng.integers(2, 12))
             probes = np.stack([unit_f32(rng.standard_normal(8)) for _ in range(b)])
             probes = probes.astype(np.float64)
-            probes[b // 2] = solo
-            others = sorted(set(gallery.identity_map) - {"solo"})
+            identities = sorted(gallery.identity_map)
             screened = screen(gallery, probes)
             left_out = []
             for j in range(b):
-                drop = others[int(rng.integers(len(others)))] if rng.random() < 0.5 else None
+                drop = None
+                if rng.random() < 0.5:
+                    drop = identities[int(rng.integers(len(identities)))]
                 left_out.append(gallery.identity_map[drop] if drop else [])
                 screened[j, left_out[-1]] = -np.inf
             block = extract_rank_vector(gallery, probes, screened, 2)
-            assert len(block) == b and block[b // 2] is None
+            assert len(block) == b
             for probe, found, out in zip(probes, block, left_out):
                 one = counted(gallery, probe, 2, out)
                 assert found == one
-                if found is not None:
-                    assert found[2].hex() == one[2].hex()
+                assert found[2].hex() == one[2].hex()
+            solo = unit_f32(rng.standard_normal(8)).astype(np.float64)
+            rows.append(make_row("solo", "im0", vector=solo))
+            _store, gallery = gallery_of(rows)
+            probes[b // 2] = solo
+            with pytest.raises(ValueError, match="rank-one identity 'solo' has fewer"):
+                extract_rank_vector(gallery, probes, screen(gallery, probes), 2)
 
 
     def test_contiguous_block(self):
@@ -381,11 +391,12 @@ class TestExtractRankVector:
                 assert top_similarity.hex() == float(full.similarities[0]).hex()
 
     def test_insufficient_images_error(self):
-        """A winner without d_in more images gives None, which curation
-        counts as a skipped sample."""
         rows, probe = controlled_gallery({1, 3}, 10)
         _store, gallery = gallery_of(rows)
-        assert counted(gallery, probe, 3) is None
+        with pytest.raises(
+            ValueError, match="rank-one identity 'target' has fewer than d_in = 3"
+        ):
+            counted(gallery, probe, 3)
         assert counted(gallery, probe, 1)[:2] == ((3,), "target")
 
     def test_d_in_validated(self):
