@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from .search import (
     screen_tolerance,
     screened_best,
 )
+from .store import _row_dots
 
 
 @dataclass(frozen=True)
@@ -167,21 +169,43 @@ class FusedGallery:
 
 
 def fuse_gallery(gallery: GalleryIndex) -> FusedGallery:
-    ids = []
-    rows = []
-    excluded = []
-    for identity_id in sorted(gallery.identity_map):
-        positions = gallery.identity_map[identity_id]
-        mean = gallery.vectors[positions].astype(np.float64).mean(axis=0)
-        norm = float(np.linalg.norm(mean))
-        if norm < 1e-12:
-            excluded.append(identity_id)
-            continue
-        ids.append(identity_id)
-        rows.append(mean / norm)
-    if not ids:
+    """Fuse each identity, in sorted identity order, to its re-normalized mean.
+
+    An identity whose mean has a norm below 1e-12 is excluded. Each mean
+    has the bits of ``vectors[positions].astype(float64).mean(axis=0)``
+    and each norm those of ``np.linalg.norm``, with whole-matrix steps
+    and no float64 copy of the gallery:
+
+    * For ``D >= 2`` that ``mean`` adds an identity's rows one at a time,
+      in position order. So step ``j`` here adds the ``j``-th row of every
+      identity that has one to its float64 sum, which is that order.
+      ``np.add.reduceat`` is not: per column it adds the first row to the
+      pairwise sum of the others, and on ``[1, 2**-53, 2**-53]`` it gives
+      ``1 + 2**-52`` where the loop gives ``1``.
+    * For ``D == 1`` that ``mean`` sums pairwise, but every unit row is
+      ``±(1 ± 1e-5)``, a multiple of ``2**-24``, so every partial sum is
+      exact and every order gives the same bits.
+    * Dividing by the count is the last step of ``mean`` too, and
+      :func:`rankgate.store._row_dots` runs the ``ddot`` of ``np.linalg.norm``.
+    """
+    ids = sorted(gallery.identity_map)
+    groups = [gallery.identity_map[identity_id] for identity_id in ids]
+    counts = np.array([len(g) for g in groups])
+    order = np.concatenate(groups)
+    starts = np.cumsum(counts) - counts
+    sums = gallery.vectors[order[starts]].astype(np.float64)
+    for j in range(1, int(counts.max())):
+        has = np.flatnonzero(counts > j)
+        sums[has] += gallery.vectors[order[starts[has] + j]]
+    means = sums / counts[:, None]
+    norms = np.sqrt(_row_dots(means))
+    zero = norms < 1e-12
+    if zero.all():
         raise ValueError("every identity fused to a zero vector")
-    return FusedGallery(ids, np.stack(rows), excluded)
+    keep = ~zero
+    return FusedGallery(
+        list(compress(ids, keep)), means[keep] / norms[keep, None], list(compress(ids, zero))
+    )
 
 
 def fused_scores(

@@ -24,13 +24,26 @@ Two interchangeable on-disk formats:
   count cannot fit in the bytes that follow is refused before any buffer
   is sized from it.
 * CSV: header ``identity_id,image_id,group,capture_index,v0,...,v{d-1}``,
-  one record per row, components printed with full round-trip precision.
+  one record per row. The four leading fields go through ``csv.writer``
+  (quoted where needed); each component is printed as ``'%.9g' % x``.
+  Nine significant digits identify every float32 uniquely, so the file
+  holds exactly the stored bits. The reader rounds ``float(field)`` to
+  float32, as the binary format holds it: a finite value past float32's
+  range is refused, naming its line, and a magnitude below half the
+  smallest subnormal (about 7e-46) becomes 0. The printed decimal, and
+  its float64 parse, lie within 5.1e-9 (relative) of the float32 printed,
+  well inside its half-ulp (at least 2.9e-8), so a written row parses
+  back to its own bits, and the CSV reader hands :func:`unit_rows` what
+  the binary reader does.
 
 Vectors are normalized exactly once, at ingest, so downstream search can
 treat dot products as cosine similarities. Normalization iterates
 ``x -> f32(x / ||x||)`` with the norm accumulated in f64 until the f32 bits
 stop changing (at most 8 times); stored vectors are therefore fixed points
-of the map and a written store re-ingests bit-equal.
+of the map and a written store re-ingests bit-equal. The exception is a
+row still moving after 8 steps, such as one whose small component gains an
+ulp per step while its norm stays short of 1: it moves again on every
+ingest.
 
 :func:`unit_rows` normalizes a whole matrix ``BLOCK_ROWS`` (256) rows at a
 time: it copies a block to float64, divides, and iterates again only the
@@ -50,6 +63,7 @@ import csv
 import math
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -255,15 +269,18 @@ def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
                 fh.write(struct.pack("<I", capture))
                 fh.write(vector)
     elif format == "csv":
+        # writerow returns what its target's write returns: here the quoted
+        # fields and the "\r\n" that ends them. A formatted float never
+        # needs quoting, so the components go in one % format.
+        quote = csv.writer(SimpleNamespace(write=str)).writerow
+        line = "%s," + ",".join(["%.9g"] * store.dimension) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = list(_CSV_META_COLUMNS) + [
-                f"v{i}" for i in range(store.dimension)
-            ]
-            writer.writerow(header)
-            # csv formats a float with repr, so each row's floats go in as is.
-            for (identity_id, image_id, group, capture), vector in zip(rows, store.vectors):
-                writer.writerow([identity_id, image_id, group, capture, *vector.tolist()])
+            fh.write(quote([*_CSV_META_COLUMNS, *(f"v{i}" for i in range(store.dimension))]))
+            for start in range(0, len(store), BLOCK_ROWS):
+                block = store.vectors[start : start + BLOCK_ROWS].tolist()
+                # The block goes first, so zip stops without taking a row's fields.
+                for vector, fields in zip(block, rows):
+                    fh.write(line % (quote(fields)[:-2], *vector))
     else:
         raise ValueError(f"unknown store format {format!r}")
 
@@ -342,8 +359,9 @@ def _ingest_csv(path: Path) -> EmbeddingStore:
         if header[4:] != expected:
             raise StoreFormatError("CSV vector columns must be v0..v{d-1} in order")
         identity_ids, image_ids, groups, capture = [], [], [], []
-        # Rows are parsed into one float64 block and normalized a block at
-        # a time; ``lines`` holds the line number of each row in the block.
+        # Rows are parsed into one float64 block, then rounded to float32
+        # and normalized a block at a time; ``lines`` holds the line number
+        # of each row in the block.
         block = np.empty((BLOCK_ROWS, dimension))
         lines, blocks = [], []
         for lineno, row in enumerate(rows, start=2):
@@ -370,9 +388,19 @@ def _ingest_csv(path: Path) -> EmbeddingStore:
     return EmbeddingStore(identity_ids, image_ids, groups, capture, matrix)
 
 
-def _unit_lines(block: np.ndarray, lines: list) -> np.ndarray:
-    """:func:`unit_rows` of CSV rows; an error names the row's line."""
+def _unit_lines(parsed: np.ndarray, lines: list) -> np.ndarray:
+    """:func:`unit_rows` of CSV rows parsed as float64, each component
+    rounded to float32 first; an error names the row's line."""
+    with np.errstate(over="ignore"):  # a finite value past float32, refused below
+        block = parsed.astype(np.float32)
     try:
         return unit_rows(block)
     except RowError as exc:
+        source, rounded = parsed[exc.row], block[exc.row]
+        if np.isfinite(source).all() and np.isinf(rounded).any():
+            column = int(np.isinf(rounded).argmax())
+            raise ValueError(
+                f"line {lines[exc.row]}: v{column} = {float(source[column])!r} "
+                f"is outside the float32 range"
+            ) from None
         raise ValueError(f"line {lines[exc.row]}: {exc}") from None

@@ -287,3 +287,20 @@ def oracle_fused_scores(rows, probe):
             continue
         out[ident] = float(np.dot(mean / norm, probe))
     return out
+
+
+def oracle_fuse_gallery(gallery):
+    """``(identity_ids, matrix, excluded)`` of a gallery fused one identity
+    at a time: the loop ``baselines.fuse_gallery`` ran before it worked on
+    whole matrices, kept as written."""
+    ids, rows, excluded = [], [], []
+    for identity_id in sorted(gallery.identity_map):
+        positions = gallery.identity_map[identity_id]
+        mean = gallery.vectors[positions].astype(np.float64).mean(axis=0)
+        norm = float(np.linalg.norm(mean))
+        if norm < 1e-12:
+            excluded.append(identity_id)
+            continue
+        ids.append(identity_id)
+        rows.append(mean / norm)
+    return ids, np.stack(rows), excluded

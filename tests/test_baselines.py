@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_centroid, oracle_fused_scores, oracle_threshold
+from oracles import (
+    oracle_centroid,
+    oracle_fuse_gallery,
+    oracle_fused_scores,
+    oracle_threshold,
+)
 from rankgate.baselines import (
     CentroidModel,
     ThresholdModel,
@@ -277,6 +282,46 @@ class TestFusion:
         ]
         with pytest.raises(ValueError, match="zero vector"):
             fuse_gallery(gallery_of(rows)[1])
+
+    def test_matrix_bits_match_per_identity_loop(self):
+        """Centroid bits and exclusions equal the per-identity loop's. Each
+        identity holds 1 to 12 rows at scattered gallery positions, ``anti``
+        holds two antipodal rows and is excluded (at ``dim`` 1 others may
+        cancel too), and components span
+        magnitudes 2**-60 to 1, so the float64 sums round and any other
+        summation order would change bits."""
+        rng = np.random.default_rng(12)
+        for dim in (1, 2, 3, 16):
+            for _ in range(8):
+                rows = []
+                for i in range(10):
+                    for j in range(int(rng.integers(1, 13))):
+                        scale = 2.0 ** rng.integers(-60, 1, dim)
+                        vector = rng.standard_normal(dim) * scale
+                        rows.append(make_row(f"id{i}", f"im{j:02d}", vector=vector))
+                anti = unit_f32(rng.standard_normal(dim))
+                rows += [make_row("anti", "a", vector=anti), make_row("anti", "b", vector=-anti)]
+                _store, gallery = gallery_of([rows[k] for k in rng.permutation(len(rows))])
+                fused = fuse_gallery(gallery)
+                ids, matrix, excluded = oracle_fuse_gallery(gallery)
+                assert fused.identity_ids == ids
+                assert fused.excluded == excluded and "anti" in excluded
+                assert fused.matrix.tobytes() == matrix.tobytes()
+
+    def test_sums_add_rows_in_position_order(self):
+        """Column 0 sums ``1 + 2**-53 + 2**-53`` to 1 in position order, and
+        to ``1 + 2**-52`` when the two small terms go first, as
+        ``np.add.reduceat`` adds them; the centroid's bits tell the two apart."""
+        small = 2.0**-53
+        rows = [
+            make_row("a", "i0", vector=[1.0, 0.0]),
+            make_row("a", "i1", vector=[small, 1.0]),
+            make_row("a", "i2", vector=[small, 1.0]),
+        ]
+        gallery = gallery_of(rows)[1]
+        expected = np.array([1.0, 2.0]) / 3
+        expected /= np.linalg.norm(expected)
+        assert fuse_gallery(gallery).matrix.tobytes() == expected[None].tobytes()
 
     def test_matches_per_identity_oracle(self):
         rng = np.random.default_rng(6)

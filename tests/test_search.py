@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_rank_vector, oracle_search_order
@@ -277,13 +277,17 @@ class TestScreen:
         flat=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # Every identity's two rows are +1 and -1: nothing can be fused.
+    @example(dim=1, n_rows=8, sigma=0.0, tiny=True, flat=True, seed=8)
     def test_within_tolerance_row_by_row(self, dim, n_rows, sigma, tiny, flat, seed):
         """``|screen − similarities| <= screen_tolerance`` on every row, for
         a gallery's float32 rows and a fused gallery's float64 centroids, with
         degraded, re-normalized float64 probes. With ``tiny``, components of
         rows and probes lie below the float32 normal range; with ``flat``,
         rows are nearly constant, so every product has the same sign and
-        the float32 rounding errors pile up instead of cancelling."""
+        the float32 rounding errors pile up instead of cancelling. Where
+        every identity's rows cancel, which ``dim`` 1 allows, no centroid
+        exists and only the gallery is checked."""
         rng = np.random.default_rng(seed)
 
         def shrink(v):
@@ -305,9 +309,16 @@ class TestScreen:
             probe = degrade_probe(store.vectors[row], sigma, rng)
             probes.append(l2_normalize(shrink(probe)) if tiny else probe)
         probes = np.stack(probes)
-        fused = fuse_gallery(gallery)
-        for index, matrix in ((gallery, gallery.vectors.astype(np.float64)),
-                              (fused, fused.matrix)):
+        indexes = [(gallery, gallery.vectors.astype(np.float64))]
+        norms = [np.linalg.norm(gallery.vectors[positions].astype(np.float64).mean(0))
+                 for positions in gallery.identity_map.values()]
+        if max(norms) >= 1e-12:
+            fused = fuse_gallery(gallery)
+            indexes.append((fused, fused.matrix))
+        else:
+            with pytest.raises(ValueError, match="every identity fused to a zero vector"):
+                fuse_gallery(gallery)
+        for index, matrix in indexes:
             screened = screen(index, probes).astype(np.float64)
             bound = screen_tolerance(index, probes)
             for probe, row, delta in zip(probes, screened, bound):

@@ -1,4 +1,8 @@
+import csv
+import io
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -375,15 +379,124 @@ class TestFormats:
         write_store(ingest(tmp_path / "a.csv", "csv"), tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
-    def test_csv_components_are_float_repr(self, store, tmp_path):
+    def test_csv_is_csv_writer_over_nine_digits(self, tmp_path):
+        """The file is ``csv.writer`` over the four leading fields and each
+        component as ``'%.9g' % x``, byte for byte, with ids that need
+        quoting: a comma, a double quote, embedded newlines, a leading space."""
+        rng = np.random.default_rng(5)
+        names = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r\nlf", " lead", ""]
+        rows = [
+            make_row(ident, image, dim=16, vector=rng.standard_normal(16), group=group)
+            for ident, image, group in zip(names, reversed(names), ["g", "x,y", *names[2:]])
+        ]
+        store = store_of(rows)
         path = tmp_path / "store.csv"
         write_store(store, path, "csv")
-        lines = path.read_text().splitlines()
-        assert len(lines) == len(store) + 1
-        for line, vector, capture in zip(lines[1:], store.vectors, store.capture_index):
-            fields = line.split(",")
-            assert fields[3] == str(int(capture))
-            assert fields[4:] == [repr(float(x)) for x in vector]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(
+            ["identity_id", "image_id", "group", "capture_index", *(f"v{i}" for i in range(16))]
+        )
+        for i in range(len(store)):
+            writer.writerow(
+                [store.identity_ids[i], store.image_ids[i], store.groups[i],
+                 int(store.capture_index[i]), *("%.9g" % x for x in store.vectors[i].tolist())]
+            )
+        assert path.read_bytes() == expected.getvalue().encode()
+        loaded = ingest(path, "csv")
+        assert keys(loaded) == keys(store) and loaded.groups == store.groups
+        assert loaded.vectors.tobytes() == store.vectors.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip_adversarial_float32(self, tmp_path_factory, data):
+        """binary -> CSV -> binary gives the bytes of binary -> binary ->
+        binary on unit rows built from float32 subnormals, -0.0 and
+        neighbours of powers of two, D = 1 too: the CSV hands ``unit_rows``
+        the bits the binary file does. Where the rows are fixed points of
+        ``unit_rows`` (nearly always), those are the first file's bytes. A
+        row whose small component still creeps an ulp per step after
+        ``unit_rows``' 8 steps moves on every ingest, in either format."""
+        dim = data.draw(st.integers(1, 9), label="dim")
+        n = data.draw(st.integers(1, 6), label="n")
+        powers = [2.0**k for k in range(-126, 2)]
+        special = st.sampled_from(
+            [0.0, -0.0, 2.0**-149, 2.0**-126, 1.0, float(np.nextafter(np.float32(1), 0))]
+            + [float(np.nextafter(np.float32(p), np.float32(t))) for p in powers for t in (0, 4)]
+            + powers
+        )
+        component = st.one_of(
+            special,
+            special.map(lambda x: -x),
+            st.floats(-1.0, 1.0, width=32),
+            st.integers(1, 2**23 - 1).map(lambda k: k * 2.0**-149),  # subnormals
+        )
+        raw = np.array(
+            data.draw(st.lists(st.lists(component, min_size=dim, max_size=dim),
+                               min_size=n, max_size=n)),
+            dtype=np.float32,
+        )
+        # A dominant component keeps every row normalizable.
+        raw[np.arange(n), data.draw(st.integers(0, dim - 1), label="lead")] = data.draw(
+            st.sampled_from([1.0, float(np.nextafter(np.float32(1), 0)), 0.75]), label="big"
+        )
+        rows = [make_row(f"id{i}", "x", vector=v) for i, v in enumerate(unit_rows(raw))]
+        store = store_of(rows)
+        tmp = tmp_path_factory.mktemp("rt")
+        write_store(store, tmp / "a.bin")
+        write_store(ingest(tmp / "a.bin"), tmp / "a.csv", "csv")
+        write_store(ingest(tmp / "a.csv", "csv"), tmp / "b.bin")
+        write_store(ingest(tmp / "a.bin"), tmp / "a2.bin")
+        write_store(ingest(tmp / "a2.bin"), tmp / "c.bin")
+        assert (tmp / "b.bin").read_bytes() == (tmp / "c.bin").read_bytes()
+        bits = store.vectors.view(np.uint32)
+        if (unit_rows(store.vectors).view(np.uint32) == bits).all():
+            assert (tmp / "b.bin").read_bytes() == (tmp / "a.bin").read_bytes()
+
+    def test_csv_parse_rounds_each_float_to_float32(self, tmp_path):
+        """A row of 17-digit components is stored as ``unit_rows`` of each
+        ``float(field)`` rounded to float32."""
+        rng = np.random.default_rng(17)
+        lines = [[repr(float(x)) for x in rng.standard_normal(24) * 1e-3] for _ in range(3)]
+        lines[1][0] = repr(1 + 2.0**-24 + 2.0**-40)  # rounds up to 1 + 2**-23
+        path = tmp_path / "long.csv"
+        path.write_text(
+            "identity_id,image_id,group,capture_index,"
+            + ",".join(f"v{i}" for i in range(24)) + "\n"
+            + "".join(f"p{i},a,g,1," + ",".join(f) + "\n" for i, f in enumerate(lines))
+        )
+        store = ingest(path, "csv")
+        for vector, fields in zip(store.vectors, lines):
+            expected = unit_rows(np.float32([float(s) for s in fields])[None])[0]
+            assert vector.tobytes() == expected.tobytes()
+
+    def test_csv_component_past_float32_range_rejected(self, tmp_path):
+        """A finite value that rounds to float32 infinity is refused, naming
+        its line and column, with no warning; an inf literal stays a
+        non-finite component."""
+        path = tmp_path / "big.csv"
+        header = "identity_id,image_id,group,capture_index,v0,v1\n"
+        for value, message in (("3.5e38", "v1 = 3.5e+38 is outside the float32 range"),
+                               ("-1e300", "v1 = -1e+300 is outside the float32 range"),
+                               ("inf", "vector has non-finite components")):
+            path.write_text(header + "p,a,g,1,1.0,0.5\n" + f"q,a,g,1,1.0,{value}\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^line 3: {re.escape(message)}$"):
+                    ingest(path, "csv")
+
+    def test_csv_components_below_float32_subnormals_round_to_zero(self, tmp_path):
+        """Magnitudes under half the smallest subnormal become 0; a row of
+        them is a zero vector. The smallest subnormal itself survives."""
+        path = tmp_path / "tiny.csv"
+        header = "identity_id,image_id,group,capture_index,v0,v1\n"
+        path.write_text(header + "p,a,g,1,1e-46,-1e-50\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^line 2: cannot normalize a zero vector$"):
+                ingest(path, "csv")
+        path.write_text(header + "p,a,g,1,1e-45,0\n")
+        assert ingest(path, "csv").vectors.tolist() == [[1.0, 0.0]]
 
     def test_csv_bad_vector_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
