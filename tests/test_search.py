@@ -16,7 +16,7 @@ from rankgate.search import (
     search,
     similarities,
 )
-from rankgate.store import l2_normalize, unit_f32
+from rankgate.store import l2_normalize, unit_rows
 from rankgate.synth import degrade_probe
 
 from conftest import gallery_of, make_row, pairs, store_of
@@ -46,7 +46,7 @@ def random_gallery(rng, n_records, dim, n_identities=None, duplicate_every=0):
         if duplicate_every and vectors and i % duplicate_every == 0:
             vec = vectors[rng.integers(0, len(vectors))].copy()
         else:
-            vec = unit_f32(rng.standard_normal(dim))
+            vec = unit_rows(rng.standard_normal(dim)[None])[0]
         vectors.append(vec)
         rows.append(
             make_row(
@@ -147,7 +147,7 @@ class TestSearch:
         for _ in range(10):
             rows = random_gallery(rng, int(rng.integers(5, 120)), dim)
             store, gallery = gallery_of(rows)
-            probe = unit_f32(rng.standard_normal(dim)).astype(np.float64)
+            probe = unit_rows(rng.standard_normal(dim)[None])[0].astype(np.float64)
             result = search(gallery, probe)
             assert ranked_keys(store, gallery, result) == oracle_search_order(
                 pairs(rows), probe
@@ -159,7 +159,7 @@ class TestSearch:
         for _ in range(10):
             rows = random_gallery(rng, 60, 8, duplicate_every=3)
             store, gallery = gallery_of(rows)
-            probe = unit_f32(rng.standard_normal(8)).astype(np.float64)
+            probe = unit_rows(rng.standard_normal(8)[None])[0].astype(np.float64)
             result = search(gallery, probe)
             assert ranked_keys(store, gallery, result) == oracle_search_order(
                 pairs(rows), probe
@@ -170,7 +170,7 @@ class TestSearch:
         gallery lists its rows in changes a ranking."""
         rng = np.random.default_rng(17)
         rows = random_gallery(rng, 50, 16, duplicate_every=4)
-        probe = unit_f32(rng.standard_normal(16)).astype(np.float64)
+        probe = unit_rows(rng.standard_normal(16)[None])[0].astype(np.float64)
         store, gallery = gallery_of(rows)
         baseline = ranked_keys(store, gallery, search(gallery, probe))
         for _ in range(5):
@@ -182,7 +182,7 @@ class TestSearch:
         """Exact ties between identities ``"a"`` and ``"a\\x00"`` (a binary
         store can hold both) break in Python ``(identity_id, image_id)``
         order, whichever order the store was built from."""
-        vec = unit_f32(np.array([3.0, 4.0, 0.0, 0.0]))
+        vec = unit_rows(np.array([3.0, 4.0, 0.0, 0.0])[None])[0]
         rows = [
             make_row(ident, image, vector=vec)
             for ident in ("a", "a\x00")
@@ -200,14 +200,16 @@ class TestSearch:
         rows = random_gallery(rng, 100, 8)
         _store, gallery = gallery_of(rows)
         for _ in range(10):
-            result = search(gallery, unit_f32(rng.standard_normal(8)).astype(np.float64))
+            probe = unit_rows(rng.standard_normal(8)[None])[0].astype(np.float64)
+            result = search(gallery, probe)
             assert np.all(result.similarities <= 1 + 1e-6)
             assert np.all(result.similarities >= -1 - 1e-6)
 
     def test_similarities_sorted_descending(self):
         rng = np.random.default_rng(31)
         _store, gallery = gallery_of(random_gallery(rng, 80, 16))
-        result = search(gallery, unit_f32(rng.standard_normal(16)).astype(np.float64))
+        probe = unit_rows(rng.standard_normal(16)[None])[0].astype(np.float64)
+        result = search(gallery, probe)
         assert np.all(np.diff(result.similarities) <= 0)
 
     def test_probe_dimension_checked(self):
@@ -339,7 +341,7 @@ class TestExtractRankVector:
             rows = [row for row in rows if sizes[row[0]] > 2]
             _store, gallery = gallery_of(rows)
             b = int(rng.integers(2, 12))
-            probes = np.stack([unit_f32(rng.standard_normal(8)) for _ in range(b)])
+            probes = np.stack([unit_rows(rng.standard_normal(8)[None])[0] for _ in range(b)])
             probes = probes.astype(np.float64)
             identities = sorted(gallery.identity_map)
             screened = screen(gallery, probes)
@@ -356,7 +358,7 @@ class TestExtractRankVector:
                 one = counted(gallery, probe, 2, out)
                 assert found == one
                 assert found[2].hex() == one[2].hex()
-            solo = unit_f32(rng.standard_normal(8)).astype(np.float64)
+            solo = unit_rows(rng.standard_normal(8)[None])[0].astype(np.float64)
             rows.append(make_row("solo", "im0", vector=solo))
             _store, gallery = gallery_of(rows)
             probes[b // 2] = solo
@@ -385,7 +387,7 @@ class TestExtractRankVector:
                 rng, 50, 16, n_identities=8, duplicate_every=3 if case % 2 else 0
             )
             _store, gallery = gallery_of(rows)
-            probe = unit_f32(rng.standard_normal(16)).astype(np.float64)
+            probe = unit_rows(rng.standard_normal(16)[None])[0].astype(np.float64)
             identities = sorted(gallery.identity_map)
             for drop in (None, identities[int(rng.integers(0, len(identities)))]):
                 kept = [r for r in rows if r[0] != drop]

@@ -6,19 +6,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_norm, oracle_l2_normalize, oracle_unit_f32
 from rankgate import store as store_module
 from rankgate.store import (
     BLOCK_ROWS,
+    NORM_TOLERANCE,
     EmbeddingStore,
     RowError,
     StoreFormatError,
     ingest,
     l2_normalize,
-    unit_f32,
+    norm_window,
     unit_rows,
     write_store,
 )
@@ -29,6 +30,20 @@ from conftest import make_row, store_of
 
 def keys(store):
     return list(zip(store.identity_ids, store.image_ids))
+
+
+def assert_reingests_byte_equal(store, tmp):
+    """binary -> binary and binary -> CSV -> binary give the first binary
+    file's bytes, and CSV -> CSV the first CSV file's."""
+    write_store(store, tmp / "a.bin")
+    write_store(ingest(tmp / "a.bin"), tmp / "b.bin")
+    write_store(ingest(tmp / "a.bin"), tmp / "a.csv", "csv")
+    write_store(ingest(tmp / "a.csv", "csv"), tmp / "c.bin")
+    write_store(ingest(tmp / "a.csv", "csv"), tmp / "b.csv", "csv")
+    first = (tmp / "a.bin").read_bytes()
+    assert (tmp / "b.bin").read_bytes() == first
+    assert (tmp / "c.bin").read_bytes() == first
+    assert (tmp / "b.csv").read_bytes() == (tmp / "a.csv").read_bytes()
 
 
 class TestL2Normalize:
@@ -72,18 +87,6 @@ class TestL2Normalize:
         assert abs(naive_norm(l2_normalize(xs)) - 1.0) < 1e-6
 
 
-class TestUnitF32:
-    def test_fixed_point_of_renormalization(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            v = unit_f32(rng.standard_normal(16))
-            again = unit_f32(v.astype(np.float64))
-            assert v.tobytes() == again.tobytes()
-
-    def test_dtype(self):
-        assert unit_f32([3.0, 4.0]).dtype == np.float32
-
-
 def oracle_matrix(rows, dimension):
     """The per-row oracle over every row, as one float32 matrix."""
     return np.array([oracle_unit_f32(r) for r in rows], dtype=np.float32).reshape(
@@ -122,16 +125,23 @@ class TestUnitRows:
         assert got.tobytes() == oracle_matrix(rows, 64).tobytes()
         assert unit_rows(np.asfortranarray(rows)).tobytes() == got.tobytes()
 
-    def test_rows_needing_several_iterations(self):
-        """Rows that move on the second pass sit in one block with rows that
-        settle at once; each keeps iterating only as long as its own bits do."""
+    def test_rows_that_moved_twice_reingest_bit_equal(self, tmp_path):
+        """The D = 8 rows whose normalization moved again on a second step,
+        in one block with rows that settled at once: one call gives the
+        oracle's bits, and a second call, a binary round trip and a CSV
+        round trip keep them."""
         rng = np.random.default_rng(17)
         rows = rng.standard_normal((3000, 8))
         slow = np.array([moves_twice(r) for r in rows])
         assert slow.sum() >= 10 and (~slow).sum() >= 10
         mixed = np.concatenate([rows[slow][:150], rows[~slow][:150]])
         rng.shuffle(mixed)
-        assert unit_rows(mixed).tobytes() == oracle_matrix(mixed, 8).tobytes()
+        once = unit_rows(mixed)
+        assert once.tobytes() == oracle_matrix(mixed, 8).tobytes()
+        assert unit_rows(once).tobytes() == once.tobytes()
+        store = store_of([make_row(f"r{i:03d}", "x", vector=v) for i, v in enumerate(once)])
+        assert store.vectors.tobytes() == once.tobytes()
+        assert_reingests_byte_equal(store, tmp_path)
 
     @pytest.mark.parametrize("dimension", [1, 2, 3, 7, 8, 16, 31, 64, 65, 128, 512])
     def test_stacked_product_is_dot(self, dimension):
@@ -142,13 +152,44 @@ class TestUnitRows:
         got = store_module._row_dots(rows)
         assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
-    def test_unit_f32_is_one_row_call(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            v = rng.standard_normal(16) * 1e3
-            assert unit_f32(v).tobytes() == oracle_unit_f32(v).tobytes()
-        with pytest.raises(ValueError, match="1-d"):
-            unit_f32(np.ones((2, 2)))
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_idempotent_on_own_output(self, data):
+        """A second call keeps every row of the first, bit for bit, and each
+        row has the oracle's bits and a float64 norm within the window: on
+        float32 and float64 rows with subnormal components, ±0.0, values
+        past float32's range, tiny rows and D = 1."""
+        dim = data.draw(st.integers(1, 12), label="dim")
+        n = data.draw(st.integers(1, 5), label="n")
+        wide = data.draw(st.booleans(), label="float64")
+        component = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.75, 2.0**-149, 2.0**-126, 2.0**-1074]),
+            st.floats(-1.0, 1.0, width=32),
+            st.floats(width=32, allow_nan=False, allow_infinity=False),
+            st.integers(-(2**23) + 1, 2**23 - 1).map(lambda k: k * 2.0**-149),
+            st.integers(-(2**52) + 1, 2**52 - 1).map(lambda k: k * 2.0**-1074),
+            st.floats(-1e150, 1e150) if wide else st.nothing(),
+        )
+        rows = np.array(
+            data.draw(st.lists(st.lists(component, min_size=dim, max_size=dim),
+                               min_size=n, max_size=n)),
+            dtype=np.float64 if wide else np.float32,
+        )
+        assume((rows != 0).any(axis=1).all())
+        once = unit_rows(rows)
+        assert once.dtype == np.float32 and once.shape == rows.shape
+        assert unit_rows(once).tobytes() == once.tobytes()
+        assert once.tobytes() == oracle_matrix(rows.astype(np.float64), dim).tobytes()
+        norms = np.sqrt([np.dot(w, w) for w in once.astype(np.float64)])
+        assert (np.abs(norms - 1.0) <= norm_window(dim)).all()
+
+    def test_norm_window(self):
+        """The window grows with D and stays far inside the store's norm
+        tolerance for every dimension the binary format can hold."""
+        assert norm_window(1) == pytest.approx(1.01 * 2.0**-24)
+        assert norm_window(64) == pytest.approx(6.02e-8, rel=1e-3)
+        widest = norm_window(2**32 - 1)
+        assert norm_window(2**20) < widest < 5.5e-7 < NORM_TOLERANCE / 18
 
     def test_first_bad_row_is_reported(self):
         rows = np.ones((2 * BLOCK_ROWS, 4))
@@ -199,7 +240,7 @@ class TestEmbeddingStore:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            EmbeddingStore(["a"], ["i1"], ["g"], [1], unit_f32(np.ones(4)))
+            EmbeddingStore(["a"], ["i1"], ["g"], [1], unit_rows(np.ones((1, 4)))[0])
         with pytest.raises(ValueError, match="dimension"):
             EmbeddingStore([], [], [], [], np.zeros((0, 0)))
 
@@ -207,12 +248,12 @@ class TestEmbeddingStore:
         with pytest.raises(ValueError, match="dimension"):
             EmbeddingStore(
                 ["a", "b"], ["i1", "i1"], ["g", "g"], [1, 1],
-                [unit_f32(np.ones(8)), unit_f32(np.ones(16))],
+                [unit_rows(np.ones((1, 8)))[0], unit_rows(np.ones((1, 16)))[0]],
             )
 
     def test_column_lengths_must_agree(self):
         with pytest.raises(ValueError, match="differ in length"):
-            EmbeddingStore(["a", "b"], ["i1"], ["g"], [1], unit_f32(np.ones(4))[None])
+            EmbeddingStore(["a", "b"], ["i1"], ["g"], [1], unit_rows(np.ones((1, 4))))
 
     def test_norm_validated(self):
         bad = np.full(4, 0.5, dtype=np.float32) * 1.1
@@ -410,13 +451,11 @@ class TestFormats:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_round_trip_adversarial_float32(self, tmp_path_factory, data):
-        """binary -> CSV -> binary gives the bytes of binary -> binary ->
-        binary on unit rows built from float32 subnormals, -0.0 and
-        neighbours of powers of two, D = 1 too: the CSV hands ``unit_rows``
-        the bits the binary file does. Where the rows are fixed points of
-        ``unit_rows`` (nearly always), those are the first file's bytes. A
-        row whose small component still creeps an ulp per step after
-        ``unit_rows``' 8 steps moves on every ingest, in either format."""
+        """binary -> CSV -> binary and binary -> binary -> binary give the
+        first file's bytes on unit rows built from float32 subnormals, -0.0
+        and neighbours of powers of two, D = 1 too: the CSV hands
+        ``unit_rows`` the bits the binary file does, and ``unit_rows`` keeps
+        every row it returned."""
         dim = data.draw(st.integers(1, 9), label="dim")
         n = data.draw(st.integers(1, 6), label="n")
         powers = [2.0**k for k in range(-126, 2)]
@@ -449,9 +488,43 @@ class TestFormats:
         write_store(ingest(tmp / "a.bin"), tmp / "a2.bin")
         write_store(ingest(tmp / "a2.bin"), tmp / "c.bin")
         assert (tmp / "b.bin").read_bytes() == (tmp / "c.bin").read_bytes()
-        bits = store.vectors.view(np.uint32)
-        if (unit_rows(store.vectors).view(np.uint32) == bits).all():
-            assert (tmp / "b.bin").read_bytes() == (tmp / "a.bin").read_bytes()
+        assert (tmp / "b.bin").read_bytes() == (tmp / "a.bin").read_bytes()
+
+    # Bits the 8-step fixed-point loop that unit_rows once ran stored for
+    # rows it left moving: the normalized row [0.75, 2.3509886e-38,
+    # 0.92240709], whose second component gained 9 ulps per call, and the
+    # 10 of 10000 D = 3 synth rows (2000 x 5, sigma 0.08, seed 1) that moved
+    # again on re-ingest.
+    LEFT_MOVING = [
+        [1059160214, 14112293, 1061593272],
+        [1029933206, 1059275872, 3208948370], [3143776865, 1059402759, 3208875768],
+        [1062157654, 1006387103, 3205908353], [1012763698, 1060133038, 1060735704],
+        [1058660877, 1029252584, 1061954309], [920289414, 3207634619, 3208204400],
+        [3208621013, 3178534140, 3207135904], [3209125622, 1059049898, 1031438384],
+        [1014897518, 1061520866, 1059245475], [997470495, 1059586627, 3208718129],
+    ]
+
+    def test_rows_left_moving_reingest_byte_equal(self, tmp_path):
+        """The rows the fixed-point loop left moving, and the one-step
+        normalization of the creeping row, are kept bit for bit by
+        ``unit_rows`` and by both round trips."""
+        creeping = unit_rows(np.float32([[0.75, 2.3509886e-38, 0.92240709]]))
+        moving = np.array(self.LEFT_MOVING, dtype=np.uint32).view(np.float32)
+        rows = np.concatenate([creeping, moving])
+        assert unit_rows(rows).tobytes() == rows.tobytes()
+        store = store_of([make_row(f"r{i:02d}", "x", vector=v) for i, v in enumerate(rows)])
+        assert store.vectors.tobytes() == rows.tobytes()
+        assert_reingests_byte_equal(store, tmp_path)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 8])
+    def test_synth_store_reingests_byte_equal(self, dimension, tmp_path):
+        """write -> ingest -> write keeps the bytes in both formats, at the
+        small dimensions where the fixed-point loop left rows moving."""
+        store = generate(
+            SynthConfig(n_identities=2000, images_per_identity=5, dimension=dimension,
+                        within_noise_sigma=0.08, rng_seed=1)
+        )
+        assert_reingests_byte_equal(store, tmp_path)
 
     def test_csv_parse_rounds_each_float_to_float32(self, tmp_path):
         """A row of 17-digit components is stored as ``unit_rows`` of each
