@@ -87,6 +87,20 @@ class TestL2Normalize:
         assert abs(naive_norm(l2_normalize(xs)) - 1.0) < 1e-6
 
 
+class TestUnitF32:
+    """``unit_rows(v[None])[0]``, the one-row call that replaced ``unit_f32``."""
+
+    def test_fixed_point_of_renormalization(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            v = unit_rows(rng.standard_normal(16)[None])[0]
+            again = unit_rows(v.astype(np.float64)[None])[0]
+            assert v.tobytes() == again.tobytes()
+
+    def test_dtype(self):
+        assert unit_rows(np.array([[3.0, 4.0]]))[0].dtype == np.float32
+
+
 def oracle_matrix(rows, dimension):
     """The per-row oracle over every row, as one float32 matrix."""
     return np.array([oracle_unit_f32(r) for r in rows], dtype=np.float32).reshape(
@@ -190,6 +204,18 @@ class TestUnitRows:
         assert norm_window(64) == pytest.approx(6.02e-8, rel=1e-3)
         widest = norm_window(2**32 - 1)
         assert norm_window(2**20) < widest < 5.5e-7 < NORM_TOLERANCE / 18
+
+    def test_unit_f32_is_one_row_call(self):
+        """A one-row call gives the oracle's bits and the bits that row gets
+        in a stacked call; a 1-d vector must be passed as ``v[None]``."""
+        rng = np.random.default_rng(23)
+        rows = rng.standard_normal((50, 16)) * 1e3
+        stacked = unit_rows(rows)
+        for v, w in zip(rows, stacked):
+            assert unit_rows(v[None])[0].tobytes() == oracle_unit_f32(v).tobytes()
+            assert unit_rows(v[None])[0].tobytes() == w.tobytes()
+        with pytest.raises(ValueError, match="matrix"):
+            unit_rows(rows[0])
 
     def test_first_bad_row_is_reported(self):
         rows = np.ones((2 * BLOCK_ROWS, 4))
