@@ -132,11 +132,7 @@ def cmd_baseline(args) -> int:
         samples = curation.load_samples_csv(args.samples)
         model = baselines.fit_centroid(samples, args.kind)
         baselines.centroid_to_json(model, args.out)
-        correct = sum(
-            1
-            for s in samples
-            if baselines.centroid_classify(model, s.ranks) == s.label
-        )
+        correct = sum(baselines.centroid_classify(model, s.ranks) == s.label for s in samples)
         print(
             f"{args.kind} centers fit on {len(samples)} samples "
             f"(training accuracy {correct / len(samples):.3f}) -> {args.out}"
@@ -144,11 +140,7 @@ def cmd_baseline(args) -> int:
     else:
         if args.scores is None:
             raise ValueError("--scores is required for the threshold baseline")
-        scores = [
-            float(line)
-            for line in Path(args.scores).read_text().split()
-            if line.strip()
-        ]
+        scores = [float(field) for field in Path(args.scores).read_text().split()]
         model = baselines.calibrate_threshold(scores, args.target_fpir)
         baselines.threshold_to_json(model, args.out)
         print(

@@ -94,9 +94,10 @@ def from_dict(cls, payload, what: str, required=()):
     value must have the JSON type of its field's annotation: a list (or the
     tuple ``asdict`` leaves) for a tuple or list, each item checked the same
     way; a bool for a bool; a non-bool integer for an int; any number for a
-    float (``1`` becomes ``1.0``); a string for a str; an object for a dict;
-    and ``null`` only where the field is ``Optional``. So a loaded object
-    equals, and serializes like, the one that was written. A field annotated
+    float (``1`` becomes ``1.0``, and an int past the float range is an
+    error); a string for a str; an object for a dict; and ``null`` only
+    where the field is ``Optional``. So a loaded object equals, and
+    serializes like, the one that was written. A field annotated
     with a dataclass is decoded from its JSON object by these same rules
     (``required`` applies to ``cls`` alone), or takes an instance the caller
     has already built. Raises ValueError prefixed with ``what``, also for a
@@ -169,7 +170,10 @@ def _cast(tp, value):
     accepted = _SCALARS[tp]
     if not isinstance(value, accepted) or (tp is not bool and isinstance(value, bool)):
         raise _Invalid(f"must be {_name(tp)}, got {_name(type(value))}")
-    return float(value) if tp is float else value
+    try:
+        return float(value) if tp is float else value
+    except OverflowError:  # an int past the float range
+        raise _Invalid("must be float, got an int too large for a float") from None
 
 
 def _name(tp) -> str:

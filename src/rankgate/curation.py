@@ -65,7 +65,6 @@ import numpy as np
 from .search import (
     GalleryIndex,
     build_gallery,
-    check_probe,
     extract_rank_vector,
     screen,
     screen_block,
@@ -75,7 +74,7 @@ from .search import (
 # by name, so the name stays bound.
 from .search import search  # noqa: F401
 from .seeds import derive_seed
-from .store import EmbeddingStore, l2_normalize
+from .store import EmbeddingStore, l2_normalize_rows
 
 IN_GALLERY = 1
 OUT_OF_GALLERY = 0
@@ -203,8 +202,10 @@ def curate_detailed(
 
     Emits, per identity in ascending order, the in-gallery sample followed
     by the out-of-gallery sample. The degrade hook, when given, perturbs the
-    probe vector once (then re-normalized) and the same degraded probe is
-    used for both rankings. Probes are screened in blocks of
+    probe's float64 row once, given the identity's ``"degrade"`` generator,
+    and must return a ``(D,)`` vector (another shape is refused, naming the
+    probe); a block's outputs are re-normalized together, and each degraded
+    probe is used for both rankings. Probes are screened in blocks of
     :func:`rankgate.search.screen_block`; see the module docstring.
     """
     selected = select_probes(store, config)
@@ -220,8 +221,10 @@ def curate_detailed(
     for start in range(0, len(selected), block):
         rows = [probe for probe, _pool in selected[start : start + block]]
         probes = probe_vectors[start : start + len(rows)]
-        for i, row in enumerate(rows):
-            probes[i] = check_probe(gallery, _probe_vector(store, row, config, degrade))
+        if degrade is None:
+            probes[:] = store.vectors[rows]
+        else:
+            probes[:] = _degraded_probes(store, rows, config, degrade)
         screened = screen(gallery, probes)
         inside = extract_rank_vector(gallery, probes, screened, config.d_in)
         identities = [store.identity_ids[row] for row in rows]
@@ -252,15 +255,24 @@ def curate_detailed(
     return CurationResult(samples, gallery, probe_vectors)
 
 
-def _probe_vector(
-    store: EmbeddingStore, row: int, config: CurationConfig, degrade: Optional[DegradeFn]
+def _degraded_probes(
+    store: EmbeddingStore, rows: list[int], config: CurationConfig, degrade: DegradeFn
 ) -> np.ndarray:
-    vec = store.vectors[row].astype(np.float64)
-    if degrade is None:
-        return vec
-    seed = derive_seed(config.rng_seed, store.identity_ids[row], "degrade")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return l2_normalize(degrade(vec, rng))
+    """The degrade hook's output for each probe row, normalized in one call."""
+    outputs = []
+    for row in rows:
+        identity_id = store.identity_ids[row]
+        seed = derive_seed(config.rng_seed, identity_id, "degrade")
+        vec = store.vectors[row].astype(np.float64)
+        out = np.asarray(degrade(vec, np.random.Generator(np.random.PCG64(seed))), np.float64)
+        # A block assignment would broadcast a scalar or a length-1 output.
+        if out.shape != vec.shape:
+            raise ValueError(
+                f"degrade hook returned shape {out.shape} for probe {identity_id!r}, "
+                f"expected {vec.shape}"
+            )
+        outputs.append(out)
+    return l2_normalize_rows(np.array(outputs))
 
 
 def stratified_split(

@@ -17,11 +17,14 @@ so re-running a plan yields byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -175,11 +178,9 @@ def load_plan_store(plan: ExperimentPlan) -> EmbeddingStore:
 
 
 def _confusion(pairs: Sequence[tuple[int, int]]) -> tuple[int, int, int, int]:
-    tp = sum(1 for label, pred in pairs if label == 1 and pred == 1)
-    tn = sum(1 for label, pred in pairs if label == 0 and pred == 0)
-    fp = sum(1 for label, pred in pairs if label == 0 and pred == 1)
-    fn = sum(1 for label, pred in pairs if label == 1 and pred == 0)
-    return tp, tn, fp, fn
+    """``(tp, tn, fp, fn)`` of ``(label, prediction)`` pairs."""
+    counts = Counter(pairs)
+    return counts[1, 1], counts[0, 0], counts[0, 1], counts[1, 0]
 
 
 def _top_score_tables(
@@ -295,20 +296,9 @@ def run_cell(
             for s in test_s:
                 pairs.append((s.label, centroid_classify(centroids, s.ranks)))
         tp, tn, fp, fn = _confusion(pairs)
-        rows.append(
-            CellResult(
-                group=group,
-                condition=condition.tag,
-                method=method,
-                seed=seed,
-                accuracy=(tp + tn) / len(pairs),
-                n_test=len(pairs),
-                tp=tp,
-                tn=tn,
-                fp=fp,
-                fn=fn,
-            )
-        )
+        n = len(pairs)
+        accuracy = (tp + tn) / n
+        rows.append(CellResult(group, condition.tag, method, seed, accuracy, n, tp, tn, fp, fn))
     return rows, calibration
 
 
@@ -325,10 +315,7 @@ def run_experiment(
             try:
                 sub = store.filter_by_group(group)
             except ValueError as exc:
-                for condition in plan.conditions:
-                    failures.append(
-                        _failure(group, condition.tag, seed, exc)
-                    )
+                failures += [_failure(group, c.tag, seed, exc) for c in plan.conditions]
                 continue
             carried: Optional[dict[str, ThresholdModel]] = None
             for condition in plan.conditions:
@@ -462,13 +449,14 @@ def emit_report(report: EvalReport, format: str, path) -> None:
             json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
         )
     elif format == "csv":
-        with open(path, "w") as fh:
+        # writerow returns its line, as in write_store; "\r\n" quotes a "\r" too.
+        quote = csv.writer(SimpleNamespace(write=str)).writerow
+        with open(path, "w", newline="") as fh:
             fh.write("group,condition,method,seed,n_test,tp,tn,fp,fn,accuracy_pct\n")
             for r in report.rows:
-                fh.write(
-                    f"{r.group},{r.condition},{r.method},{r.seed},{r.n_test},"
-                    f"{r.tp},{r.tn},{r.fp},{r.fn},{r.accuracy * 100:.2f}\n"
-                )
+                fields = (r.group, r.condition, r.method, r.seed, r.n_test,
+                          r.tp, r.tn, r.fp, r.fn, f"{r.accuracy * 100:.2f}")
+                fh.write(quote(fields)[:-2] + "\n")
     elif format == "markdown":
         lines = ["| group | condition | method | seed | n_test | accuracy |"]
         lines.append("|---|---|---|---|---|---|")

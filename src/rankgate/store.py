@@ -39,11 +39,13 @@ Two interchangeable on-disk formats:
 Vectors are normalized once, at ingest, so downstream search can treat dot
 products as cosine similarities. :func:`unit_rows` rounds each row ``x`` to
 float32 and keeps it if its float64 norm lies within ``β(D)`` of 1
-(:func:`norm_window`). Any other row takes one step, ``f32(x / ||x||)``
-with the norm accumulated in float64. Every step's output lies within
-``β`` (below), so a second call keeps every row, and a written store
-re-ingests bit-equal in either format. A row from elsewhere that is
-already within ``β`` of unit norm is kept as it is, not nudged.
+(:func:`norm_window`). Any other row takes one step, ``f32(x / ||x||)``,
+whose float64 part, :func:`l2_normalize_rows`, is the package's one row
+step (tiny rows are scaled first, below); ``synth``'s means and curation's
+degraded probes take it too. Every step's output lies within ``β``
+(below), so a second call keeps every row, and a written store re-ingests
+bit-equal in either format. A row from elsewhere that is already within
+``β`` of unit norm is kept as it is, not nudged.
 
 **The window**, in the rounding model of :mod:`rankgate.search` (``u₃₂``,
 ``u₆₄``, ``γ_D``, and ``η`` for underflow), for a row ``x`` of norm ``t``:
@@ -97,26 +99,6 @@ _VERSION = 1
 _CSV_META_COLUMNS = ("identity_id", "image_id", "group", "capture_index")
 
 
-def l2_normalize(v) -> np.ndarray:
-    """Return ``v / ||v||`` as float64.
-
-    Args:
-        v: 1-d array-like with finite components and nonzero norm.
-
-    Raises:
-        ValueError: on non-1-d input, non-finite components, or a zero vector.
-    """
-    w = np.asarray(v, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("vector has non-finite components")
-    n = math.sqrt(float(np.dot(w, w)))
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return w / n
-
-
 class RowError(ValueError):
     """A row that cannot be normalized; ``row`` is its index in the input."""
 
@@ -137,8 +119,8 @@ def unit_rows(rows) -> np.ndarray:
     by the rule of the module docstring; a second call keeps every row.
 
     Raises:
-        RowError: for the first row that has a non-finite component, a zero
-            norm, or a norm past the float64 range; ``row`` is its index.
+        RowError: as :func:`l2_normalize_rows`, for the first row that
+            takes the step and cannot; ``row`` is its index in ``rows``.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
@@ -148,28 +130,49 @@ def unit_rows(rows) -> np.ndarray:
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
         cur = out[start : start + len(block)]
-        # A row past float32's range rounds to inf and takes the step; bad norms are raised below.
+        # A row past float32's range rounds to inf and takes the step.
         with np.errstate(over="ignore", invalid="ignore"):
             cur[:] = block
             step = ~(np.abs(np.sqrt(_row_dots(cur.astype(np.float64))) - 1.0) <= beta)
-            x = np.ascontiguousarray(block[step], dtype=np.float64)
-            dots = _row_dots(x)
-            tiny = dots < _TINY
-            if tiny.any():
-                x[tiny] /= _TINY
-                dots[tiny] = _row_dots(x[tiny])
-            norms = np.sqrt(dots)
-        bad = ~((norms > 0) & (norms < math.inf))  # NaN fails both tests
+        try:
+            cur[step] = l2_normalize_rows(block[step])
+        except RowError as exc:
+            raise RowError(start + int(np.flatnonzero(step)[exc.row]), str(exc)) from None
+    return out
+
+
+def l2_normalize_rows(rows) -> np.ndarray:
+    """Each row of an ``(n, D)`` matrix over its float64 norm, as float64,
+    a row whose sum of squares is below ``2⁻⁶⁰⁰`` scaled by ``2⁶⁰⁰`` first.
+    Raises RowError for the first row with a non-finite component, a zero
+    norm or a norm past the float64 range; ``row`` is its index."""
+    x = np.ascontiguousarray(rows, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowing row is refused below
+        dots = _row_dots(x)
+    # Python floats are cheaper than numpy reductions on one row; NaN or inf fails the sum.
+    squares = dots.tolist()
+    if not (min(squares, default=_TINY) >= _TINY and sum(squares) < math.inf):
+        tiny = dots < _TINY
+        x = x.copy()  # ``x`` may be the caller's array
+        x[tiny] /= _TINY
+        dots[tiny] = _row_dots(x[tiny])
+        bad = ~((dots > 0) & (dots < math.inf))
         if bad.any():
             i = int(bad.argmax())
-            row = start + int(np.flatnonzero(step)[i])
             if not np.isfinite(x[i]).all():
-                raise RowError(row, "vector has non-finite components")
-            if norms[i] == 0:
-                raise RowError(row, "cannot normalize a zero vector")
-            raise RowError(row, "vector norm overflows float64")
-        cur[step] = x / norms[:, None]
-    return out
+                raise RowError(i, "vector has non-finite components")
+            if dots[i] == 0:
+                raise RowError(i, "cannot normalize a zero vector")
+            raise RowError(i, "vector norm overflows float64")
+    return x / np.sqrt(dots[:, None])
+
+
+def l2_normalize(v) -> np.ndarray:
+    """``v / ||v||`` as float64 for a 1-d ``v``: :func:`l2_normalize_rows` of one row."""
+    w = np.asarray(v, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValueError(f"expected a 1-d vector, got shape {w.shape}")
+    return l2_normalize_rows(w[None])[0]
 
 
 def _row_dots(x: np.ndarray) -> np.ndarray:

@@ -9,8 +9,10 @@ Each draw is used as drawn: it is nonzero in practice, and a zero vector
 would stop the normalization with ``cannot normalize a zero vector``.
 
 Generation is single-stream and ordered (groups in declared order, then
-identity index, then capture index), so a fixed seed reproduces the store
-bit for bit.
+identity index; per identity the mean, then each image's noise by capture
+index), so a fixed seed reproduces the store bit for bit. Whole identities
+are drawn about ``BLOCK_ROWS`` rows at a time by one ``standard_normal((m,
+1 + k, D))`` call, which gives the numbers of drawing vector by vector.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import from_dict
-from .store import BLOCK_ROWS, EmbeddingStore, l2_normalize, unit_rows
+from .store import BLOCK_ROWS, EmbeddingStore, l2_normalize, l2_normalize_rows, unit_rows
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,12 @@ def generate(config: SynthConfig) -> EmbeddingStore:
     d, k = config.dimension, config.images_per_identity
     identities = [(g, f"{g}-{i:05d}") for g, n in config.groups for i in range(n)]
     vectors = np.empty((len(identities) * k, d), dtype=np.float32)
-    # Draws go into one float64 block, normalized into ``vectors`` when full.
-    block = np.empty((BLOCK_ROWS, d))
-    for row in range(len(vectors)):
-        if row % k == 0:
-            mean = l2_normalize(rng.standard_normal(d))
-        block[row % BLOCK_ROWS] = mean + config.within_noise_sigma * rng.standard_normal(d)
-        if row % BLOCK_ROWS == BLOCK_ROWS - 1 or row == len(vectors) - 1:
-            start = row - row % BLOCK_ROWS
-            vectors[start : row + 1] = unit_rows(block[: row + 1 - start])
+    per_block = max(1, BLOCK_ROWS // k)
+    for start in range(0, len(identities), per_block):
+        draws = rng.standard_normal((min(per_block, len(identities) - start), 1 + k, d))
+        means = l2_normalize_rows(draws[:, 0])
+        rows = means[:, None] + config.within_noise_sigma * draws[:, 1:]
+        vectors[start * k : (start + len(draws)) * k] = unit_rows(rows.reshape(-1, d))
     identity_ids, image_ids, groups, capture = [], [], [], []
     for group, identity_id in identities:
         for j in range(1, k + 1):

@@ -432,6 +432,18 @@ class TestErrorHandling:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and field in err
 
+    def test_plan_int_past_float_range_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        plan = {"groups": ["g"], "conditions": [{"tag": "c"}], "store_path": "s.bin"}
+        bad.write_text(json.dumps({**plan, "test_fraction": 10**400}))
+        code = main(["eval", "--plan", str(bad), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: plan: field test_fraction must be float, got an int too large "
+            "for a float\n"
+        ), err
+
     def test_report_row_with_unknown_or_missing_key(self, tmp_path, capsys):
         row = dict(group="g", condition="c", method="mean", seed=0, accuracy=0.5,
                    n_test=2, tp=1, tn=0, fp=1, fn=0)

@@ -64,6 +64,12 @@ class TestFromDict:
         synth = from_dict(SynthConfig, {**base, "groups": [["a", 3]]}, "synth config")
         assert synth.groups == (("a", 3),)
 
+    def test_int_past_float_range_rejected(self):
+        plan = {"groups": ["g"], "conditions": [{"tag": "c"}], "store_path": "s.bin"}
+        message = "plan: field test_fraction must be float, got an int too large for a float"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            plan_from_dict({**plan, "test_fraction": 10**400})
+
     def test_errors_name_the_item_and_nested_field(self):
         plan = {"groups": ["g"], "conditions": [{"tag": "c"}], "store_path": "s.bin"}
         cases = (

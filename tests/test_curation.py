@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,27 @@ class TestCurate:
             degrade_sigma=sigma,
         )
         assert [sample_tuple(s) for s in result.samples] == expected
+
+    @pytest.mark.parametrize(
+        "hook, shape, bad",
+        [
+            (lambda v, call: float(v[0]), "()", 0),
+            (lambda v, call: v[:1], "(1,)", 0),
+            (lambda v, call: np.append(v, 0.5), "(17,)", 0),
+            (lambda v, call: np.stack([v, v]), "(2, 16)", 0),
+            (lambda v, call: v if call == 0 else v[:-1], "(15,)", 1),
+        ],
+        ids=["scalar", "length-1", "too-long", "2-d", "ragged"],
+    )
+    def test_degrade_output_of_wrong_shape_refused(self, small_store, hook, shape, bad):
+        """A block assignment would broadcast a scalar or a length-1 output,
+        so each hook output is checked, naming its probe and shape."""
+        cfg = CurationConfig(d_in=3, rng_seed=4)
+        identity = small_store.identity_ids[select_probes(small_store, cfg)[bad][0]]
+        calls = iter(range(100))
+        message = f"degrade hook returned shape {shape} for probe {identity!r}, expected (16,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            curate_detailed(small_store, cfg, lambda v, rng: hook(v, next(calls)))
 
     def test_each_probe_yields_its_pair_in_selection_order(self, medium_store):
         """Samples alternate in-gallery, out-of-gallery for one probe

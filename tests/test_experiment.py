@@ -1,3 +1,4 @@
+import csv
 import json
 from collections import Counter
 from dataclasses import asdict
@@ -406,6 +407,20 @@ class TestEmitReport:
         lines = path.read_text().splitlines()
         assert lines[0] == "group,condition,method,seed,n_test,tp,tn,fp,fn,accuracy_pct"
         assert lines[1] == "g,clean,mlp,0,8,3,3,1,1,75.00"
+
+    def test_csv_quotes_group_and_condition(self, tmp_path):
+        rows = [
+            CellResult("a,b", 'say "hi"', "mlp", 0, 0.75, 8, 3, 3, 1, 1),
+            CellResult("c\rd", "e\nf", "threshold", 1, 0.5, 8, 2, 2, 2, 2),
+        ]
+        report = EvalReport(rows=rows, metadata=self.fake_report().metadata, failures=[])
+        path = tmp_path / "r.csv"
+        emit_report(report, "csv", path)
+        with open(path, newline="") as fh:
+            parsed = list(csv.reader(fh))
+        assert [len(row) for row in parsed] == [10, 10, 10]
+        assert parsed[1] == ["a,b", 'say "hi"', "mlp", "0", "8", "3", "3", "1", "1", "75.00"]
+        assert parsed[2][:2] == ["c\rd", "e\nf"]
 
     def test_markdown_notes_and_failures(self, tmp_path):
         path = tmp_path / "r.md"

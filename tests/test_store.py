@@ -19,6 +19,7 @@ from rankgate.store import (
     StoreFormatError,
     ingest,
     l2_normalize,
+    l2_normalize_rows,
     norm_window,
     unit_rows,
     write_store,
@@ -85,6 +86,52 @@ class TestL2Normalize:
     @settings(max_examples=200, deadline=None)
     def test_norm_one_property(self, xs):
         assert abs(naive_norm(l2_normalize(xs)) - 1.0) < 1e-6
+
+    def test_tiny_vector_scaled_before_its_norm(self):
+        """The float64 squares of 1e-160 lose bits to underflow, and those of
+        1e-170 underflow to 0; the row is scaled by 2**600 first."""
+        for tiny in (1e-160, 1e-170):
+            assert l2_normalize([tiny, 0.0]).tolist() == [1.0, 0.0]
+
+    def test_overflowing_norm_rejected(self):
+        with pytest.raises(ValueError, match="^vector norm overflows float64$"):
+            l2_normalize([1e200, 1e200])
+
+
+class TestL2NormalizeRows:
+    """The float64 step that ``l2_normalize``, ``unit_rows``, ``synth`` and
+    curation share."""
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 8, 64, 65])
+    def test_each_row_is_the_per_row_oracle(self, dimension):
+        rng = np.random.default_rng(dimension)
+        scale = rng.choice([1e-3, 1.0, 1e5], size=(300, 1))
+        rows = rng.standard_normal((300, dimension)) * scale
+        expected = np.array([oracle_l2_normalize(r) for r in rows])
+        assert l2_normalize_rows(rows).tobytes() == expected.tobytes()
+        assert l2_normalize_rows(np.asfortranarray(rows)).tobytes() == expected.tobytes()
+        assert l2_normalize_rows(rows.astype(np.float32)).dtype == np.float64
+
+    def test_tiny_rows_scaled_input_untouched(self):
+        rows = np.array([[3.0, 4.0], [1e-170, 0.0], [0.0, -3e-200]])
+        before = rows.copy()
+        assert l2_normalize_rows(rows).tolist() == [[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]]
+        assert rows.tobytes() == before.tobytes()
+
+    def test_empty(self):
+        assert l2_normalize_rows(np.empty((0, 3))).shape == (0, 3)
+
+    def test_first_bad_row_is_reported(self):
+        rows = np.ones((6, 3))
+        rows[4] = 0.0
+        for row, value, reason in ((4, 0.0, "^cannot normalize a zero vector$"),
+                                   (3, np.nan, "^vector has non-finite components$"),
+                                   (2, -np.inf, "^vector has non-finite components$"),
+                                   (1, 1e300, "^vector norm overflows float64$")):
+            rows[row, 1] = value
+            with pytest.raises(RowError, match=reason) as info:
+                l2_normalize_rows(rows)
+            assert info.value.row == row
 
 
 class TestUnitF32:

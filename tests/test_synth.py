@@ -109,6 +109,39 @@ class TestGenerate:
                 expected.append(oracle_unit_f32(mean + 0.3 * rng.standard_normal(8)))
         assert generate(cfg).vectors.tobytes() == np.array(expected).tobytes()
 
+    @pytest.mark.parametrize(
+        "groups, k",
+        [
+            ((("g", 300),), 1),  # 256 identities per block, then 44
+            ((("g", 2),), 300),  # one identity per block, over BLOCK_ROWS rows
+            ((("b", 7), ("a", 60)), 5),  # a group boundary inside a block
+            ((("b", 51), ("a", 9)), 5),  # a group boundary on a block edge
+        ],
+        ids=["k1", "k300", "group-inside-block", "group-on-block-edge"],
+    )
+    def test_blocks_are_sequential_draws(self, groups, k):
+        """Whole-identity blocks give the bits of drawing the mean and then
+        each image, one vector at a time, through the per-row oracles."""
+        cfg = SynthConfig(
+            n_identities=sum(n for _, n in groups), images_per_identity=k,
+            dimension=6, within_noise_sigma=0.2, groups=groups, rng_seed=3,
+        )
+        rng = np.random.default_rng(3)
+        expected = {}
+        for group, n in groups:
+            for i in range(n):
+                mean = oracle_l2_normalize(rng.standard_normal(6))
+                for j in range(1, k + 1):
+                    expected[f"{group}-{i:05d}", f"im{j:03d}"] = (
+                        group, oracle_unit_f32(mean + 0.2 * rng.standard_normal(6))
+                    )
+        store = generate(cfg)
+        assert len(store) == len(expected)
+        for row, key in enumerate(zip(store.identity_ids, store.image_ids)):
+            group, vector = expected[key]
+            assert store.groups[row] == group
+            assert store.vectors[row].tobytes() == vector.tobytes()
+
     def test_zero_noise_collapses_identity_images(self):
         cfg = SynthConfig(n_identities=3, images_per_identity=4, within_noise_sigma=0.0, dimension=16)
         store = generate(cfg)
@@ -192,6 +225,12 @@ class TestDegradeProbe:
         a = degrade_probe(v, 0.3, np.random.default_rng(9))
         b = degrade_probe(v, 0.3, np.random.default_rng(9))
         assert a.tobytes() == b.tobytes()
+
+    def test_overflowing_noise_rejected(self):
+        v = np.zeros(8)
+        v[0] = 1.0
+        with pytest.raises(ValueError, match="^vector norm overflows float64$"):
+            degrade_probe(v, 1e200, np.random.default_rng(0))
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
