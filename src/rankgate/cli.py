@@ -92,10 +92,7 @@ def cmd_curate(args) -> int:
         group=args.group or "",
         condition=args.condition,
     )
-    degrade = None
-    if args.probe_sigma > 0:
-        degrade = lambda v, rng: synth.degrade_probe(v, args.probe_sigma, rng)  # noqa: E731
-    result = curation.curate_detailed(loaded, config, degrade)
+    result = curation.curate_detailed(loaded, config, args.probe_sigma)
     curation.write_samples_csv(result.samples, args.out)
     n = len(result.probe_vectors)  # each probe yields one sample of each label
     print(f"curated {2 * n} samples ({n} in-gallery, {n} out-of-gallery) -> {args.out}")

@@ -45,8 +45,9 @@ stream seed is derived per identity as ``derive_seed(rng_seed,
 identity_id, "pool")`` (see :mod:`rankgate.seeds`), feeding a PCG64
 generator. Enrollment uses a partial Fisher-Yates pass: for draw ``i``,
 swap index ``i`` with ``rng.integers(i, n)`` and keep the first
-``d_in + 1`` entries in draw order. Probe degradation draws from an
-analogous per-identity stream labeled ``"degrade"``.
+``d_in + 1`` entries in draw order. A probe degraded at σ > 0 is its row
+plus σ times one ``standard_normal(D)`` draw from the identity's stream
+labeled ``"degrade"``, then normalized twice, a screen block per call.
 
 Rank samples have one file format, the CSV written by
 :func:`write_samples_csv` and read by :func:`load_samples_csv`.
@@ -58,7 +59,7 @@ import csv
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,11 +76,10 @@ from .search import (
 from .search import search  # noqa: F401
 from .seeds import derive_seed
 from .store import EmbeddingStore, l2_normalize_rows
+from .synth import check_sigma, degrade_probes
 
 IN_GALLERY = 1
 OUT_OF_GALLERY = 0
-
-DegradeFn = Callable[[np.ndarray, np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -175,17 +175,19 @@ def select_probes(
             continue
         probe = max(rows, key=lambda r: (store.capture_index[r], store.image_ids[r]))
         candidates = [r for r in rows if r != probe]
-        pool = _fisher_yates_pool(candidates, config.d_in + 1, config.rng_seed, identity_id)
-        out.append((probe, pool))
+        rng = _identity_stream(config.rng_seed, identity_id, "pool")
+        out.append((probe, _fisher_yates_pool(candidates, config.d_in + 1, rng)))
     return out
 
 
+def _identity_stream(rng_seed: int, identity_id: str, label: str) -> np.random.Generator:
+    """The identity's PCG64 stream of the module docstring."""
+    return np.random.Generator(np.random.PCG64(derive_seed(rng_seed, identity_id, label)))
+
+
 def _fisher_yates_pool(
-    candidates: Sequence[int], k: int, rng_seed: int, identity_id: str
+    candidates: Sequence[int], k: int, rng: np.random.Generator
 ) -> tuple[int, ...]:
-    rng = np.random.Generator(
-        np.random.PCG64(derive_seed(rng_seed, identity_id, "pool"))
-    )
     idx = list(range(len(candidates)))
     for i in range(k):
         j = int(rng.integers(i, len(candidates)))
@@ -196,18 +198,17 @@ def _fisher_yates_pool(
 def curate_detailed(
     store: EmbeddingStore,
     config: CurationConfig,
-    degrade: Optional[DegradeFn] = None,
+    probe_sigma: float = 0.0,
 ) -> CurationResult:
     """Run the dual-search protocol over every eligible identity.
 
     Emits, per identity in ascending order, the in-gallery sample followed
-    by the out-of-gallery sample. The degrade hook, when given, perturbs the
-    probe's float64 row once, given the identity's ``"degrade"`` generator,
-    and must return a ``(D,)`` vector (another shape is refused, naming the
-    probe); a block's outputs are re-normalized together, and each degraded
-    probe is used for both rankings. Probes are screened in blocks of
-    :func:`rankgate.search.screen_block`; see the module docstring.
+    by the out-of-gallery sample. With ``probe_sigma > 0`` each probe is
+    degraded as the module docstring says, and the degraded probe is used
+    for both rankings; ``probe_sigma`` must be finite and ``>= 0``. Probes
+    are screened in blocks of :func:`rankgate.search.screen_block`.
     """
+    check_sigma("probe_sigma", probe_sigma)
     selected = select_probes(store, config)
     if len(selected) < 2:
         raise ValueError(
@@ -221,13 +222,15 @@ def curate_detailed(
     for start in range(0, len(selected), block):
         rows = [probe for probe, _pool in selected[start : start + block]]
         probes = probe_vectors[start : start + len(rows)]
-        if degrade is None:
-            probes[:] = store.vectors[rows]
+        identities = [store.identity_ids[row] for row in rows]
+        if probe_sigma > 0:
+            rngs = [_identity_stream(config.rng_seed, i, "degrade") for i in identities]
+            degraded = degrade_probes(store.vectors[rows], probe_sigma, rngs)
+            probes[:] = l2_normalize_rows(degraded)
         else:
-            probes[:] = _degraded_probes(store, rows, config, degrade)
+            probes[:] = store.vectors[rows]
         screened = screen(gallery, probes)
         inside = extract_rank_vector(gallery, probes, screened, config.d_in)
-        identities = [store.identity_ids[row] for row in rows]
         owns = [gallery.identity_map[identity_id] for identity_id in identities]
         block_rows = np.repeat(np.arange(len(rows)), [len(own) for own in owns])
         screened[block_rows, np.concatenate(owns)] = -np.inf
@@ -253,26 +256,6 @@ def curate_detailed(
                     )
                 )
     return CurationResult(samples, gallery, probe_vectors)
-
-
-def _degraded_probes(
-    store: EmbeddingStore, rows: list[int], config: CurationConfig, degrade: DegradeFn
-) -> np.ndarray:
-    """The degrade hook's output for each probe row, normalized in one call."""
-    outputs = []
-    for row in rows:
-        identity_id = store.identity_ids[row]
-        seed = derive_seed(config.rng_seed, identity_id, "degrade")
-        vec = store.vectors[row].astype(np.float64)
-        out = np.asarray(degrade(vec, np.random.Generator(np.random.PCG64(seed))), np.float64)
-        # A block assignment would broadcast a scalar or a length-1 output.
-        if out.shape != vec.shape:
-            raise ValueError(
-                f"degrade hook returned shape {out.shape} for probe {identity_id!r}, "
-                f"expected {vec.shape}"
-            )
-        outputs.append(out)
-    return l2_normalize_rows(np.array(outputs))
 
 
 def stratified_split(

@@ -51,13 +51,7 @@ from .curation import (
 from .mlp import MlpConfig, predict, train
 from .search import screen_block
 from .store import EmbeddingStore, ingest
-from .synth import (
-    SynthConfig,
-    check_sigma,
-    config_from_dict,
-    degrade_probe,
-    generate,
-)
+from .synth import SynthConfig, check_sigma, config_from_dict, generate
 
 METHODS = ("mlp", "threshold", "mean", "median", "fusion")
 
@@ -250,11 +244,8 @@ def run_cell(
     config = CurationConfig(
         d_in=plan.d_in, rng_seed=seed, group=group, condition=condition.tag
     )
-    sigma = condition.probe_noise_sigma
-    degrade = None
-    if sigma > 0:
-        degrade = lambda v, rng: degrade_probe(v, sigma, rng)  # noqa: E731
-    cur = curate_detailed(store_group, config, degrade)
+    # Positional: the benchmark's capturing wrapper names the third parameter otherwise.
+    cur = curate_detailed(store_group, config, condition.probe_noise_sigma)
     split = stratified_split(cur.samples, plan.test_fraction, seed)
     train_s, test_s = list(split.train), list(split.test)
     tables, excluded = _top_score_tables(cur, plan.methods)
@@ -461,8 +452,9 @@ def emit_report(report: EvalReport, format: str, path) -> None:
         lines = ["| group | condition | method | seed | n_test | accuracy |"]
         lines.append("|---|---|---|---|---|---|")
         for r in report.rows:
+            group, condition = (c.replace("|", "\\|") for c in (r.group, r.condition))
             lines.append(
-                f"| {r.group} | {r.condition} | {r.method} | {r.seed} "
+                f"| {group} | {condition} | {r.method} | {r.seed} "
                 f"| {r.n_test} | {r.accuracy * 100:.2f}% |"
             )
         for note in report.metadata.notes:

@@ -13,6 +13,8 @@ identity index; per identity the mean, then each image's noise by capture
 index), so a fixed seed reproduces the store bit for bit. Whole identities
 are drawn about ``BLOCK_ROWS`` rows at a time by one ``standard_normal((m,
 1 + k, D))`` call, which gives the numbers of drawing vector by vector.
+A degraded probe (:func:`degrade_probes`) takes one Gaussian draw from
+its own generator.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .codec import from_dict
-from .store import BLOCK_ROWS, EmbeddingStore, l2_normalize, l2_normalize_rows, unit_rows
+from .store import BLOCK_ROWS, EmbeddingStore, l2_normalize_rows, unit_rows
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ class SynthConfig:
             raise ValueError("images_per_identity must be >= 1")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         check_sigma("within_noise_sigma", self.within_noise_sigma)
         raw_groups = self.groups.items() if isinstance(self.groups, dict) else self.groups
         groups = tuple((str(g), int(c)) for g, c in raw_groups)
@@ -103,19 +108,35 @@ def check_sigma(name: str, sigma: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {sigma!r}")
 
 
+def degrade_probes(
+    vectors: np.ndarray, sigma: float, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Each row of an ``(n, D)`` block plus ``sigma`` times one
+    ``standard_normal(D)`` draw from ``rngs[i]``, normalized in one call, so
+    a row's bits do not depend on its block. ``sigma == 0`` returns the
+    input unchanged (as float64), so an undegraded condition is bit-stable.
+    Raises ValueError for a bad ``sigma``, a ``vectors`` that is not 2-d
+    or ``len(rngs) != n``."""
+    v = np.array(vectors, dtype=np.float64)
+    check_sigma("sigma", sigma)
+    if v.ndim != 2:
+        raise ValueError(f"expected an (n, dimension) block, got shape {v.shape}")
+    if len(rngs) != len(v):
+        raise ValueError(f"need one generator per row, got {len(rngs)} for {len(v)} rows")
+    if sigma == 0:
+        return v
+    noise = np.array([rng.standard_normal(v.shape[1]) for rng in rngs])
+    return l2_normalize_rows(v + sigma * noise.reshape(v.shape))
+
+
 def degrade_probe(
     vector: np.ndarray, sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Add isotropic Gaussian noise to a probe and re-normalize.
-
-    ``sigma == 0`` returns the input unchanged (as float64), so an
-    undegraded condition is bit-stable.
-    """
+    """:func:`degrade_probes` of one 1-d probe."""
     v = np.asarray(vector, dtype=np.float64)
-    check_sigma("sigma", sigma)
-    if sigma == 0:
-        return v.copy()
-    return l2_normalize(v + sigma * rng.standard_normal(len(v)))
+    if v.ndim != 1:
+        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+    return degrade_probes(v[None], sigma, [rng])[0]
 
 
 def config_to_json(config: SynthConfig, path) -> None:

@@ -172,7 +172,7 @@ def oracle_curate(
                 np.random.PCG64(oracle_stream_seed(rng_seed, ident, "degrade"))
             )
             noisy = vec + degrade_sigma * rng.standard_normal(vec.shape[0])
-            # the production path normalizes inside the degrade hook and
+            # curation normalizes the noisy probe in degrade_probes and
             # once more on its result; replay both divisions bit for bit
             once = noisy / math.sqrt(float(np.dot(noisy, noisy)))
             vec = once / math.sqrt(float(np.dot(once, once)))

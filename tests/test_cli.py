@@ -484,3 +484,17 @@ class TestErrorHandling:
                          "--out", str(tmp_path / "r.md")])
             assert code == 1
             assert capsys.readouterr().err.startswith("error: report: field metadata ")
+
+    def test_negative_synth_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s.bin"
+        code = main(["synth", "--out", str(out), "--identities", "4", "--seed", "-3"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: rng_seed must be >= 0, got -3\n"
+        assert not out.exists()
+        plan = plan_file(tmp_path)
+        payload = json.loads(plan.read_text())
+        payload["synth"]["rng_seed"] = -1
+        plan.write_text(json.dumps(payload))
+        code = main(["eval", "--plan", str(plan), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        assert "rng_seed must be >= 0, got -1" in capsys.readouterr().err

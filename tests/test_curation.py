@@ -23,7 +23,7 @@ from rankgate.curation import (
 )
 from rankgate.search import screen, screen_tolerance, similarities
 from rankgate.store import EmbeddingStore
-from rankgate.synth import SynthConfig, degrade_probe, generate
+from rankgate.synth import SynthConfig, generate
 
 from conftest import make_row, store_of
 
@@ -245,35 +245,18 @@ class TestCurate:
     def test_matches_protocol_oracle_with_degradation(self, small_store):
         sigma = 0.15
         cfg = CurationConfig(d_in=3, rng_seed=4, condition="noisy")
-        result = curate_detailed(
-            small_store, cfg, degrade=lambda v, rng: degrade_probe(v, sigma, rng)
-        )
+        result = curate_detailed(small_store, cfg, sigma)
         expected, _ = oracle_curate(
             small_store, d_in=3, rng_seed=4, group="", condition="noisy",
             degrade_sigma=sigma,
         )
         assert [sample_tuple(s) for s in result.samples] == expected
 
-    @pytest.mark.parametrize(
-        "hook, shape, bad",
-        [
-            (lambda v, call: float(v[0]), "()", 0),
-            (lambda v, call: v[:1], "(1,)", 0),
-            (lambda v, call: np.append(v, 0.5), "(17,)", 0),
-            (lambda v, call: np.stack([v, v]), "(2, 16)", 0),
-            (lambda v, call: v if call == 0 else v[:-1], "(15,)", 1),
-        ],
-        ids=["scalar", "length-1", "too-long", "2-d", "ragged"],
-    )
-    def test_degrade_output_of_wrong_shape_refused(self, small_store, hook, shape, bad):
-        """A block assignment would broadcast a scalar or a length-1 output,
-        so each hook output is checked, naming its probe and shape."""
-        cfg = CurationConfig(d_in=3, rng_seed=4)
-        identity = small_store.identity_ids[select_probes(small_store, cfg)[bad][0]]
-        calls = iter(range(100))
-        message = f"degrade hook returned shape {shape} for probe {identity!r}, expected (16,)"
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_bad_probe_sigma_refused(self, small_store, sigma):
+        message = f"probe_sigma must be finite and >= 0, got {sigma!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            curate_detailed(small_store, cfg, lambda v, rng: hook(v, next(calls)))
+            curate_detailed(small_store, CurationConfig(d_in=3), sigma)
 
     def test_each_probe_yields_its_pair_in_selection_order(self, medium_store):
         """Samples alternate in-gallery, out-of-gallery for one probe
@@ -326,11 +309,8 @@ class TestCurate:
             store = generate(SynthConfig(n_identities=400, images_per_identity=6,
                                          dimension=32, within_noise_sigma=within,
                                          rng_seed=5))
-            degrade = None
-            if probe_sigma > 0:
-                degrade = lambda v, rng, s=probe_sigma: degrade_probe(v, s, rng)  # noqa: E731
             cfg = CurationConfig(d_in=3, rng_seed=9, condition=f"p{probe_sigma}")
-            samples += curate_detailed(store, cfg, degrade).samples
+            samples += curate_detailed(store, cfg, probe_sigma).samples
         assert len(samples) == 3200
         assert sample_digest(samples) == (
             "4a385c1a275a643a141d2eca0265dfb58a272bdec46097895fe546bf7d67be89"

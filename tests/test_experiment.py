@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from collections import Counter
 from dataclasses import asdict
 
@@ -157,10 +158,10 @@ class TestRunExperiment:
             )
 
     def test_failing_condition_isolated(self, monkeypatch):
-        def boom(vec, sigma, rng):
+        def boom(vectors, sigma, rngs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr("rankgate.experiment.degrade_probe", boom)
+        monkeypatch.setattr("rankgate.curation.degrade_probes", boom)
         report = run_experiment(tiny_plan())
         assert {r.condition for r in report.rows} == {"clean"}
         assert len(report.failures) == 1
@@ -430,6 +431,17 @@ class TestEmitReport:
         assert "Note: a note" in text
         assert "Failed cells:" in text
         assert "g/bad/seed 1: ValueError: x" in text
+
+    def test_markdown_escapes_pipes(self, tmp_path):
+        """A "|" in a group or condition is escaped, so each row keeps six cells."""
+        rows = [CellResult("a|b", "c|d", "mlp", 0, 0.75, 8, 3, 3, 1, 1)]
+        report = EvalReport(rows=rows, metadata=self.fake_report().metadata, failures=[])
+        path = tmp_path / "r.md"
+        emit_report(report, "markdown", path)
+        header, _, row = path.read_text().splitlines()[:3]
+        assert row == "| a\\|b | c\\|d | mlp | 0 | 8 | 75.00% |"
+        for line in (header, row):
+            assert len(re.split(r"(?<!\\)\|", line)) == 6 + 2
 
     def test_json_round_trips_rows(self, tmp_path):
         path = tmp_path / "r.json"

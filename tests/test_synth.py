@@ -10,6 +10,7 @@ from rankgate.synth import (
     config_from_json,
     config_to_json,
     degrade_probe,
+    degrade_probes,
     generate,
 )
 
@@ -46,6 +47,10 @@ class TestSynthConfig:
                        (("mild", -0.1),), (("harsh", math.inf),)):
             with pytest.raises(ValueError, match="degradation sigma of .* must be finite"):
                 SynthConfig(n_identities=2, degradation_levels=levels)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -1$"):
+            SynthConfig(n_identities=2, rng_seed=-1)
 
     def test_accepts_mappings(self):
         cfg = SynthConfig(
@@ -235,3 +240,41 @@ class TestDegradeProbe:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
             degrade_probe(np.array([1.0, 0.0]), -0.5, np.random.default_rng(0))
+
+
+class TestDegradeProbes:
+    @pytest.mark.parametrize("dimension", [1, 3, 64])
+    def test_block_equals_row_by_row(self, dimension):
+        """A row's bits do not depend on the block it is degraded in, and
+        equal the per-row noise-then-normalize oracle."""
+        vectors = generate(SynthConfig(n_identities=7, images_per_identity=1,
+                                       dimension=dimension, rng_seed=4)).vectors
+        block = degrade_probes(vectors, 0.2, [np.random.default_rng(k) for k in range(7)])
+        rows = [degrade_probe(v, 0.2, np.random.default_rng(k)) for k, v in enumerate(vectors)]
+        oracle = [
+            oracle_l2_normalize(
+                v.astype(np.float64) + 0.2 * np.random.default_rng(k).standard_normal(dimension)
+            )
+            for k, v in enumerate(vectors)
+        ]
+        assert block.dtype == np.float64
+        assert block.tobytes() == np.stack(rows).tobytes() == np.stack(oracle).tobytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 4])
+    def test_generator_count_must_match_rows(self, count):
+        """One generator's noise row would broadcast over the whole block."""
+        vectors = np.eye(3)
+        rngs = [np.random.default_rng(k) for k in range(count)]
+        message = f"need one generator per row, got {count} for 3 rows"
+        for sigma in (0.0, 0.1):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                degrade_probes(vectors, sigma, rngs)
+
+    def test_block_must_be_2d(self):
+        rngs = [np.random.default_rng(k) for k in range(2)]
+        with pytest.raises(ValueError, match=r"^expected an \(n, dimension\) block, got shape \(2,\)$"):
+            degrade_probes(np.array([1.0, 0.0]), 0.1, rngs)
+
+    def test_one_probe_must_be_1d(self):
+        with pytest.raises(ValueError, match=r"^expected a 1-d vector, got shape \(1, 2\)$"):
+            degrade_probe(np.array([[1.0, 0.0]]), 0.1, np.random.default_rng(0))
