@@ -11,6 +11,7 @@ distribution. ``RANKGATE_OUT_DIR`` sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,13 +30,22 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _number(cast, text: str, message: str):
+    """``cast(text)``; a ValueError says ``message`` instead of Python's own."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError(message) from None
+
+
 def _parse_groups(text: str) -> tuple[tuple[str, int], ...]:
     out = []
     for part in text.split(","):
         name, _, count = part.partition(":")
         if not count:
-            raise ValueError(f"group spec {part!r} must look like name:count")
-        out.append((name.strip(), int(count)))
+            raise ValueError(f"group spec {part!r} must look like name:count in --groups")
+        message = f"group spec {part!r} in --groups needs an integer count, got {count!r}"
+        out.append((name.strip(), _number(int, count, message)))
     return tuple(out)
 
 
@@ -43,14 +53,16 @@ def _parse_conditions(text: str) -> tuple[experiment.ConditionSpec, ...]:
     out = []
     for part in text.split(","):
         name, _, sigma = part.partition(":")
-        out.append(
-            experiment.ConditionSpec(name.strip(), float(sigma) if sigma else 0.0)
-        )
+        message = f"condition spec {part!r} in --conditions needs a number sigma, got {sigma!r}"
+        out.append(experiment.ConditionSpec(name.strip(), _number(float, sigma or "0", message)))
     return tuple(out)
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    return tuple(
+        _number(int, item, f"item {item!r} in {flag} {text!r} is not an integer")
+        for item in text.split(",")
+    )
 
 
 def cmd_synth(args) -> int:
@@ -100,10 +112,11 @@ def cmd_curate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    hidden = _parse_ints(args.hidden, "--hidden")
     samples = curation.load_samples_csv(args.samples)
     config = mlp.MlpConfig(
         d_in=curation.d_in_of(samples),
-        hidden_sizes=_parse_ints(args.hidden),
+        hidden_sizes=hidden,
         dropout_p=args.dropout,
         learning_rate=args.learning_rate,
         batch_size=args.batch_size,
@@ -137,7 +150,14 @@ def cmd_baseline(args) -> int:
     else:
         if args.scores is None:
             raise ValueError("--scores is required for the threshold baseline")
-        scores = [float(field) for field in Path(args.scores).read_text().split()]
+        scores = []
+        for field in Path(args.scores).read_text().split():
+            try:
+                scores.append(float(field))
+            except ValueError:
+                raise ValueError(
+                    f"score {field!r} in --scores file {args.scores} is not a number"
+                ) from None
         model = baselines.calibrate_threshold(scores, args.target_fpir)
         baselines.threshold_to_json(model, args.out)
         print(
@@ -170,7 +190,7 @@ def _plan_from_args(args) -> experiment.ExperimentPlan:
     return experiment.ExperimentPlan(
         groups=groups,
         conditions=conditions,
-        seeds=_parse_ints(args.seeds),
+        seeds=_parse_ints(args.seeds, "--seeds"),
         methods=tuple(args.methods.split(",")) if args.methods else experiment.METHODS,
         d_in=args.d_in,
         store_path=args.store,
@@ -206,10 +226,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    widths = _parse_ints(args.d_in_values, "--d-in-values")
     plan = _plan_from_args(args)
     out_dir = _out_dir(args)
     _write_resolved_plan(plan, out_dir)
-    rows, _reports = experiment.cardinality_sweep(plan, _parse_ints(args.d_in_values))
+    rows, _reports = experiment.cardinality_sweep(plan, widths)
     experiment.write_sweep_csv(rows, out_dir / "sweep.csv")
     for row in rows:
         print(f"d_in={row.d_in}: {row.mean_accuracy * 100:.2f}% over {row.n_cells} cells")
@@ -343,8 +364,15 @@ def _add_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s parser, built on the first :func:`main` call
+    of the process; parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -40,14 +40,18 @@ selection order. :attr:`CurationResult.probe_vectors` and the score
 baselines rely on that order.
 
 Sampling algorithm (reproducible outside this package): the candidate list
-is the identity's non-probe rows in ascending ``image_id`` order. A
-stream seed is derived per identity as ``derive_seed(rng_seed,
-identity_id, "pool")`` (see :mod:`rankgate.seeds`), feeding a PCG64
-generator. Enrollment uses a partial Fisher-Yates pass: for draw ``i``,
-swap index ``i`` with ``rng.integers(i, n)`` and keep the first
-``d_in + 1`` entries in draw order. A probe degraded at σ > 0 is its row
-plus σ times one ``standard_normal(D)`` draw from the identity's stream
-labeled ``"degrade"``, then normalized twice, a screen block per call.
+is the identity's non-probe rows in ascending ``image_id`` order. The
+identity's stream is exactly ``np.random.Generator(np.random.PCG64(
+derive_seed(rng_seed, identity_id, "pool")))`` (see
+:mod:`rankgate.seeds`). Enrollment uses a partial Fisher-Yates pass: for
+draw ``i``, swap index ``i`` with ``rng.integers(i, n)`` and keep the
+first ``d_in + 1`` entries in draw order. A probe degraded at σ > 0 is
+its row plus σ times one ``standard_normal(D)`` draw from the identity's
+stream labeled ``"degrade"``, then normalized twice, a screen block per
+call. The streams are seeded in bulk: numpy's ``SeedSequence`` words for
+every identity of a run are computed in one vectorized step and handed to
+``PCG64``, which seeds itself from them as it would from the
+``SeedSequence``; each generator is built just before its draws.
 
 Rank samples have one file format, the CSV written by
 :func:`write_samples_csv` and read by :func:`load_samples_csv`.
@@ -57,9 +61,9 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -166,23 +170,107 @@ def select_probes(
         raise ValueError(
             f"store contains groups {extra} beyond configured {config.group!r}"
         )
-    out = []
     # Store rows are sorted by key, so each identity is one run of rows in
     # ascending image_id order.
+    eligible = []
     for identity_id, run in groupby(range(len(store)), store.identity_ids.__getitem__):
         rows = list(run)
-        if len(rows) < config.d_in + 2:
-            continue
-        probe = max(rows, key=lambda r: (store.capture_index[r], store.image_ids[r]))
+        if len(rows) >= config.d_in + 2:
+            eligible.append((identity_id, rows))
+    streams = _identity_streams(config.rng_seed, [i for i, _ in eligible], "pool")
+    capture, image_ids = store.capture_index.tolist(), store.image_ids
+    out = []
+    for (_, rows), rng in zip(eligible, streams):
+        probe = max(rows, key=lambda r: (capture[r], image_ids[r]))
         candidates = [r for r in rows if r != probe]
-        rng = _identity_stream(config.rng_seed, identity_id, "pool")
         out.append((probe, _fisher_yates_pool(candidates, config.d_in + 1, rng)))
     return out
 
 
-def _identity_stream(rng_seed: int, identity_id: str, label: str) -> np.random.Generator:
-    """The identity's PCG64 stream of the module docstring."""
-    return np.random.Generator(np.random.PCG64(derive_seed(rng_seed, identity_id, label)))
+def _identity_streams(
+    rng_seed: int, identity_ids: Sequence[str], label: str
+) -> Iterator[np.random.Generator]:
+    """The identities' PCG64 streams of the module docstring, in order."""
+    return _pcg64_streams([derive_seed(rng_seed, i, label) for i in identity_ids])
+
+
+def _pcg64_streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """``np.random.Generator(np.random.PCG64(seed))`` for each 64-bit seed,
+    bit for bit, each built as it is taken.
+
+    numpy seeds PCG64 from ``SeedSequence(seed).generate_state(4,
+    uint64)``. Those words are computed for every seed at once
+    (:func:`_seed_sequence_words`) and handed to ``PCG64``, which does its
+    own 128-bit seeding from them.
+    """
+    words = _seed_sequence_words(seeds)
+    # Registered here, not at import: ``import rankgate`` never loads numpy.random.
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    for row in words:
+        yield np.random.Generator(np.random.PCG64(_SeedWords(row)))
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_sequence_words(seeds: Sequence[int]) -> np.ndarray:
+    """Row ``i`` is ``SeedSequence(seeds[i]).generate_state(4, np.uint64)``
+    for 64-bit seeds, numpy's pool mix run as uint32 array operations over
+    all seeds. A seed is the entropy words ``[lo, hi]``; below 2³² numpy
+    takes ``[lo]`` alone and pads the pool with ``hashmix(0)``, which is
+    what ``hi = 0`` gives."""
+    seeds = np.array(seeds, dtype=np.uint64)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    entropy = ((seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32))
+    pool = [hashmix(e) for e in (*entropy, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> 16)
+    # generate_state(4, uint64): 8 uint32 words cycling over the pool, under
+    # a second hash constant, paired little-endian into uint64 words.
+    const = _INIT_B
+    state = np.empty((len(seeds), 8), dtype=np.uint64)
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state[:, i] = value ^ (value >> 16)
+    return state[:, 0::2] | state[:, 1::2] << 32
+
+
+class _SeedWords:
+    """A seed for ``np.random.PCG64``: the precomputed ``generate_state(4,
+    uint64)`` of its SeedSequence. Registered as numpy's ``ISeedSequence``
+    on first use; any other request is refused, so a change in how numpy
+    seeds PCG64 fails loudly instead of drawing other bits."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(
+                f"PCG64 asked for generate_state({n_words}, {np.dtype(dtype)}), "
+                f"precomputed for (4, uint64)"
+            )
+        return self.words
 
 
 def _fisher_yates_pool(
@@ -219,12 +307,15 @@ def curate_detailed(
     samples: list[RankSample] = []
     probe_vectors = np.empty((len(selected), gallery.dimension))
     block = screen_block(gallery)
+    probe_ids = [store.identity_ids[probe] for probe, _pool in selected]
+    if probe_sigma > 0:
+        streams = _identity_streams(config.rng_seed, probe_ids, "degrade")
     for start in range(0, len(selected), block):
         rows = [probe for probe, _pool in selected[start : start + block]]
         probes = probe_vectors[start : start + len(rows)]
-        identities = [store.identity_ids[row] for row in rows]
+        identities = probe_ids[start : start + len(rows)]
         if probe_sigma > 0:
-            rngs = [_identity_stream(config.rng_seed, i, "degrade") for i in identities]
+            rngs = list(islice(streams, len(rows)))
             degraded = degrade_probes(store.vectors[rows], probe_sigma, rngs)
             probes[:] = l2_normalize_rows(degraded)
         else:

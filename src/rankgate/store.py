@@ -19,7 +19,8 @@ Two interchangeable on-disk formats:
   after its last declared record is rejected. A store refuses what this
   format cannot hold (a ``capture_index`` of 2³² or more, an id or group
   over 65535 UTF-8 bytes), so writing one never fails halfway. The reader
-  parses the strings and capture_index of each record and gathers the
+  walks the records in one :meth:`~rankgate.codec.Reader.records` call,
+  which parses each record's strings and capture_index and gathers the
   vector bytes into one buffer, read as one matrix. A header whose record
   count cannot fit in the bytes that follow is refused before any buffer
   is sized from it.
@@ -249,10 +250,13 @@ class EmbeddingStore:
         return len(self.identity_ids)
 
     def filter_by_group(self, group: str) -> "EmbeddingStore":
-        """Substore containing exactly the rows labeled ``group``."""
+        """Substore containing exactly the rows labeled ``group``: the store
+        itself, which is immutable, when every row is."""
         if group not in self.groups:
             known = ", ".join(sorted(set(self.groups))) or "<none>"
             raise ValueError(f"unknown group {group!r}; store has: {known}")
+        if self.groups.count(group) == len(self):
+            return self
         rows = [i for i, g in enumerate(self.groups) if g == group]
         return EmbeddingStore(
             [self.identity_ids[i] for i in rows],
@@ -333,14 +337,7 @@ def _ingest_binary(path: Path) -> EmbeddingStore:
             f"unexpected end of file: header declares {count} records, more "
             f"than the {remaining} remaining bytes can hold"
         )
-    identity_ids, image_ids, groups, capture = [], [], [], []
-    raw = bytearray(count * size)
-    for i in range(count):
-        identity_ids.append(reader.string())
-        image_ids.append(reader.string())
-        groups.append(reader.string())
-        capture.append(reader.u32())
-        raw[i * size : (i + 1) * size] = reader.take(size)
+    (identity_ids, image_ids, groups), capture, raw = reader.records(count, size)
     reader.end(f"{count} declared records")
     # The file's bytes, then the raw vectors, go before the store's sorted copy.
     del reader

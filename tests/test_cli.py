@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rankgate import mlp
+from rankgate import cli, mlp
 from rankgate.cli import main
 from rankgate.experiment import ConditionSpec, ExperimentPlan, plan_to_dict
 from rankgate.synth import SynthConfig, config_to_json
@@ -498,3 +498,74 @@ class TestErrorHandling:
         code = main(["eval", "--plan", str(plan), "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert "rng_seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+class TestListFlagErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--hidden", ""], "item '' in --hidden '' is not an integer"),
+            (["train", "--hidden", "16,,16"], "item '' in --hidden '16,,16' is not an integer"),
+            (["eval", "--store", "s.bin", "--groups", "g", "--seeds", "1,x"],
+             "item 'x' in --seeds '1,x' is not an integer"),
+            (["sweep", "--store", "s.bin", "--groups", "g", "--d-in-values", "2,"],
+             "item '' in --d-in-values '2,' is not an integer"),
+            (["synth", "--groups", "a:x"],
+             "group spec 'a:x' in --groups needs an integer count, got 'x'"),
+            (["eval", "--store", "s.bin", "--groups", "g", "--conditions", "a:x"],
+             "condition spec 'a:x' in --conditions needs a number sigma, got 'x'"),
+        ],
+    )
+    def test_error_names_flag_and_item(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        outputs = {"train": ["--samples", "x.csv", "--out", "m.bin"], "synth": ["--out", "s.bin"]}
+        code = main(argv + outputs.get(argv[0], []))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_threshold_score_not_a_number_names_file(self, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0.1\n0.2 high\n")
+        out = tmp_path / "t.json"
+        code = main(["baseline", "threshold", "--scores", str(scores), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: score 'high' in --scores file {scores} is not a number\n"
+        )
+        assert not out.exists()
+
+
+class TestParserReuse:
+    """main() builds the argument parser once per process and reuses it."""
+
+    def test_two_subcommands_share_one_parser(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def counting_build_parser(real=cli.build_parser):
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        try:
+            store = tmp_path / "s.bin"
+            assert main(["synth", "--out", str(store), "--identities", "4",
+                         "--dimension", "8", "--groups", "a:2,b:2"]) == 0
+            assert main(["ingest", "--input", str(store), "--out", str(tmp_path / "s.csv"),
+                         "--out-format", "csv"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("wrote 20 records (8-d)")
+        assert out[1].startswith("validated 20 records (8-d, groups: a, b)")
+
+    def test_bad_flag_then_good_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "x.bin"), "--dimension", "many"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+        assert main(["synth", "--out", str(tmp_path / "s.bin"), "--identities", "4"]) == 0
+        assert capsys.readouterr().out.startswith("wrote 20 records (64-d)")
+        assert not (tmp_path / "x.bin").exists()

@@ -1,8 +1,9 @@
 import hashlib
+import struct
 
 import pytest
 
-from rankgate.codec import from_dict
+from rankgate.codec import Reader, StoreFormatError, encode_str, from_dict
 from rankgate.experiment import ConditionSpec, ExperimentPlan, plan_from_dict, plan_hash
 from rankgate.mlp import MlpConfig, init_model, save_model
 from rankgate.synth import SynthConfig
@@ -95,6 +96,38 @@ class TestFromDict:
         plan = from_dict(ExperimentPlan, {"groups": ["g"], "conditions": [condition],
                                           "store_path": "s.bin"}, "plan")
         assert plan.conditions[0] is condition
+
+
+class TestReader:
+    @pytest.mark.parametrize(
+        "read, data",
+        [("u16", b"\x01"), ("u32", b"\x01\x02\x03"), ("u64", b"\0" * 7),
+         ("string", b"\x01"), ("string", b"\x03\0ab"), ("take", b"\0" * 4)],
+    )
+    def test_read_past_the_end_refused_in_place(self, read, data):
+        reader = Reader(data)
+        with pytest.raises(StoreFormatError, match="^unexpected end of file$"):
+            getattr(reader, read)(*([5] if read == "take" else []))
+        assert reader.pos == 0
+
+    def test_reads_advance(self):
+        reader = Reader(struct.pack("<HIQ", 1, 2, 2**64 - 1) + encode_str("\u00e9"))
+        assert (reader.u16(), reader.u32(), reader.u64(), reader.string()) == (
+            1, 2, 2**64 - 1, "\u00e9"
+        )
+        reader.end("the test payload")
+
+    def test_records_read_as_the_single_reads(self):
+        payload = b"".join([
+            encode_str("a"), encode_str(""), encode_str("g"), struct.pack("<I", 7), b"xyz",
+            encode_str("bc"), encode_str("d\u00e9"), encode_str("g"),
+            struct.pack("<I", 2**32 - 1), b"uvw",
+        ])
+        reader = Reader(payload + b"!")
+        columns, numbers, raw = reader.records(2, 3)
+        assert columns == (["a", "bc"], ["", "d\u00e9"], ["g", "g"])
+        assert numbers == [7, 2**32 - 1] and raw == bytearray(b"xyzuvw")
+        assert reader.remaining() == 1
 
 
 class TestGolden:

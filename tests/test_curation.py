@@ -1,5 +1,9 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from rankgate.curation import (
     write_samples_csv,
 )
 from rankgate.search import screen, screen_tolerance, similarities
+from rankgate.seeds import derive_seed
 from rankgate.store import EmbeddingStore
 from rankgate.synth import SynthConfig, generate
 
@@ -587,3 +592,58 @@ class TestSampleSerialization:
         samples = [sample((2, 3), 1), sample((2, 3, 4), 0, ident="q")]
         with pytest.raises(ValueError, match="widths"):
             d_in_of(samples)
+
+
+# Seeds whose SeedSequence entropy is one word, two words, or at the edges
+# of either.
+EDGE_SEEDS = (0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1)
+
+
+class TestIdentityStreams:
+    """Curation's per-identity streams are numpy's ``PCG64(derive_seed(...))``,
+    seeded from words computed for all identities at once."""
+
+    def test_seed_words_are_seed_sequence_state(self):
+        words = curation._seed_sequence_words(EDGE_SEEDS)
+        assert words.shape == (len(EDGE_SEEDS), 4) and words.dtype == np.uint64
+        for seed, row in zip(EDGE_SEEDS, words):
+            want = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert row.tolist() == want.tolist()
+        assert curation._seed_sequence_words([]).shape == (0, 4)
+
+    def test_streams_at_edge_seeds(self):
+        streams = list(curation._pcg64_streams(EDGE_SEEDS))
+        for seed, rng in zip(EDGE_SEEDS, streams, strict=True):
+            assert rng.bit_generator.state == np.random.PCG64(seed).state
+        assert list(curation._pcg64_streams([])) == []
+
+    @given(
+        rng_seed=st.integers(min_value=0, max_value=2**64),
+        identity_ids=st.lists(st.text(max_size=6), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_streams_are_pcg64_of_derived_seeds(self, rng_seed, identity_ids):
+        for label in ("pool", "degrade"):
+            streams = list(curation._identity_streams(rng_seed, identity_ids, label))
+            assert len(streams) == len(identity_ids)
+            for identity_id, rng in zip(identity_ids, streams):
+                want = np.random.PCG64(derive_seed(rng_seed, identity_id, label))
+                assert rng.bit_generator.state == want.state
+                assert rng.integers(0, 2**63, 3).tolist() == (
+                    np.random.Generator(want).integers(0, 2**63, 3).tolist()
+                )
+
+    @pytest.mark.parametrize("request_", [(8, np.uint32), (4, np.uint32), (2, np.uint64)])
+    def test_other_state_requests_refused(self, request_):
+        words = curation._seed_sequence_words([1])[0]
+        with pytest.raises(RuntimeError, match="precomputed for \\(4, uint64\\)"):
+            curation._SeedWords(words).generate_state(*request_)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        """The streams' numpy hook is registered on first use, not at import."""
+        code = "import sys, rankgate, rankgate.cli; print('numpy.random' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(curation.__file__).parents[1])},
+        ).stdout
+        assert out == "False\n"

@@ -386,6 +386,13 @@ class TestEmbeddingStore:
         assert keys(same) == keys(store)
         assert same.vectors.tobytes() == store.vectors.tobytes()
 
+    def test_filter_returns_store_itself_only_when_one_group(self):
+        one = store_of([make_row("a", "i1"), make_row("b", "i1")])
+        assert one.filter_by_group("g") is one
+        two = store_of([make_row("a", "i1"), make_row("b", "i1", group="h")])
+        part = two.filter_by_group("g")
+        assert part is not two and keys(part) == [("a", "i1")]
+
     def test_filter_unknown_group_error_lists_known(self):
         store = store_of([make_row("a", "i1", group="A")])
         with pytest.raises(ValueError, match="unknown group 'C'.*A"):
@@ -682,6 +689,47 @@ class TestFormats:
         path = tmp_path / "huge.bin"
         path.write_bytes((b"OGEM" + struct.pack("<IIQ", 1, 4, 2**40)).ljust(100, b"\0"))
         with pytest.raises(StoreFormatError, match="declares 1099511627776 records"):
+            ingest(path)
+
+    @staticmethod
+    def three_records(fields=None):
+        """A 2-dimensional binary store of three records; ``fields`` replaces
+        the raw (identity_id, image_id, group) bytes of the middle record."""
+        rows = [("alpha", "image1", "g"), ("b\u00e9ta", "image2", "g"), ("gamma", "image3", "grp")]
+        out = b"OGEM" + struct.pack("<IIQ", 1, 2, len(rows))
+        for k, row in enumerate(rows):
+            raw = fields if fields is not None and k == 1 else [t.encode() for t in row]
+            out += b"".join(struct.pack("<H", len(r)) + r for r in raw)
+            out += struct.pack("<I2f", k, 0.6, 0.8)
+        return out
+
+    def test_truncated_at_every_byte_rejected(self, tmp_path):
+        path = tmp_path / "cut.bin"
+        data = self.three_records()
+        path.write_bytes(data)
+        assert len(ingest(path)) == 3
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(StoreFormatError):
+                ingest(path)
+
+    @pytest.mark.parametrize("field", range(3))
+    def test_invalid_utf8_in_each_string_field_rejected(self, field, tmp_path):
+        raw = [b"beta", b"image2", b"g"]
+        raw[field] = b"x\xff"
+        path = tmp_path / "utf8.bin"
+        path.write_bytes(self.three_records(raw))
+        with pytest.raises(StoreFormatError, match="invalid UTF-8 in string field"):
+            ingest(path)
+
+    def test_declared_count_past_the_records_rejected(self, tmp_path):
+        """One record more than the file holds: its bytes pass the header's
+        size check, and the walk runs out of them."""
+        data = bytearray(self.three_records())
+        data[12:20] = struct.pack("<Q", 4)
+        path = tmp_path / "four.bin"
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreFormatError, match="^unexpected end of file$"):
             ingest(path)
 
     def test_bad_magic(self, tmp_path):
