@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import baselines, curation, experiment, mlp, store, synth
@@ -200,7 +201,7 @@ def _plan_from_args(args) -> experiment.ExperimentPlan:
 
 
 def _write_resolved_plan(plan: experiment.ExperimentPlan, out_dir: Path) -> None:
-    payload = experiment.plan_to_dict(plan)
+    payload = asdict(plan)
     payload["plan_hash"] = experiment.plan_hash(plan)
     (out_dir / "resolved_plan.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -241,6 +242,11 @@ def cmd_sweep(args) -> int:
 def cmd_report(args) -> int:
     payload = json.loads(Path(args.input).read_text())
     report = from_dict(experiment.EvalReport, payload, "report")
+    if report.metadata.format != experiment.REPORT_FORMAT:
+        raise ValueError(
+            f"report {args.input} has format {report.metadata.format!r}, "
+            f"this version reads {experiment.REPORT_FORMAT!r}"
+        )
     experiment.emit_report(report, args.format, args.out)
     print(f"rendered {args.format} -> {args.out}")
     return 0

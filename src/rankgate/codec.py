@@ -10,6 +10,10 @@ string read makes one bound check and one ``struct`` unpack;
 those same steps, filling column lists and one preallocated buffer of
 the records' raw bytes.
 
+CSV files (embedding stores and rank samples) are read through
+:func:`csv_rows`, so a line the csv module refuses fails like any other
+malformed input.
+
 JSON blocks (experiment plans, synth configs, the model's config block,
 evaluation reports) are written with :func:`dataclasses.asdict` and read
 back with :func:`from_dict`, so a dataclass's fields are the only list of
@@ -19,6 +23,7 @@ and failures, decode through the same function.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import struct
 import typing
@@ -140,6 +145,21 @@ _END = "unexpected end of file"
 
 def _bad_utf8(exc: UnicodeDecodeError) -> StoreFormatError:
     return StoreFormatError(f"invalid UTF-8 in string field: {exc}")
+
+
+def csv_rows(fh, path):
+    """The rows of ``csv.reader(fh)``; a line the csv module refuses, such
+    as one with a field past its size limit, is a :class:`StoreFormatError`
+    naming that line of ``path``."""
+    rows = csv.reader(fh)
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise StoreFormatError(f"{path} line {rows.line_num}: {exc}") from None
+        yield row
 
 
 _U16 = struct.Struct("<H")

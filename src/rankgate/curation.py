@@ -67,6 +67,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .codec import csv_rows
 from .search import (
     GalleryIndex,
     build_gallery,
@@ -429,20 +430,25 @@ def rank_distribution_report(
 ) -> list[RankDistRow]:
     """Per-rank counts by label plus cumulative P(in-gallery | rank <= r).
 
-    Every rank entry of every sample counts individually. Rows where no
-    entries have been seen yet carry ``None`` for the probability.
+    Every rank entry of every sample counts individually. The table runs
+    from rank 2 to ``max_rank`` or the largest ``gallery_size``, whichever
+    is smaller, because no rank exceeds its sample's gallery size. Rows
+    where no entries have been seen yet carry ``None`` for the probability.
     """
     if max_rank < 2:
         raise ValueError("max_rank must be >= 2")
-    counts = {label: np.zeros(max_rank + 1, dtype=np.int64) for label in (0, 1)}
+    if not samples:
+        raise ValueError("no samples")
+    last = min(max_rank, max(s.gallery_size for s in samples))
+    counts = {label: np.zeros(last + 1, dtype=np.int64) for label in (0, 1)}
     for s in samples:
         for r in s.ranks:
-            if r <= max_rank:
+            if r <= last:
                 counts[s.label][r] += 1
     rows = []
     cum_in = 0
     cum_out = 0
-    for r in range(2, max_rank + 1):
+    for r in range(2, last + 1):
         c_in = int(counts[IN_GALLERY][r])
         c_out = int(counts[OUT_OF_GALLERY][r])
         cum_in += c_in
@@ -489,7 +495,7 @@ def write_samples_csv(samples: Sequence[RankSample], path) -> None:
 
 def load_samples_csv(path) -> list[RankSample]:
     with open(Path(path), newline="") as fh:
-        rows = csv.reader(fh)
+        rows = csv_rows(fh, path)
         try:
             header = next(rows)
         except StopIteration:

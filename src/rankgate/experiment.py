@@ -296,11 +296,16 @@ def run_cell(
 def run_experiment(
     plan: ExperimentPlan, store: Optional[EmbeddingStore] = None
 ) -> EvalReport:
-    """Run every cell of the plan. Failed cells are recorded, not fatal."""
+    """Run every cell of the plan. Failed cells are recorded, not fatal.
+
+    With ``reuse_first_condition_threshold``, a failed first condition also
+    fails the later conditions of its group and seed, which would reuse its
+    thresholds."""
     if store is None:
         store = load_plan_store(plan)
     rows: list[CellResult] = []
     failures: list[CellFailure] = []
+    reuse = plan.reuse_first_condition_threshold
     for seed in plan.seeds:
         for group in plan.groups:
             try:
@@ -309,22 +314,30 @@ def run_experiment(
                 failures += [_failure(group, c.tag, seed, exc) for c in plan.conditions]
                 continue
             carried: Optional[dict[str, ThresholdModel]] = None
-            for condition in plan.conditions:
+            first_failed: Optional[str] = None  # the first cell's error, when reused
+            for i, condition in enumerate(plan.conditions):
                 try:
+                    if first_failed is not None:
+                        raise RuntimeError(
+                            f"first condition {plan.conditions[0].tag!r}, whose score "
+                            f"thresholds this cell reuses, failed: {first_failed}"
+                        )
                     cell_rows, calibration = run_cell(
                         sub, plan, group, condition, seed, calibration=carried
                     )
                 except Exception as exc:  # noqa: BLE001 cell isolation is the point
                     failures.append(_failure(group, condition.tag, seed, exc))
+                    if reuse and i == 0:
+                        first_failed = failures[-1].error
                     continue
                 rows.extend(cell_rows)
-                if plan.reuse_first_condition_threshold and carried is None:
+                if reuse and i == 0:
                     carried = calibration
     rows.sort(key=lambda r: (r.group, r.condition, r.method, r.seed))
     failures.sort(key=lambda f: (f.group, f.condition, f.seed))
     metadata = ReportMetadata(
         format=REPORT_FORMAT,
-        plan=plan_to_dict(plan),
+        plan=asdict(plan),
         plan_hash=plan_hash(plan),
         notes=_plan_notes(plan),
     )
@@ -402,10 +415,6 @@ def write_sweep_csv(rows: Sequence[SweepRow], path) -> None:
             fh.write(f"{row.d_in},{row.mean_accuracy * 100:.2f},{row.n_cells}\n")
 
 
-def plan_to_dict(plan: ExperimentPlan) -> dict:
-    return asdict(plan)
-
-
 def plan_from_dict(payload: dict) -> ExperimentPlan:
     """Plan from its JSON form; ValueError names a missing or unknown field.
 
@@ -424,7 +433,7 @@ def plan_from_json(path) -> ExperimentPlan:
 
 
 def plan_hash(plan: ExperimentPlan) -> str:
-    canonical = json.dumps(plan_to_dict(plan), sort_keys=True)
+    canonical = json.dumps(asdict(plan), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

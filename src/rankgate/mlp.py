@@ -41,7 +41,9 @@ JSON config block (the :class:`MlpConfig` fields, every one required and
 no other key accepted), u32 array count, then per parameter array, in
 :func:`_layout` order, a u16 length-prefixed name, u8 ndim, u32 dims, and
 little-endian f32 data; files written before the one-buffer layout have the
-same bytes and load unchanged. Read and written with :mod:`rankgate.codec`.
+same bytes and load unchanged. The loader reads the arrays in that one order,
+straight into the buffer, and refuses a file whose array count, names or
+shapes differ from the layout's. Read and written with :mod:`rankgate.codec`.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -160,9 +162,6 @@ class MlpModel:
             name: self.flat[..., start:end].reshape(lead + shape)
             for name, shape, start, end in layout
         }
-
-    def parameters(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self.params.items())
 
 
 @dataclass
@@ -548,7 +547,7 @@ def train(
 
     selected = int(np.argmax(fold_accuracies))
     final = _round_f32(MlpModel(config, snapshots[selected]))
-    for name, arr in final.parameters():
+    for name, arr in final.params.items():
         if not np.all(np.isfinite(arr)):
             raise RuntimeError(
                 f"parameter {name} is non-finite after float32 rounding; "
@@ -561,7 +560,7 @@ def train(
 
 def save_model(model: MlpModel, path) -> None:
     config_json = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
-    arrays = list(model.parameters())
+    arrays = list(model.params.items())
     with open(Path(path), "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
@@ -588,28 +587,22 @@ def load_model(path) -> MlpModel:
         )
     except ValueError as exc:
         raise StoreFormatError(f"bad model config block: {exc}") from exc
-    n_arrays = reader.u32()
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_arrays):
-        name = reader.string()
-        if name in arrays:
-            raise StoreFormatError(f"model file: array {name!r} appears twice")
-        ndim = reader.take(1)[0]
-        shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
-        data = reader.take(4 * math.prod(shape))
-        arrays[name] = np.frombuffer(data, dtype="<f4").reshape(shape)
-    reader.end("model arrays")
-
     layout = _layout(config)
-    for name, shape, _, _ in layout:
-        if name not in arrays:
-            raise StoreFormatError(f"model file is missing array {name!r}")
-        if arrays[name].shape != shape:
+    n_arrays = reader.u32()
+    if n_arrays != len(layout):
+        raise StoreFormatError(
+            f"model file holds {n_arrays} arrays, config implies {len(layout)}"
+        )
+    flat = np.empty(layout[-1][3])
+    for i, (name, shape, start, end) in enumerate(layout):
+        found = reader.string()
+        ndim = reader.take(1)[0]
+        dims = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
+        if (found, dims) != (name, shape):
             raise StoreFormatError(
-                f"array {name!r} has shape {arrays[name].shape}, config implies {shape}"
+                f"model array {i} is {found!r} of shape {dims}, "
+                f"config implies {name!r} of shape {shape}"
             )
-    unexpected = sorted(set(arrays) - {name for name, *_ in layout})
-    if unexpected:
-        raise StoreFormatError(f"model file carries unexpected arrays: {unexpected}")
-    flat = np.concatenate([arrays[name].ravel() for name, *_ in layout])
-    return MlpModel(config, flat.astype(np.float64))
+        flat[start:end] = np.frombuffer(reader.take(4 * (end - start)), dtype="<f4")
+    reader.end("model arrays")
+    return MlpModel(config, flat)

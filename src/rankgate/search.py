@@ -158,8 +158,12 @@ def rescore(
     return out
 
 
-def check_probe(gallery: GalleryIndex, probe: np.ndarray) -> np.ndarray:
-    """``probe`` as float64, once it matches the gallery dimension and is unit norm."""
+def search(gallery: GalleryIndex, probe: np.ndarray) -> SearchResult:
+    """Rank every gallery row against ``probe`` by cosine similarity.
+
+    The probe must be unit norm and match the gallery dimension. Ties are
+    broken by store row, which is ascending ``(identity_id, image_id)``.
+    """
     p = np.asarray(probe, dtype=np.float64)
     if p.shape != (gallery.dimension,):
         raise ValueError(
@@ -168,16 +172,6 @@ def check_probe(gallery: GalleryIndex, probe: np.ndarray) -> np.ndarray:
     norm_sq = float(np.dot(p, p))
     if not abs(norm_sq - 1.0) <= _PROBE_NORM_TOLERANCE:
         raise ValueError(f"probe must be finite and unit norm, got squared norm {norm_sq!r}")
-    return p
-
-
-def search(gallery: GalleryIndex, probe: np.ndarray) -> SearchResult:
-    """Rank every gallery row against ``probe`` by cosine similarity.
-
-    The probe must be unit norm and match the gallery dimension. Ties are
-    broken by store row, which is ascending ``(identity_id, image_id)``.
-    """
-    p = check_probe(gallery, probe)
     sims = similarities(gallery.vectors.astype(np.float64), p)
     order = np.lexsort((gallery.tie_rank, -sims))
     return SearchResult(positions=order, similarities=sims[order])

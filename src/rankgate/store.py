@@ -84,7 +84,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .codec import Reader, StoreFormatError, encode_str
+from .codec import Reader, StoreFormatError, csv_rows, encode_str
 
 NORM_TOLERANCE = 1e-5
 # Rows that unit_rows normalizes together; the size of its temporaries.
@@ -352,7 +352,7 @@ def _ingest_binary(path: Path) -> EmbeddingStore:
 
 def _ingest_csv(path: Path) -> EmbeddingStore:
     with open(path, newline="") as fh:
-        rows = csv.reader(fh)
+        rows = csv_rows(fh, path)
         try:
             header = next(rows)
         except StopIteration:

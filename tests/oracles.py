@@ -225,7 +225,7 @@ def finite_difference_gradients(model, batch, loss_fn, step=1e-4):
     passed through as it is.
     """
     grads = {}
-    for name, arr in model.parameters():
+    for name, arr in model.params.items():
         flat = arr.ravel()
         grad = np.zeros(flat.size)
         for i in range(flat.size):

@@ -350,7 +350,7 @@ def test_09_invariant_suites(tmp_path):
     save_model(model, tmp_path / "model.bin")
     reloaded = load_model(tmp_path / "model.bin")
     assert reloaded.config == model.config
-    for (name, arr), (name2, arr2) in zip(model.parameters(), reloaded.parameters()):
+    for (name, arr), (name2, arr2) in zip(model.params.items(), reloaded.params.items()):
         assert name == name2 and arr.tobytes() == arr2.tobytes()
 
     _gate(

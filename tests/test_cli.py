@@ -1,10 +1,11 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 from rankgate import cli, mlp
 from rankgate.cli import main
-from rankgate.experiment import ConditionSpec, ExperimentPlan, plan_to_dict
+from rankgate.experiment import ConditionSpec, ExperimentPlan
 from rankgate.synth import SynthConfig, config_to_json
 
 
@@ -61,7 +62,7 @@ def plan_file(tmp_path, **overrides):
     )
     base.update(overrides)
     path = tmp_path / "plan.json"
-    path.write_text(json.dumps(plan_to_dict(ExperimentPlan(**base))))
+    path.write_text(json.dumps(asdict(ExperimentPlan(**base))))
     return path
 
 
@@ -362,6 +363,34 @@ class TestErrorHandling:
         assert err.startswith("error: line 3: cannot normalize a zero vector"), err
         assert not out.exists()
 
+    def test_store_csv_field_past_limit_names_line(self, tmp_path, capsys):
+        src = tmp_path / "long.csv"
+        src.write_text(
+            "identity_id,image_id,group,capture_index,v0,v1\n"
+            "p1,a,g,1,1.0,0.0\n"
+            f"{'p' * 200000},b,g,2,0.0,1.0\n"
+        )
+        out = tmp_path / "long.bin"
+        code = main(["ingest", "--input", str(src), "--input-format", "csv",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src} line 3: field larger than field limit"), err
+        assert not out.exists()
+
+    def test_sample_csv_field_past_limit_names_line(self, tmp_path, samples_path, capsys):
+        lines = samples_path.read_text().splitlines(keepends=True)
+        src = tmp_path / "long.csv"
+        src.write_text(lines[0] + lines[1] + "p" * 200000 + lines[2][lines[2].index(","):])
+        capsys.readouterr()
+        for argv in (["train"], ["rankdist"], ["baseline", "mean"]):
+            out = tmp_path / "out"
+            code = main(argv + ["--samples", str(src), "--out", str(out)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {src} line 3: field larger than field limit"), argv
+            assert not out.exists()
+
     def test_bad_learning_rate_rejected_before_training(
         self, tmp_path, samples_path, capsys, monkeypatch
     ):
@@ -484,6 +513,20 @@ class TestErrorHandling:
                          "--out", str(tmp_path / "r.md")])
             assert code == 1
             assert capsys.readouterr().err.startswith("error: report: field metadata ")
+
+    def test_report_of_unknown_format_refused(self, tmp_path, capsys):
+        meta = dict(format="rankgate-eval-report-v9", plan={}, plan_hash="", notes=[])
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({"metadata": meta, "rows": []}))
+        out = tmp_path / "r.md"
+        code = main(["report", "--input", str(report), "--format", "markdown",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: report {report} has format 'rankgate-eval-report-v9', "
+            "this version reads 'rankgate-eval-report-v1'\n"
+        )
+        assert not out.exists()
 
     def test_negative_synth_seed_rejected(self, tmp_path, capsys):
         out = tmp_path / "s.bin"

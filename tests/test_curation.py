@@ -536,6 +536,15 @@ class TestRankDistribution:
         assert last.cum_in == 2 and last.cum_out == 2
         assert sum(r.count_in for r in rows) == 2
 
+    def test_table_ends_at_largest_gallery(self):
+        samples = [sample((2, 5), 1, gallery_size=8), sample((3, 12), 0, gallery_size=12)]
+        rows = rank_distribution_report(samples, max_rank=10**12)
+        assert [r.rank for r in rows] == list(range(2, 13))
+        assert (rows[-1].cum_in, rows[-1].cum_out) == (2, 2)
+        assert rank_distribution_report(samples, max_rank=6) == rows[:5]
+        with pytest.raises(ValueError, match="no samples"):
+            rank_distribution_report([], max_rank=10)
+
     def test_csv_export(self, tmp_path):
         rows = rank_distribution_report([sample((2, 3), 1)], max_rank=4)
         path = tmp_path / "dist.csv"

@@ -2,7 +2,7 @@ import csv
 import json
 import re
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -31,7 +31,6 @@ from rankgate.experiment import (
     plan_from_dict,
     plan_from_json,
     plan_hash,
-    plan_to_dict,
     run_cell,
     run_experiment,
     write_sweep_csv,
@@ -217,6 +216,38 @@ class TestCalibrationReuse:
         emit_report(report, "markdown", md)
         assert "calibrated on the first condition" in md.read_text()
 
+    def test_reused_first_condition_failure_fails_later_conditions(self, monkeypatch):
+        """A failed first cell hands its role to no later condition: each one
+        that would reuse its thresholds fails too, naming its error."""
+        plan = tiny_plan(
+            conditions=(ConditionSpec("clean"), ConditionSpec("mid", 0.1),
+                        ConditionSpec("hi", 0.3)),
+            methods=("threshold",),
+            reuse_first_condition_threshold=True,
+        )
+        curate = experiment.curate_detailed
+
+        def curate_failing_clean(store, config, probe_sigma):
+            if config.condition == "clean":
+                raise ValueError("clean curation broke")
+            return curate(store, config, probe_sigma)
+
+        monkeypatch.setattr(experiment, "curate_detailed", curate_failing_clean)
+        report = run_experiment(plan)
+        assert report.rows == []
+        errors = {f.condition: f.error for f in report.failures}
+        assert errors.pop("clean") == "ValueError: clean curation broke"
+        assert sorted(errors) == ["hi", "mid"]
+        for error in errors.values():
+            assert error == (
+                "RuntimeError: first condition 'clean', whose score thresholds this "
+                "cell reuses, failed: ValueError: clean curation broke"
+            )
+        # Without reuse each condition calibrates itself, and only clean fails.
+        report = run_experiment(replace(plan, reuse_first_condition_threshold=False))
+        assert [f.condition for f in report.failures] == ["clean"]
+        assert sorted(r.condition for r in report.rows) == ["hi", "mid"]
+
 
 class TestScoreBaselines:
     def antipodal_store(self):
@@ -330,14 +361,14 @@ class TestScoreBaselines:
 class TestPlanSerialization:
     def test_round_trip_preserves_plan(self):
         plan = tiny_plan(seeds=(0, 3), augment_copies=2)
-        rebuilt = plan_from_dict(plan_to_dict(plan))
+        rebuilt = plan_from_dict(asdict(plan))
         assert rebuilt == plan
         assert plan_hash(rebuilt) == plan_hash(plan)
 
     def test_round_trip_through_file(self, tmp_path):
         plan = tiny_plan()
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(plan_to_dict(plan)))
+        path.write_text(json.dumps(asdict(plan)))
         assert plan_from_json(path) == plan
 
     def test_defaults_fill_missing_fields(self):

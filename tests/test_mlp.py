@@ -52,7 +52,7 @@ def keep_masks(rngs, n, config):
 
 def zero_model(config=None):
     model = init_model(config or MlpConfig())
-    for _, arr in model.parameters():
+    for _, arr in model.params.items():
         arr[...] = 0.0
     return model
 
@@ -243,7 +243,7 @@ class TestLoss:
                     single, x[f : f + 1], y[f : f + 1], single_masks
                 )
                 assert loss.tobytes() == losses[f : f + 1].tobytes()
-                for name, arr in single_grad.parameters():
+                for name, arr in single_grad.params.items():
                     assert arr.tobytes() == grad.params[name][f : f + 1].tobytes(), name
 
     def test_dropout_only_fires_with_generator(self):
@@ -445,7 +445,7 @@ class TestTrain:
         assert report_a.fold_accuracies == report_b.fold_accuracies
         assert report_a.best_epochs == report_b.best_epochs
         assert report_a.selected_fold == report_b.selected_fold
-        for (name_a, arr_a), (_, arr_b) in zip(model_a.parameters(), model_b.parameters()):
+        for (name_a, arr_a), (_, arr_b) in zip(model_a.params.items(), model_b.params.items()):
             assert arr_a.tobytes() == arr_b.tobytes(), name_a
 
     def test_selected_fold_is_argmax(self):
@@ -553,7 +553,7 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.config == model.config
-        for (name, arr), (_, arr2) in zip(model.parameters(), loaded.parameters()):
+        for (name, arr), (_, arr2) in zip(model.params.items(), loaded.params.items()):
             assert arr.tobytes() == arr2.tobytes(), name
 
     def test_predictions_survive_round_trip(self, tmp_path):
@@ -603,22 +603,28 @@ class TestPersistence:
             with pytest.raises(StoreFormatError, match="bad model config block"):
                 load_model(path)
 
+    @staticmethod
+    def write_arrays(path, model, written):
+        """A model file of ``model``'s config block and the ``(name, array)``
+        pairs ``written``, in that order."""
+        block = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
+        data = b"OGMLP" + struct.pack("<II", 1, len(block)) + block
+        data += struct.pack("<I", len(written))
+        for name, arr in written:
+            data += encode_str(name) + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+            data += arr.astype("<f4").tobytes()
+        path.write_bytes(data)
+
     def test_missing_or_unexpected_array_rejected(self, tmp_path):
         model = init_model(MlpConfig(hidden_sizes=(4,), rng_seed=2))
-        block = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
-        arrays = list(model.parameters())
+        arrays = list(model.params.items())
         cases = (
-            ([a for a in arrays if a[0] != "h0.gamma"], "missing array 'h0.gamma'"),
-            (arrays + [("h1.w", np.zeros((2, 2)))], r"unexpected arrays: \['h1.w'\]"),
+            ([a for a in arrays if a[0] != "h0.gamma"], "holds 5 arrays, config implies 6"),
+            (arrays + [("h1.w", np.zeros((2, 2)))], "holds 7 arrays, config implies 6"),
         )
         path = tmp_path / "model.bin"
         for written, message in cases:
-            data = b"OGMLP" + struct.pack("<II", 1, len(block)) + block
-            data += struct.pack("<I", len(written))
-            for name, arr in written:
-                data += encode_str(name) + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
-                data += arr.astype("<f4").tobytes()
-            path.write_bytes(data)
+            self.write_arrays(path, model, written)
             with pytest.raises(StoreFormatError, match=message):
                 load_model(path)
 
@@ -626,23 +632,33 @@ class TestPersistence:
         """A file that repeats an array name is rejected, whether the repeat
         is extra or replaces another array (the count matches the layout)."""
         model = init_model(MlpConfig(hidden_sizes=(4,), rng_seed=2))
-        block = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
-        arrays = list(model.parameters())
+        arrays = list(model.params.items())
         h0_w = ("h0.w", np.full_like(arrays[0][1], 7.0))
         cases = (
-            (arrays + [h0_w], "array 'h0.w' appears twice"),
-            ([arrays[0], h0_w] + arrays[2:], "array 'h0.w' appears twice"),
+            (arrays + [h0_w], "holds 7 arrays, config implies 6"),
+            (
+                [arrays[0], h0_w] + arrays[2:],
+                r"array 1 is 'h0.w' of shape \(4, 3\), config implies 'h0.b'",
+            ),
         )
         path = tmp_path / "model.bin"
         for written, message in cases:
-            data = b"OGMLP" + struct.pack("<II", 1, len(block)) + block
-            data += struct.pack("<I", len(written))
-            for name, arr in written:
-                data += encode_str(name) + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
-                data += arr.astype("<f4").tobytes()
-            path.write_bytes(data)
+            self.write_arrays(path, model, written)
             with pytest.raises(StoreFormatError, match=message):
                 load_model(path)
+
+    def test_arrays_out_of_layout_order_rejected(self, tmp_path):
+        """Two arrays of one shape swapped: every name and shape is present,
+        but the file does not follow the layout order, the only one written."""
+        model = init_model(MlpConfig(hidden_sizes=(4,), rng_seed=2))
+        arrays = list(model.params.items())
+        assert [name for name, _ in arrays[1:3]] == ["h0.b", "h0.gamma"]
+        path = tmp_path / "model.bin"
+        self.write_arrays(path, model, [arrays[0], arrays[2], arrays[1]] + arrays[3:])
+        with pytest.raises(StoreFormatError, match="array 1 is 'h0.gamma'.*implies 'h0.b'"):
+            load_model(path)
+        self.write_arrays(path, model, arrays)
+        assert load_model(path).flat.tobytes() == model.flat.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.bin"
@@ -661,6 +677,8 @@ class TestPersistence:
         path = tmp_path / "trained.bin"
         save_model(model, path)
         loaded = load_model(path)
+        save_model(loaded, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
         for s in samples:
             label_a, probs_a = predict(model, s.ranks, s.gallery_size)
             label_b, probs_b = predict(loaded, s.ranks, s.gallery_size)

@@ -9,7 +9,6 @@ from oracles import oracle_rank_vector, oracle_search_order
 from rankgate.baselines import fuse_gallery
 from rankgate.search import (
     build_gallery,
-    check_probe,
     extract_rank_vector,
     screen,
     screen_tolerance,
@@ -226,7 +225,7 @@ class TestSearch:
         _store, gallery = gallery_of([make_row("a", "i1", dim=4)])
         probe = np.array([1.0, 0.0, 0.0, np.nan])
         with pytest.raises(ValueError, match="finite and unit norm, got squared norm nan"):
-            check_probe(gallery, probe)
+            search(gallery, probe)
         with pytest.raises(ValueError, match="finite and unit norm"):
             search(gallery, np.full(4, np.nan))
 
