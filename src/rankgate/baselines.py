@@ -13,15 +13,14 @@
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from itertools import compress
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .codec import read_json, write_json
 from .curation import IN_GALLERY, OUT_OF_GALLERY, RankSample
 from .search import (
     GalleryIndex,
@@ -79,11 +78,11 @@ def threshold_to_json(model: ThresholdModel, path) -> None:
         "target_fpir": repr(model.target_fpir),
         "n_nonmated": model.n_nonmated,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def threshold_from_json(path) -> ThresholdModel:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     threshold = struct.unpack("<d", bytes.fromhex(payload["threshold_bits"]))[0]
     return ThresholdModel(
         threshold=threshold,
@@ -132,11 +131,11 @@ def centroid_to_json(model: CentroidModel, path) -> None:
         "center_out": [repr(float(v)) for v in model.center_out],
         "center_in": [repr(float(v)) for v in model.center_in],
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def centroid_from_json(path) -> CentroidModel:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     return CentroidModel(
         statistic=payload["statistic"],
         center_out=np.array([float(v) for v in payload["center_out"]]),

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import baselines, curation, experiment, mlp, store, synth
-from .codec import from_dict
+from .codec import from_dict, read_json, write_json
 
 OUT_DIR_ENV = "RANKGATE_OUT_DIR"
 
@@ -201,11 +200,8 @@ def _plan_from_args(args) -> experiment.ExperimentPlan:
 
 
 def _write_resolved_plan(plan: experiment.ExperimentPlan, out_dir: Path) -> None:
-    payload = asdict(plan)
-    payload["plan_hash"] = experiment.plan_hash(plan)
-    (out_dir / "resolved_plan.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    payload = {**asdict(plan), "plan_hash": experiment.plan_hash(plan)}
+    write_json(out_dir / "resolved_plan.json", payload)
 
 
 def cmd_eval(args) -> int:
@@ -240,8 +236,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = json.loads(Path(args.input).read_text())
-    report = from_dict(experiment.EvalReport, payload, "report")
+    report = from_dict(experiment.EvalReport, read_json(args.input), "report")
     if report.metadata.format != experiment.REPORT_FORMAT:
         raise ValueError(
             f"report {args.input} has format {report.metadata.format!r}, "

@@ -10,23 +10,28 @@ string read makes one bound check and one ``struct`` unpack;
 those same steps, filling column lists and one preallocated buffer of
 the records' raw bytes.
 
-CSV files (embedding stores and rank samples) are read through
-:func:`csv_rows`, so a line the csv module refuses fails like any other
-malformed input.
+CSV tables (embedding stores and rank samples) are read by
+:func:`csv_table`, whose errors, a line the csv module refuses included,
+name the file line on which the record starts; lines are written by
+:func:`csv_line`, and each format adds its own line end.
 
-JSON blocks (experiment plans, synth configs, the model's config block,
-evaluation reports) are written with :func:`dataclasses.asdict` and read
-back with :func:`from_dict`, so a dataclass's fields are the only list of
-its keys. Nested records, such as a plan's conditions or a report's rows
-and failures, decode through the same function.
+JSON files (plans, synth configs, deciders, reports) are written by
+:func:`write_json` and read by :func:`read_json`, which names a file that
+is not JSON. A dataclass is written as :func:`dataclasses.asdict` and read
+back with :func:`from_dict`, so its fields are the only list of its keys.
+Nested records, such as a plan's conditions or a report's rows and
+failures, decode through the same function.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import struct
 import typing
+from pathlib import Path
+from types import SimpleNamespace
 
 
 class StoreFormatError(ValueError):
@@ -147,19 +152,65 @@ def _bad_utf8(exc: UnicodeDecodeError) -> StoreFormatError:
     return StoreFormatError(f"invalid UTF-8 in string field: {exc}")
 
 
-def csv_rows(fh, path):
-    """The rows of ``csv.reader(fh)``; a line the csv module refuses, such
-    as one with a field past its size limit, is a :class:`StoreFormatError`
-    naming that line of ``path``."""
-    rows = csv.reader(fh)
+def csv_table(fh, path, fixed, column):
+    """The CSV table in ``fh``, whose header is the names in ``fixed`` and
+    then ``column(0)``, ``column(1)``, ...: the number of those columns and
+    an iterator of ``(line, row)`` for each non-blank record, ``line`` being
+    the file line on which it starts. A wrong header or field count, or a
+    line the csv module refuses, is a :class:`StoreFormatError`."""
+    records = _records(csv.reader(fh), path)
+    header = next(records, (0, None))[1]
+    if header is None:
+        raise StoreFormatError(f"{path} is empty")
+    width = len(header) - len(fixed)
+    if width < 1 or header != [*fixed, *map(column, range(width))]:
+        names = ",".join([*fixed, column(0), column(1)])
+        raise StoreFormatError(f"bad CSV header in {path}, expected {names},...")
+    return width, records
+
+
+def _records(reader, path):
+    """``(line, row)`` for the header, then for each non-blank record, which
+    must have as many fields as the header."""
+    size = None
     while True:
+        line = reader.line_num + 1
         try:
-            row = next(rows)
+            row = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
-            raise StoreFormatError(f"{path} line {rows.line_num}: {exc}") from None
-        yield row
+            raise StoreFormatError(f"{path} line {line}: {exc}") from None
+        if size is None:
+            size = len(row)
+        elif len(row) != size:
+            if row:
+                raise StoreFormatError(f"line {line}: expected {size} fields, got {len(row)}")
+            continue
+        yield line, row
+
+
+# writerow returns what its target's write returns: the quoted fields and
+# the "\r\n" that ends them, which also makes a "\r" in a field quoted.
+_QUOTE = csv.writer(SimpleNamespace(write=str)).writerow
+
+
+def csv_line(fields) -> str:
+    """``fields`` quoted as ``csv.writer`` quotes them, without the line end."""
+    return _QUOTE(fields)[:-2]
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path):
+    """The JSON in ``path``; a StoreFormatError names a file that is not JSON."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise StoreFormatError(f"{path} is not JSON: {exc}") from None
 
 
 _U16 = struct.Struct("<H")

@@ -59,15 +59,14 @@ Rank samples have one file format, the CSV written by
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from itertools import groupby, islice
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .codec import csv_rows
+from .codec import csv_line, csv_table
 from .search import (
     GalleryIndex,
     build_gallery,
@@ -460,58 +459,44 @@ def rank_distribution_report(
 
 
 def write_rank_distribution_csv(rows: Sequence[RankDistRow], path) -> None:
+    """One line per row, its fields in order; a ``None`` probability is empty."""
     with open(Path(path), "w") as fh:
-        fh.write("rank,count_in,count_out,cum_in,cum_out,p_in_given_rank_at_most\n")
+        fh.write(csv_line([f.name for f in fields(RankDistRow)]) + "\n")
         for row in rows:
-            p = "" if row.p_in_given_rank_at_most is None else repr(row.p_in_given_rank_at_most)
-            fh.write(
-                f"{row.rank},{row.count_in},{row.count_out},"
-                f"{row.cum_in},{row.cum_out},{p}\n"
-            )
+            fh.write(csv_line(astuple(row)) + "\n")
 
 
 def d_in_of(samples: Sequence[RankSample]) -> int:
+    if not samples:
+        raise ValueError("no samples")
     widths = {len(s.ranks) for s in samples}
     if len(widths) != 1:
         raise ValueError(f"samples mix rank widths {sorted(widths)}")
     return widths.pop()
 
 
+_SAMPLE_COLUMNS = ("probe_identity", "group", "condition", "label", "gallery_size")
+
+
+def _rank_column(i: int) -> str:
+    return f"r{i + 1}"
+
+
 def write_samples_csv(samples: Sequence[RankSample], path) -> None:
-    """Write the column layout ``probe_identity,group,condition,label,gallery_size,r1..``."""
+    """Write ``probe_identity,group,condition,label,gallery_size,r1..`` lines ending in CRLF."""
     d = d_in_of(samples)
     with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["probe_identity", "group", "condition", "label", "gallery_size"]
-            + [f"r{i + 1}" for i in range(d)]
-        )
+        fh.write(csv_line([*_SAMPLE_COLUMNS, *map(_rank_column, range(d))]) + "\r\n")
         for s in samples:
-            writer.writerow(
-                [s.probe_identity, s.group, s.condition, s.label, s.gallery_size]
-                + [str(r) for r in s.ranks]
-            )
+            fields = [s.probe_identity, s.group, s.condition, s.label, s.gallery_size, *s.ranks]
+            fh.write(csv_line(fields) + "\r\n")
 
 
 def load_samples_csv(path) -> list[RankSample]:
     with open(Path(path), newline="") as fh:
-        rows = csv_rows(fh, path)
-        try:
-            header = next(rows)
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        fixed = ["probe_identity", "group", "condition", "label", "gallery_size"]
-        if header[: len(fixed)] != fixed:
-            raise ValueError(f"bad sample CSV header {header[:len(fixed)]}")
-        d = len(header) - len(fixed)
-        if d < 1 or header[len(fixed):] != [f"r{i + 1}" for i in range(d)]:
-            raise ValueError("sample CSV rank columns must be r1..rd in order")
+        _, rows = csv_table(fh, path, _SAMPLE_COLUMNS, _rank_column)
         samples = []
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != len(fixed) + d:
-                raise ValueError(f"line {lineno}: wrong field count")
+        for lineno, row in rows:
             try:
                 sample = RankSample(
                     ranks=tuple(int(x) for x in row[5:]),

@@ -17,14 +17,12 @@ so re-running a plan yields byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,7 +36,7 @@ from .baselines import (
     fuse_gallery,
     fused_scores,
 )
-from .codec import from_dict
+from .codec import csv_line, from_dict, read_json, write_json
 from .curation import (
     IN_GALLERY,
     OUT_OF_GALLERY,
@@ -429,7 +427,7 @@ def plan_from_dict(payload: dict) -> ExperimentPlan:
 
 
 def plan_from_json(path) -> ExperimentPlan:
-    return plan_from_dict(json.loads(Path(path).read_text()))
+    return plan_from_dict(read_json(path))
 
 
 def plan_hash(plan: ExperimentPlan) -> str:
@@ -445,18 +443,14 @@ def emit_report(report: EvalReport, format: str, path) -> None:
     """
     path = Path(path)
     if format == "json":
-        path.write_text(
-            json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
-        )
+        write_json(path, asdict(report))
     elif format == "csv":
-        # writerow returns its line, as in write_store; "\r\n" quotes a "\r" too.
-        quote = csv.writer(SimpleNamespace(write=str)).writerow
         with open(path, "w", newline="") as fh:
             fh.write("group,condition,method,seed,n_test,tp,tn,fp,fn,accuracy_pct\n")
             for r in report.rows:
                 fields = (r.group, r.condition, r.method, r.seed, r.n_test,
                           r.tp, r.tn, r.fp, r.fn, f"{r.accuracy * 100:.2f}")
-                fh.write(quote(fields)[:-2] + "\n")
+                fh.write(csv_line(fields) + "\n")
     elif format == "markdown":
         lines = ["| group | condition | method | seed | n_test | accuracy |"]
         lines.append("|---|---|---|---|---|---|")

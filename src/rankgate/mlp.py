@@ -58,7 +58,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codec import Reader, StoreFormatError, encode_str, from_dict
+from .codec import Reader, StoreFormatError, encode_str, from_dict, write_json
 from .curation import RankSample
 from .seeds import derive_seed
 
@@ -171,7 +171,7 @@ class TrainReport:
     selected_fold: int
 
     def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        write_json(path, asdict(self))
 
 
 def _round_f32(model: MlpModel) -> MlpModel:

@@ -25,8 +25,9 @@ Two interchangeable on-disk formats:
   count cannot fit in the bytes that follow is refused before any buffer
   is sized from it.
 * CSV: header ``identity_id,image_id,group,capture_index,v0,...,v{d-1}``,
-  one record per row. The four leading fields go through ``csv.writer``
-  (quoted where needed); each component is printed as ``'%.9g' % x``.
+  one record per row. The four leading fields go through
+  :func:`~rankgate.codec.csv_line` (quoted where needed) and each line ends
+  in ``\\r\\n``; each component is printed as ``'%.9g' % x``.
   Nine significant digits identify every float32 uniquely, so the file
   holds exactly the stored bits. The reader rounds ``float(field)`` to
   float32, as the binary format holds it: a finite value past float32's
@@ -76,15 +77,13 @@ D = 64 it is ``6.0·10⁻⁸``.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
-from .codec import Reader, StoreFormatError, csv_rows, encode_str
+from .codec import Reader, StoreFormatError, csv_line, csv_table, encode_str
 
 NORM_TOLERANCE = 1e-5
 # Rows that unit_rows normalizes together; the size of its temporaries.
@@ -98,6 +97,7 @@ _TINY = 2.0**-600  # a row whose sum of squares is smaller is scaled by 1 / _TIN
 _MAGIC = b"OGEM"
 _VERSION = 1
 _CSV_META_COLUMNS = ("identity_id", "image_id", "group", "capture_index")
+_CSV_COLUMN = "v{}".format
 
 
 class RowError(ValueError):
@@ -285,18 +285,17 @@ def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
                 fh.write(struct.pack("<I", capture))
                 fh.write(vector)
     elif format == "csv":
-        # writerow returns what its target's write returns: here the quoted
-        # fields and the "\r\n" that ends them. A formatted float never
-        # needs quoting, so the components go in one % format.
-        quote = csv.writer(SimpleNamespace(write=str)).writerow
+        # A formatted float never needs quoting, so the components go in
+        # one % format.
         line = "%s," + ",".join(["%.9g"] * store.dimension) + "\r\n"
         with open(path, "w", newline="") as fh:
-            fh.write(quote([*_CSV_META_COLUMNS, *(f"v{i}" for i in range(store.dimension))]))
+            header = [*_CSV_META_COLUMNS, *map(_CSV_COLUMN, range(store.dimension))]
+            fh.write(csv_line(header) + "\r\n")
             for start in range(0, len(store), BLOCK_ROWS):
                 block = store.vectors[start : start + BLOCK_ROWS].tolist()
                 # The block goes first, so zip stops without taking a row's fields.
                 for vector, fields in zip(block, rows):
-                    fh.write(line % (quote(fields)[:-2], *vector))
+                    fh.write(line % (csv_line(fields), *vector))
     else:
         raise ValueError(f"unknown store format {format!r}")
 
@@ -352,34 +351,14 @@ def _ingest_binary(path: Path) -> EmbeddingStore:
 
 def _ingest_csv(path: Path) -> EmbeddingStore:
     with open(path, newline="") as fh:
-        rows = csv_rows(fh, path)
-        try:
-            header = next(rows)
-        except StopIteration:
-            raise StoreFormatError(f"{path} is empty") from None
-        if tuple(header[:4]) != _CSV_META_COLUMNS:
-            raise StoreFormatError(
-                f"bad CSV header, expected leading columns {_CSV_META_COLUMNS}"
-            )
-        dimension = len(header) - 4
-        if dimension <= 0:
-            raise StoreFormatError("CSV header has no vector columns")
-        expected = [f"v{i}" for i in range(dimension)]
-        if header[4:] != expected:
-            raise StoreFormatError("CSV vector columns must be v0..v{d-1} in order")
+        dimension, rows = csv_table(fh, path, _CSV_META_COLUMNS, _CSV_COLUMN)
         identity_ids, image_ids, groups, capture = [], [], [], []
         # Rows are parsed into one float64 block, then rounded to float32
-        # and normalized a block at a time; ``lines`` holds the line number
-        # of each row in the block.
+        # and normalized a block at a time; ``lines`` holds the file line
+        # on which each row in the block starts.
         block = np.empty((BLOCK_ROWS, dimension))
         lines, blocks = [], []
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != 4 + dimension:
-                raise StoreFormatError(
-                    f"line {lineno}: expected {4 + dimension} fields, got {len(row)}"
-                )
+        for lineno, row in rows:
             try:
                 capture.append(int(row[3]))
                 block[len(lines)] = np.fromiter(map(float, row[4:]), np.float64, dimension)

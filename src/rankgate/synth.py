@@ -19,15 +19,13 @@ its own generator.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .codec import from_dict
+from .codec import from_dict, read_json
 from .store import BLOCK_ROWS, EmbeddingStore, l2_normalize_rows, unit_rows
 
 
@@ -139,10 +137,6 @@ def degrade_probe(
     return degrade_probes(v[None], sigma, [rng])[0]
 
 
-def config_to_json(config: SynthConfig, path) -> None:
-    Path(path).write_text(json.dumps(asdict(config), indent=2, sort_keys=True) + "\n")
-
-
 def config_from_dict(payload: dict) -> SynthConfig:
     """Config from its JSON form; ``n_identities`` and
     ``images_per_identity`` are required, unknown keys are rejected."""
@@ -155,4 +149,4 @@ def config_from_dict(payload: dict) -> SynthConfig:
 
 
 def config_from_json(path) -> SynthConfig:
-    return config_from_dict(json.loads(Path(path).read_text()))
+    return config_from_dict(read_json(path))

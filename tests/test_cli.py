@@ -6,7 +6,8 @@ import pytest
 from rankgate import cli, mlp
 from rankgate.cli import main
 from rankgate.experiment import ConditionSpec, ExperimentPlan
-from rankgate.synth import SynthConfig, config_to_json
+from rankgate.codec import write_json
+from rankgate.synth import SynthConfig
 
 
 @pytest.fixture
@@ -250,17 +251,15 @@ class TestEvalCommands:
 
     def test_resolved_plan_repeats_the_run(self, tmp_path):
         config = tmp_path / "synth.json"
-        config_to_json(
-            SynthConfig(
-                n_identities=20,
-                images_per_identity=5,
-                dimension=16,
-                within_noise_sigma=0.08,
-                groups=(("a", 20),),
-                rng_seed=3,
-            ),
-            config,
+        cfg = SynthConfig(
+            n_identities=20,
+            images_per_identity=5,
+            dimension=16,
+            within_noise_sigma=0.08,
+            groups=(("a", 20),),
+            rng_seed=3,
         )
+        write_json(config, asdict(cfg))
         first, second = tmp_path / "first", tmp_path / "second"
         args = ["--conditions", "clean:0,noisy:0.1", "--seeds", "0,1"]
         assert main(["eval", "--synth-config", str(config), *args, "--out-dir", str(first)]) == 0
@@ -418,6 +417,32 @@ class TestErrorHandling:
         assert err.startswith(
             "error: class 0 has 0 samples, need at least 2 for 2-fold validation"
         ), err
+        assert not out.exists()
+
+    def test_train_on_header_only_samples_says_no_samples(self, tmp_path, samples_path, capsys):
+        header_only = tmp_path / "header.csv"
+        header_only.write_text(samples_path.read_text().splitlines(keepends=True)[0])
+        out = tmp_path / "m.bin"
+        capsys.readouterr()
+        code = main(["train", "--samples", str(header_only), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no samples\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "synth", "report"])
+    @pytest.mark.parametrize("content", [b"{not json", b'{"a": "\xff"}'])
+    def test_json_input_that_is_not_json_names_its_file(self, tmp_path, capsys, command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        argv = {
+            "eval": ["eval", "--plan", str(bad), "--out-dir", str(out)],
+            "synth": ["synth", "--config", str(bad), "--out", str(out)],
+            "report": ["report", "--input", str(bad), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not JSON: "), err
         assert not out.exists()
 
     def test_bad_within_sigma_rejected(self, tmp_path, capsys):

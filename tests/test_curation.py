@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import os
 import re
 import subprocess
@@ -552,6 +554,13 @@ class TestRankDistribution:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("rank,count_in")
         assert len(lines) == 4
+        # No sample at rank 2 leaves its probability empty; the others are repr.
+        samples = [sample((3, 4), 1), sample((4, 5), 0, ident="q")]
+        write_rank_distribution_csv(rank_distribution_report(samples, max_rank=5), path)
+        assert path.read_bytes() == (
+            b"rank,count_in,count_out,cum_in,cum_out,p_in_given_rank_at_most\n"
+            b"2,0,0,0,0,\n3,1,0,1,0,1.0\n4,1,1,2,1,0.6666666666666666\n5,0,1,2,2,0.5\n"
+        )
 
 
 class TestSampleSerialization:
@@ -562,14 +571,29 @@ class TestSampleSerialization:
             RankSample((3, 4, 6), 1, "p2", "grp", "orig", 120, "p2", 0.88),
         ]
 
-    def test_csv_round_trip(self, tmp_path):
-        samples = self.make()
-        path = tmp_path / "samples.csv"
-        write_samples_csv(samples, path)
-        loaded = load_samples_csv(path)
-        assert [(s.ranks, s.label, s.probe_identity, s.group, s.condition, s.gallery_size) for s in loaded] == [
-            (s.ranks, s.label, s.probe_identity, s.group, s.condition, s.gallery_size) for s in samples
+    def quoted(self):
+        """Fields that need quoting: a comma, a double quote, embedded
+        newlines, a leading space."""
+        return [
+            RankSample((2, 5, 9), 1, "a,b", 'say "hi"', "two\nlines", 120, "a,b", 0.9),
+            RankSample((11, 30, 44), 0, "cr\r\nlf", " lead", "x,y", 115, "q", 0.4),
         ]
+
+    def test_csv_round_trip(self, tmp_path):
+        """Samples read back equal, from the bytes ``csv.writer`` writes."""
+        path = tmp_path / "samples.csv"
+        for samples in (self.make(), self.quoted()):
+            write_samples_csv(samples, path)
+            loaded = load_samples_csv(path)
+            assert [(s.ranks, s.label, s.probe_identity, s.group, s.condition, s.gallery_size) for s in loaded] == [
+                (s.ranks, s.label, s.probe_identity, s.group, s.condition, s.gallery_size) for s in samples
+            ]
+            expected = io.StringIO(newline="")
+            writer = csv.writer(expected)
+            writer.writerow(["probe_identity", "group", "condition", "label", "gallery_size", "r1", "r2", "r3"])
+            for s in samples:
+                writer.writerow([s.probe_identity, s.group, s.condition, s.label, s.gallery_size, *s.ranks])
+            assert path.read_bytes() == expected.getvalue().encode()
 
     def test_csv_header_exact(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -596,6 +620,16 @@ class TestSampleSerialization:
             with pytest.raises(ValueError) as info:
                 load_samples_csv(path)
             assert str(info.value).startswith(message), info.value
+        # A quoted identity spanning two lines: lines count the file's
+        # lines, not its records, with or without a blank line after it.
+        split = '"p\n1",g,c,1,120,2,3\n'
+        for gap, line in (("", 4), ("\n", 5)):
+            path.write_text(header + split + gap + "p2,g,c,2,120,2,3\n")
+            with pytest.raises(ValueError, match=f"^line {line}: label must be 0 or 1"):
+                load_samples_csv(path)
+            path.write_text(header + split + gap + '"p\n2",g,c,1,120,2\n')
+            with pytest.raises(ValueError, match=f"^line {line}: expected 7 fields, got 6$"):
+                load_samples_csv(path)
 
     def test_mixed_widths_rejected(self):
         samples = [sample((2, 3), 1), sample((2, 3, 4), 0, ident="q")]

@@ -661,6 +661,17 @@ class TestFormats:
             path.write_text(header + good + "\n" + f"q,a,g,1,{vector}\n" + good)
             with pytest.raises(ValueError, match=f"^line {BLOCK_ROWS + 8}: {message}$"):
                 ingest(path, "csv")
+        # A quoted id spanning two lines: lines count the file's lines, not
+        # its records, with or without a blank line after it.
+        split = '"p\n1",a,g,1,1.0,0.0\n'
+        for gap, line in (("", 4), ("\n", 5)):
+            path.write_text(header + split + gap + "q,a,g,1,0.0,0.0\n")
+            with pytest.raises(ValueError, match=f"^line {line}: cannot normalize a zero vector$"):
+                ingest(path, "csv")
+            # A record with the wrong field count names the line it starts on.
+            path.write_text(header + split + gap + '"q\n2",a,g,1,0.0\n')
+            with pytest.raises(StoreFormatError, match=f"^line {line}: expected 6 fields, got 5$"):
+                ingest(path, "csv")
 
     def test_binary_bad_vector_names_record(self, tmp_path):
         def record(i, vector):

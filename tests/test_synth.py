@@ -1,14 +1,15 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from oracles import naive_norm, oracle_l2_normalize, oracle_unit_f32
+from rankgate.codec import write_json
 from rankgate.synth import (
     SynthConfig,
     config_from_json,
-    config_to_json,
     degrade_probe,
     degrade_probes,
     generate,
@@ -72,7 +73,7 @@ class TestSynthConfig:
             rng_seed=5,
         )
         path = tmp_path / "cfg.json"
-        config_to_json(cfg, path)
+        write_json(path, asdict(cfg))
         assert config_from_json(path) == cfg
 
 
