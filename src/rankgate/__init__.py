@@ -6,8 +6,8 @@ dual-search protocol (:mod:`rankgate.curation`), train the classifier
 (:mod:`rankgate.mlp`), compare against score and centroid baselines
 (:mod:`rankgate.baselines`), and drive full evaluations
 (:mod:`rankgate.experiment`), optionally on synthetic stores
-(:mod:`rankgate.synth`). The binary store and model formats and the
-plan and config JSON are read through :mod:`rankgate.codec`.
+(:mod:`rankgate.synth`). The binary formats are read, and the CSV and
+JSON formats read and written, through :mod:`rankgate.codec`.
 
 ``rankgate.search`` is the function :func:`rankgate.search.search`, not
 the submodule it shadows; ``import rankgate.search as m`` gives the

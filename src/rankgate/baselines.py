@@ -31,6 +31,8 @@ from .search import (
 )
 from .store import _row_dots
 
+TARGET_FPIR = 1e-4  # the false-positive identification rate a threshold targets by default
+
 
 @dataclass(frozen=True)
 class ThresholdModel:
@@ -40,7 +42,7 @@ class ThresholdModel:
 
 
 def calibrate_threshold(
-    nonmated_scores: Sequence[float], target_fpir: float = 1e-4
+    nonmated_scores: Sequence[float], target_fpir: float = TARGET_FPIR
 ) -> ThresholdModel:
     """Smallest threshold whose empirical FPIR does not exceed the target.
 

@@ -6,6 +6,9 @@ validates and converts one, ``curate`` produces labeled rank samples,
 ``eval`` runs a full plan, ``sweep`` varies the rank-vector width,
 ``report`` re-renders a saved report and ``rankdist`` tabulates the rank
 distribution. ``RANKGATE_OUT_DIR`` sets the default output directory.
+
+A flag that sets a config field stores under the field's name and has no
+default of its own: one that is not given leaves the dataclass default.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import baselines, curation, experiment, mlp, store, synth
-from .codec import from_dict, read_json, write_json
+from .codec import from_dict, read_json, read_text, write_json
 
 OUT_DIR_ENV = "RANKGATE_OUT_DIR"
 
@@ -65,18 +68,32 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     )
 
 
+def _given(args, names) -> dict:
+    """The flags among ``names`` (``dest`` names) that were given, by name."""
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+
+
+def _build(cls, args, **fixed):
+    """Dataclass ``cls`` from the flags given for its fields, then ``fixed``;
+    a flag that was not given leaves the field's default."""
+    return cls(**{**_given(args, [f.name for f in fields(cls)]), **fixed})
+
+
+def _refuse_settings(args, source: str) -> None:
+    """Refuse a setting flag given with ``source``, the file that sets it."""
+    for action in args.settings:
+        if getattr(args, action.dest) is not None:
+            flag = action.option_strings[0]
+            raise ValueError(f"{flag} cannot be used with {source}, whose file sets it")
+
+
 def cmd_synth(args) -> int:
     if args.config:
+        _refuse_settings(args, "--config")
         cfg = synth.config_from_json(args.config)
     else:
-        cfg = synth.SynthConfig(
-            n_identities=args.identities,
-            images_per_identity=args.images_per_identity,
-            dimension=args.dimension,
-            within_noise_sigma=args.within_sigma,
-            groups=_parse_groups(args.groups) if args.groups else (),
-            rng_seed=args.seed,
-        )
+        args.groups = _parse_groups(args.groups) if args.groups else None
+        cfg = _build(synth.SynthConfig, args)
     built = synth.generate(cfg)
     store.write_store(built, args.out, args.format)
     print(f"wrote {len(built)} records ({built.dimension}-d) to {args.out}")
@@ -95,15 +112,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_curate(args) -> int:
     synth.check_sigma("--probe-sigma", args.probe_sigma)
+    config = _build(curation.CurationConfig, args)
     loaded = store.ingest(args.store, args.store_format)
     if args.group:
         loaded = loaded.filter_by_group(args.group)
-    config = curation.CurationConfig(
-        d_in=args.d_in,
-        rng_seed=args.seed,
-        group=args.group or "",
-        condition=args.condition,
-    )
     result = curation.curate_detailed(loaded, config, args.probe_sigma)
     curation.write_samples_csv(result.samples, args.out)
     n = len(result.probe_vectors)  # each probe yields one sample of each label
@@ -112,19 +124,10 @@ def cmd_curate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    hidden = _parse_ints(args.hidden, "--hidden")
+    if args.hidden_sizes is not None:
+        args.hidden_sizes = _parse_ints(args.hidden_sizes, "--hidden")
     samples = curation.load_samples_csv(args.samples)
-    config = mlp.MlpConfig(
-        d_in=curation.d_in_of(samples),
-        hidden_sizes=hidden,
-        dropout_p=args.dropout,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        folds=args.folds,
-        rng_seed=args.seed,
-        input_scaling=args.input_scaling,
-    )
+    config = _build(mlp.MlpConfig, args, d_in=curation.d_in_of(samples))
     model, report = mlp.train(samples, config)
     mlp.save_model(model, args.out)
     if args.report:
@@ -151,17 +154,17 @@ def cmd_baseline(args) -> int:
         if args.scores is None:
             raise ValueError("--scores is required for the threshold baseline")
         scores = []
-        for field in Path(args.scores).read_text().split():
+        for field in read_text(args.scores).split():
             try:
                 scores.append(float(field))
             except ValueError:
                 raise ValueError(
                     f"score {field!r} in --scores file {args.scores} is not a number"
                 ) from None
-        model = baselines.calibrate_threshold(scores, args.target_fpir)
+        model = baselines.calibrate_threshold(scores, **_given(args, ["target_fpir"]))
         baselines.threshold_to_json(model, args.out)
         print(
-            f"threshold {model.threshold!r} at target FPIR {args.target_fpir} "
+            f"threshold {model.threshold!r} at target FPIR {model.target_fpir} "
             f"from {model.n_nonmated} scores -> {args.out}"
         )
     return 0
@@ -169,9 +172,13 @@ def cmd_baseline(args) -> int:
 
 def _plan_from_args(args) -> experiment.ExperimentPlan:
     if args.plan:
+        _refuse_settings(args, "--plan")
         return experiment.plan_from_json(args.plan)
-    if bool(args.store) == bool(args.synth_config):
+    if bool(args.store_path) == bool(args.synth_config):
         raise SystemExit("pass exactly one of --plan/--store/--synth-config")
+    if args.seeds is not None:
+        args.seeds = _parse_ints(args.seeds, "--seeds")
+    args.methods = tuple(args.methods.split(",")) if args.methods else None
     synth_cfg = synth.config_from_json(args.synth_config) if args.synth_config else None
     if args.groups:
         groups = tuple(g.strip() for g in args.groups.split(","))
@@ -187,15 +194,8 @@ def _plan_from_args(args) -> experiment.ExperimentPlan:
         )
     else:
         conditions = (experiment.ConditionSpec("original", 0.0),)
-    return experiment.ExperimentPlan(
-        groups=groups,
-        conditions=conditions,
-        seeds=_parse_ints(args.seeds, "--seeds"),
-        methods=tuple(args.methods.split(",")) if args.methods else experiment.METHODS,
-        d_in=args.d_in,
-        store_path=args.store,
-        store_format=args.store_format,
-        synth=synth_cfg,
+    return _build(
+        experiment.ExperimentPlan, args, groups=groups, conditions=conditions, synth=synth_cfg
     )
 
 
@@ -274,31 +274,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic embedding store")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", default="binary", choices=("binary", "csv"))
-    p.add_argument("--config", help="JSON config file; overrides inline flags")
-    p.add_argument("--identities", type=int, default=100)
-    p.add_argument("--images-per-identity", type=int, default=5)
-    p.add_argument("--dimension", type=int, default=64)
-    p.add_argument("--within-sigma", type=float, default=0.1)
-    p.add_argument("--groups", help="name:count,name:count")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--format", default="binary", choices=store.FORMATS)
+    p.add_argument("--config", help="JSON config file; no setting flag below may go with it")
+    settings = (
+        p.add_argument("--identities", dest="n_identities", type=int),
+        p.add_argument("--images-per-identity", type=int),
+        p.add_argument("--dimension", type=int),
+        p.add_argument("--within-sigma", dest="within_noise_sigma", type=float),
+        p.add_argument("--groups", help="name:count,name:count"),
+        p.add_argument("--seed", dest="rng_seed", type=int),
+    )
+    p.set_defaults(func=cmd_synth, settings=settings)
 
     p = sub.add_parser("ingest", help="validate a store and convert formats")
     p.add_argument("--input", required=True)
-    p.add_argument("--input-format", default="binary", choices=("binary", "csv"))
+    p.add_argument("--input-format", default="binary", choices=store.FORMATS)
     p.add_argument("--out", required=True)
-    p.add_argument("--out-format", default="binary", choices=("binary", "csv"))
+    p.add_argument("--out-format", default="binary", choices=store.FORMATS)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("curate", help="produce labeled rank samples from a store")
     p.add_argument("--store", required=True)
-    p.add_argument("--store-format", default="binary", choices=("binary", "csv"))
-    p.add_argument("--group", default="")
-    p.add_argument("--condition", default="original")
+    p.add_argument("--store-format", default="binary", choices=store.FORMATS)
+    p.add_argument("--group")
+    p.add_argument("--condition")
     p.add_argument("--probe-sigma", type=float, default=0.0)
-    p.add_argument("--d-in", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--d-in", type=int)
+    p.add_argument("--seed", dest="rng_seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curate)
 
@@ -306,25 +308,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
-    p.add_argument("--hidden", default="16,16")
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--input-scaling",
-        default="divide_by_gallery_size",
-        choices=mlp.INPUT_SCALINGS,
-    )
+    p.add_argument("--hidden", dest="hidden_sizes", help="comma separated layer widths")
+    p.add_argument("--dropout", dest="dropout_p", type=float)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--folds", type=int)
+    p.add_argument("--seed", dest="rng_seed", type=int)
+    p.add_argument("--input-scaling", choices=mlp.INPUT_SCALINGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("baseline", help="fit a reference decider")
     p.add_argument("kind", choices=("mean", "median", "threshold"))
     p.add_argument("--samples", help="rank sample CSV (centroid kinds)")
     p.add_argument("--scores", help="text file of non-mated scores (threshold)")
-    p.add_argument("--target-fpir", type=float, default=1e-4)
+    p.add_argument("--target-fpir", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_baseline)
 
@@ -353,15 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_plan_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--plan", help="plan JSON; overrides inline flags")
-    p.add_argument("--store")
-    p.add_argument("--store-format", default="binary", choices=("binary", "csv"))
-    p.add_argument("--synth-config", help="synthetic store JSON config")
-    p.add_argument("--groups", help="comma separated group labels")
-    p.add_argument("--conditions", help="tag:sigma,tag:sigma")
-    p.add_argument("--methods", help=f"subset of {','.join(experiment.METHODS)}")
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--d-in", type=int, default=3)
+    p.add_argument("--plan", help="plan JSON; no setting flag below may go with it")
+    settings = (
+        p.add_argument("--store", dest="store_path"),
+        p.add_argument("--store-format", choices=store.FORMATS),
+        p.add_argument("--synth-config", help="synthetic store JSON config"),
+        p.add_argument("--groups", help="comma separated group labels"),
+        p.add_argument("--conditions", help="tag:sigma,tag:sigma"),
+        p.add_argument("--methods", help=f"subset of {','.join(experiment.METHODS)}"),
+        p.add_argument("--seeds", help="comma separated seeds"),
+        p.add_argument("--d-in", type=int),
+    )
+    p.set_defaults(settings=settings)
     p.add_argument("--out-dir")
 
 

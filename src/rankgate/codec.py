@@ -12,8 +12,9 @@ the records' raw bytes.
 
 CSV tables (embedding stores and rank samples) are read by
 :func:`csv_table`, whose errors, a line the csv module refuses included,
-name the file line on which the record starts; lines are written by
-:func:`csv_line`, and each format adds its own line end.
+name the file line on which the record starts, or the file alone when it
+is not UTF-8; lines are written by :func:`csv_line`, and each format adds
+its own line end. Other text is read by :func:`read_text`.
 
 JSON files (plans, synth configs, deciders, reports) are written by
 :func:`write_json` and read by :func:`read_json`, which names a file that
@@ -181,6 +182,8 @@ def _records(reader, path):
             return
         except csv.Error as exc:
             raise StoreFormatError(f"{path} line {line}: {exc}") from None
+        except UnicodeDecodeError as exc:  # the text layer decodes ahead of the lines
+            raise StoreFormatError(f"{path} is not UTF-8 text: {exc}") from None
         if size is None:
             size = len(row)
         elif len(row) != size:
@@ -205,11 +208,19 @@ def write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def read_text(path, what: str = "UTF-8 text") -> str:
+    """The text in ``path``; a StoreFormatError names a file that is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StoreFormatError(f"{path} is not {what}: {exc}") from None
+
+
 def read_json(path):
     """The JSON in ``path``; a StoreFormatError names a file that is not JSON."""
     try:
-        return json.loads(Path(path).read_text())
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        return json.loads(read_text(path, "JSON"))
+    except json.JSONDecodeError as exc:
         raise StoreFormatError(f"{path} is not JSON: {exc}") from None
 
 

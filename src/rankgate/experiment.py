@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .baselines import (
+    TARGET_FPIR,
     ThresholdModel,
     calibrate_threshold,
     centroid_classify,
@@ -48,7 +49,7 @@ from .curation import (
 )
 from .mlp import MlpConfig, predict, train
 from .search import screen_block
-from .store import EmbeddingStore, ingest
+from .store import FORMATS, EmbeddingStore, ingest
 from .synth import SynthConfig, check_sigma, config_from_dict, generate
 
 METHODS = ("mlp", "threshold", "mean", "median", "fusion")
@@ -75,21 +76,21 @@ class ExperimentPlan:
     conditions: tuple[ConditionSpec, ...]
     seeds: tuple[int, ...] = (0,)
     methods: tuple[str, ...] = METHODS
-    d_in: int = 3
+    d_in: int = CurationConfig.d_in
     store_path: Optional[str] = None
     store_format: str = "binary"
     synth: Optional[SynthConfig] = None
     augment_copies: int = 1
     test_fraction: float = 0.2
-    target_fpir: float = 1e-4
+    target_fpir: float = TARGET_FPIR
     reuse_first_condition_threshold: bool = False
-    mlp_hidden: tuple[int, ...] = (16, 16)
-    mlp_dropout: float = 0.1
-    mlp_learning_rate: float = 1e-3
-    mlp_batch_size: int = 32
-    mlp_epochs: int = 20
-    mlp_folds: int = 10
-    input_scaling: str = "divide_by_gallery_size"
+    mlp_hidden: tuple[int, ...] = MlpConfig.hidden_sizes
+    mlp_dropout: float = MlpConfig.dropout_p
+    mlp_learning_rate: float = MlpConfig.learning_rate
+    mlp_batch_size: int = MlpConfig.batch_size
+    mlp_epochs: int = MlpConfig.epochs
+    mlp_folds: int = MlpConfig.folds
+    input_scaling: str = MlpConfig.input_scaling
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
@@ -119,6 +120,11 @@ class ExperimentPlan:
             raise ValueError(f"store_path must be a string, got {self.store_path!r}")
         if (self.store_path is None) == (self.synth is None):
             raise ValueError("exactly one of store_path or synth must be set")
+        if self.store_format not in FORMATS:
+            raise ValueError(f"store_format must be one of {FORMATS}, got {self.store_format!r}")
+        # The configs each cell builds, so a bad setting fails here, not in every cell.
+        _mlp_config(self, self.seeds[0])
+        CurationConfig(d_in=self.d_in)
 
 
 @dataclass(frozen=True)

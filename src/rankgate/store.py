@@ -94,6 +94,7 @@ _U64 = 2.0**-53
 _F32_UNDERFLOW = 2.0**-150  # half the smallest float32 subnormal
 _TINY = 2.0**-600  # a row whose sum of squares is smaller is scaled by 1 / _TINY
 
+FORMATS = ("binary", "csv")
 _MAGIC = b"OGEM"
 _VERSION = 1
 _CSV_META_COLUMNS = ("identity_id", "image_id", "group", "capture_index")
@@ -268,7 +269,7 @@ class EmbeddingStore:
 
 
 def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
-    """Write a store to ``path`` in the named format (``binary`` or ``csv``)."""
+    """Write a store to ``path`` in one of :data:`FORMATS`."""
     path = Path(path)
     rows = zip(
         store.identity_ids, store.image_ids, store.groups, store.capture_index.tolist()
@@ -297,7 +298,7 @@ def write_store(store: EmbeddingStore, path, format: str = "binary") -> None:
                 for vector, fields in zip(block, rows):
                     fh.write(line % (csv_line(fields), *vector))
     else:
-        raise ValueError(f"unknown store format {format!r}")
+        raise ValueError(f"unknown store format {format!r}, expected one of {FORMATS}")
 
 
 def ingest(path, format: str = "binary") -> EmbeddingStore:
@@ -305,7 +306,7 @@ def ingest(path, format: str = "binary") -> EmbeddingStore:
 
     Args:
         path: file to read.
-        format: ``binary`` or ``csv``.
+        format: one of :data:`FORMATS`.
 
     Raises:
         StoreFormatError: malformed file (bad magic, truncation, bad header,
@@ -318,7 +319,7 @@ def ingest(path, format: str = "binary") -> EmbeddingStore:
         return _ingest_binary(path)
     if format == "csv":
         return _ingest_csv(path)
-    raise ValueError(f"unknown store format {format!r}")
+    raise ValueError(f"unknown store format {format!r}, expected one of {FORMATS}")
 
 
 def _ingest_binary(path: Path) -> EmbeddingStore:

@@ -1,13 +1,16 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
 from rankgate import cli, mlp
+from rankgate.baselines import TARGET_FPIR, ThresholdModel
 from rankgate.cli import main
+from rankgate.curation import CurationConfig
 from rankgate.experiment import ConditionSpec, ExperimentPlan
 from rankgate.codec import write_json
-from rankgate.synth import SynthConfig
+from rankgate.store import write_store
+from rankgate.synth import SynthConfig, generate
 
 
 @pytest.fixture
@@ -566,6 +569,105 @@ class TestErrorHandling:
         code = main(["eval", "--plan", str(plan), "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert "rng_seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+class TestFlagsAndFiles:
+    """A setting flag either reaches its config field or is refused."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("eval", f) for f in (["--store", "s.bin"], ["--store-format", "csv"],
+                               ["--synth-config", "c.json"], ["--groups", "g"],
+                               ["--conditions", "a:0"], ["--methods", "mean"],
+                               ["--seeds", "1,2,3"], ["--d-in", "2"])]
+        + [("sweep", ["--d-in", "2"]), ("sweep", ["--seeds", "1"])]
+        + [("synth", f) for f in (["--identities", "50"], ["--images-per-identity", "3"],
+                                  ["--dimension", "8"], ["--within-sigma", "0.2"],
+                                  ["--groups", "a:100"], ["--seed", "1"])],
+    )
+    def test_setting_flag_with_its_file_refused(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        if command == "synth":
+            config = tmp_path / "c.json"
+            write_json(config, asdict(SynthConfig()))
+            argv, source = ["synth", "--config", str(config), "--out", str(out)], "--config"
+        else:
+            argv = [command, "--plan", str(plan_file(tmp_path)), "--out-dir", str(out)]
+            argv += ["--d-in-values", "2,3"] if command == "sweep" else []
+            source = "--plan"
+        assert main(argv + flag) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag[0]} cannot be used with {source}, whose file sets it\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"mlp_folds": 1}, "batch_size and epochs must be >= 1, folds >= 2"),
+            ({"mlp_hidden": [8, 0]}, "hidden sizes must be positive"),
+            ({"d_in": 0}, "d_in must be >= 1"),
+            ({"store_format": "xml"}, "store_format must be one of ('binary', 'csv'), got 'xml'"),
+        ],
+    )
+    def test_bad_plan_refused_before_any_file(self, tmp_path, capsys, change, message):
+        plan = plan_file(tmp_path)
+        plan.write_text(json.dumps({**json.loads(plan.read_text()), **change}))
+        out = tmp_path / "out"
+        assert main(["eval", "--plan", str(plan), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: plan: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ingest", "--input-format", "csv", "--input"], ["train", "--samples"],
+         ["rankdist", "--samples"], ["baseline", "mean", "--samples"],
+         ["baseline", "threshold", "--scores"]],
+    )
+    def test_input_that_is_not_utf8_names_its_file(self, tmp_path, samples_path, capsys, argv):
+        header = samples_path.read_text().splitlines(keepends=True)[0]
+        if argv[0] == "ingest":
+            header = "identity_id,image_id,group,capture_index,v0,v1\n"
+        elif argv[1] == "threshold":
+            header = "0.1\n"
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(header.encode() + b"p\xff1,g,c,1,9,2,3,4\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(argv + [str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not UTF-8 text: 'utf-8' codec can't decode"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, cls",
+        [
+            (["synth", "--out", "s.bin"], SynthConfig),
+            (["curate", "--store", "s.bin", "--out", "s.csv"], CurationConfig),
+            (["train", "--samples", "s.csv", "--out", "m.bin"], mlp.MlpConfig),
+            (["baseline", "threshold", "--out", "t.json"], ThresholdModel),
+            (["eval"], ExperimentPlan),
+            (["sweep", "--d-in-values", "2"], ExperimentPlan),
+        ],
+    )
+    def test_setting_flag_not_given_is_none(self, argv, cls):
+        args = cli.build_parser().parse_args(argv)
+        present = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+        assert present, "no flag of the command sets a field"
+        assert all(value is None for value in present.values()), present
+
+    def test_no_setting_flags_give_the_config_defaults(self, tmp_path, samples_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "s.bin")]) == 0
+        write_store(generate(SynthConfig()), tmp_path / "want.bin")
+        assert (tmp_path / "s.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
+        assert main(["train", "--samples", str(samples_path), "--out", str(tmp_path / "m.bin")]) == 0
+        assert asdict(mlp.load_model(tmp_path / "m.bin").config) == asdict(mlp.MlpConfig(d_in=3))
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0.1\n0.2\n")
+        assert main(["baseline", "threshold", "--scores", str(scores),
+                     "--out", str(tmp_path / "t.json")]) == 0
+        assert f"at target FPIR {TARGET_FPIR} " in capsys.readouterr().out
+        assert json.loads((tmp_path / "t.json").read_text())["target_fpir"] == repr(TARGET_FPIR)
 
 
 class TestListFlagErrors:
