@@ -42,7 +42,16 @@ from .experiment import (
     emit_report,
     run_experiment,
 )
-from .mlp import MlpConfig, MlpModel, TrainReport, load_model, predict, save_model, train
+from .mlp import (
+    MlpConfig,
+    MlpModel,
+    TrainReport,
+    load_model,
+    predict,
+    predict_batch,
+    save_model,
+    train,
+)
 from .search import (
     GalleryIndex,
     SearchResult,
@@ -95,6 +104,7 @@ __all__ = [
     "load_model",
     "permute_augment",
     "predict",
+    "predict_batch",
     "rank_distribution_report",
     "run_experiment",
     "save_model",

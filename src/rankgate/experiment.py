@@ -47,7 +47,8 @@ from .curation import (
     permute_augment,
     stratified_split,
 )
-from .mlp import MlpConfig, predict, train
+# predict stays bound here: benchmarks/tracing.py wraps rankgate.experiment.predict.
+from .mlp import MlpConfig, predict, predict_batch, train  # noqa: F401
 from .search import screen_block
 from .store import FORMATS, EmbeddingStore, ingest
 from .synth import SynthConfig, check_sigma, config_from_dict, generate
@@ -123,7 +124,12 @@ class ExperimentPlan:
         if self.store_format not in FORMATS:
             raise ValueError(f"store_format must be one of {FORMATS}, got {self.store_format!r}")
         # The configs each cell builds, so a bad setting fails here, not in every cell.
-        _mlp_config(self, self.seeds[0])
+        try:
+            _mlp_config(self, self.seeds[0])
+        except ValueError as exc:
+            # MlpConfig's message starts with its field; name the plan key instead.
+            name, _, rest = str(exc).partition(" ")
+            raise ValueError(f"{_MLP_KEYS.get(name, name)} {rest}") from None
         CurationConfig(d_in=self.d_in)
 
 
@@ -215,18 +221,22 @@ def _top_score_tables(
     return tables, excluded
 
 
+# Each MlpConfig field a plan sets, and the plan key that sets it.
+_MLP_KEYS = {
+    "d_in": "d_in",
+    "hidden_sizes": "mlp_hidden",
+    "dropout_p": "mlp_dropout",
+    "learning_rate": "mlp_learning_rate",
+    "batch_size": "mlp_batch_size",
+    "epochs": "mlp_epochs",
+    "folds": "mlp_folds",
+    "input_scaling": "input_scaling",
+}
+
+
 def _mlp_config(plan: ExperimentPlan, seed: int) -> MlpConfig:
-    return MlpConfig(
-        d_in=plan.d_in,
-        hidden_sizes=plan.mlp_hidden,
-        dropout_p=plan.mlp_dropout,
-        learning_rate=plan.mlp_learning_rate,
-        batch_size=plan.mlp_batch_size,
-        epochs=plan.mlp_epochs,
-        folds=plan.mlp_folds,
-        rng_seed=seed,
-        input_scaling=plan.input_scaling,
-    )
+    settings = {name: getattr(plan, key) for name, key in _MLP_KEYS.items()}
+    return MlpConfig(rng_seed=seed, **settings)
 
 
 def run_cell(
@@ -278,9 +288,10 @@ def run_cell(
         if method == "mlp":
             augmented = permute_augment(train_s, plan.augment_copies, seed)
             model, _report = train(augmented, _mlp_config(plan, seed))
-            for s in test_s:
-                label, _probs = predict(model, s.ranks, s.gallery_size)
-                pairs.append((s.label, label))
+            labels, _probs = predict_batch(
+                model, [s.ranks for s in test_s], [s.gallery_size for s in test_s]
+            )
+            pairs = [(s.label, label) for s, label in zip(test_s, labels.tolist())]
         elif method in tables:
             table = tables[method]
             for s in test_s:

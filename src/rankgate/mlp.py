@@ -34,7 +34,21 @@ layer gives, and a bool mask multiplies like a 0.0/1.0 float one. The
 kernel calls its reductions directly (``np.add.reduce``, then a division
 by the count: the sequence ``ndarray.mean`` and ``ndarray.var`` run) and
 works in place only where the order of operations stays the same, so
-the bits are those of the plain spelling.
+the bits are those of the plain spelling. With two classes the loss
+works on the two logit columns: the class-axis max and sum are one
+``np.maximum`` and one ``np.add`` of the columns (a reduce over two values
+is that single max or add), each sample's own logit is picked with
+``np.where``, and the gradient subtracts 1.0 from the picked column and
+0.0, which is exact, from the other. The gradient sums over the batch
+axis (:func:`_batch_sum`) are ``np.einsum``, which adds the batch rows one
+after another into a zeroed output, the order ``np.add.reduce`` takes
+along that axis, in fewer inner loops; a layer one unit wide keeps
+``np.add.reduce``, which sums its contiguous batch axis pairwise.
+
+Prediction runs the same forward pass. :func:`predict` classifies one
+rank vector as a stack of one; :func:`predict_batch` classifies many, the
+model broadcast along the model axis as a view with one sample per row,
+so each sample gets the bits :func:`predict` gives it.
 
 Model file format: magic ``OGMLP``, u32 version (1), u32 length-prefixed
 JSON config block (the :class:`MlpConfig` fields, every one required and
@@ -68,6 +82,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Samples per block of :func:`predict_batch`.
+_PREDICT_BLOCK = 256
+
 _MAGIC = b"OGMLP"
 _VERSION = 1
 
@@ -76,6 +93,9 @@ INPUT_SCALINGS = ("divide_by_gallery_size", "raw")
 
 @dataclass(frozen=True)
 class MlpConfig:
+    """Classifier and training settings. A refused value's message starts
+    with the name of its field."""
+
     d_in: int = 3
     hidden_sizes: tuple[int, ...] = (16, 16)
     dropout_p: float = 0.1
@@ -91,15 +111,16 @@ class MlpConfig:
         if self.d_in < 1:
             raise ValueError("d_in must be >= 1")
         if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden sizes must be positive")
+            raise ValueError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p must be in [0, 1)")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
             )
-        if self.batch_size < 1 or self.epochs < 1 or self.folds < 2:
-            raise ValueError("batch_size and epochs must be >= 1, folds >= 2")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("folds", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.input_scaling not in INPUT_SCALINGS:
             raise ValueError(
                 f"input_scaling must be one of {INPUT_SCALINGS}, "
@@ -197,9 +218,11 @@ def init_model(config: MlpConfig, rng: Optional[np.random.Generator] = None) -> 
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    """Class probabilities along the last axis. The reductions are the ufunc
+    calls ``np.max`` and ``np.sum`` make, without their Python wrappers."""
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _forward_batch(
@@ -213,8 +236,9 @@ def _forward_batch(
 
     Dropout fires only when ``masks`` is given: one bool ``(F, n, width)``
     keep mask per hidden layer, True where a unit is kept. A layer's output
-    is then ``act * mask / (1 - p)``; multiplying by a bool mask gives the
-    bits a 0.0/1.0 float mask gives. Layer-norm statistics are
+    is then ``act * mask / (1 - p)``; the mask is cast once to 0.0/1.0
+    floats, whose products have the bits of the bool mask's, and the cache
+    keeps the cast for the backward pass. Layer-norm statistics are
     ``np.add.reduce`` over the units divided by the unit count, the
     variance over ``d * d`` with ``d = z - mean``: the sequence
     ``ndarray.mean`` and ``ndarray.var`` run, so the bits are theirs.
@@ -252,7 +276,8 @@ def _forward_batch(
         act = np.maximum(ln, 0.0)
         mask = None
         if masks is not None:
-            mask = masks[i]
+            # Cast once: this multiply and the backward pass's then run on floats.
+            mask = masks[i].astype(np.float64)
             act *= mask
             act /= keep_prob
         caches.append({"input": h, "inv": inv, "xhat": xhat, "ln": ln, "mask": mask})
@@ -285,28 +310,35 @@ def loss_and_grad(
     y = np.asarray(y, dtype=np.int64)
     if y.ndim != 2 or y.shape[1] == 0:
         raise ValueError(f"batch must be non-empty (F, n) labels, got shape {y.shape}")
-    if np.any((y < 0) | (y >= N_CLASSES)):
+    if y.size and (y.min() < 0 or y.max() >= N_CLASSES):
         raise ValueError("labels must be 0 or 1")
     if np.shape(x)[:2] != y.shape:
         raise ValueError(f"batch has inputs {np.shape(x)} but labels {y.shape}")
     logits, caches = _forward_batch(stack, x, masks)
     n = y.shape[1]
-    picked = (np.arange(len(y))[:, None], np.arange(n), y)
 
-    shifted = np.subtract(logits, np.maximum.reduce(logits, axis=2, keepdims=True), out=logits)
+    # Two classes: each class-axis reduce is one max or add of the two columns.
+    shifted = np.subtract(
+        logits, np.maximum(logits[..., :1], logits[..., 1:]), out=logits
+    )
     e = np.exp(shifted)
-    z = np.add.reduce(e, axis=2, keepdims=True)
-    losses = np.add.reduce(np.log(z[..., 0]) - shifted[picked], axis=1)
+    z = np.add(e[..., :1], e[..., 1:])
+    in_gallery = y == 1
+    picked = np.where(in_gallery, shifted[..., 1], shifted[..., 0])
+    losses = np.add.reduce(np.log(z[..., 0]) - picked, axis=1)
     losses /= n
 
     dlogits = np.divide(e, z, out=e)
-    dlogits[picked] -= 1.0
+    # Subtract 1.0 from the picked column and 0.0, which is exact, from the other.
+    d0, d1 = dlogits[..., 0], dlogits[..., 1]
+    d0 -= ~in_gallery
+    d1 -= in_gallery
     dlogits /= n
 
     grad = MlpModel(stack.config, np.empty_like(stack.flat))
     hidden, (out_w, _) = _layers(stack.params)
     grad_hidden, (grad_out_w, grad_out_b) = _layers(grad.params)
-    grad_out_w[...] = np.matmul(dlogits.transpose(0, 2, 1), caches[-1]["input"])
+    np.matmul(dlogits.transpose(0, 2, 1), caches[-1]["input"], out=grad_out_w)
     np.add.reduce(dlogits, axis=1, out=grad_out_b)
     dh = np.matmul(dlogits, out_w)
 
@@ -323,8 +355,8 @@ def loss_and_grad(
         dln = dh
         dln *= cache["ln"] > 0.0
         prod = dln * xhat
-        np.add.reduce(prod, axis=1, out=ggamma)
-        np.add.reduce(dln, axis=1, out=gbeta)
+        _batch_sum(prod, ggamma)
+        _batch_sum(dln, gbeta)
         # layer norm backward over the unit axis
         width = dln.shape[2]
         dxhat = dln
@@ -337,11 +369,26 @@ def loss_and_grad(
         dz -= mean_dxhat
         dz -= np.multiply(xhat, mean_dxhat_xhat, out=prod)
         dz *= cache["inv"]
-        gw[...] = np.matmul(dz.transpose(0, 2, 1), cache["input"])
-        np.add.reduce(dz, axis=1, out=gb)
+        np.matmul(dz.transpose(0, 2, 1), cache["input"], out=gw)
+        _batch_sum(dz, gb)
         if i:  # no gradient flows into the inputs
             dh = np.matmul(dz, w)
     return losses, grad
+
+
+def _batch_sum(a: np.ndarray, out: np.ndarray) -> None:
+    """``np.add.reduce(a, axis=1, out=out)`` over an ``(F, n, width)`` array.
+
+    For ``width > 1`` numpy adds the batch rows one after another into
+    ``0.0``, elementwise along the units, and ``np.einsum`` zeroes ``out``
+    and adds the rows in that order, with less overhead. For ``width == 1``
+    the batch axis is contiguous and numpy sums it pairwise, so that reduce
+    stays as it is.
+    """
+    if a.shape[2] > 1:
+        np.einsum("fnw->fw", a, out=out)
+    else:
+        np.add.reduce(a, axis=1, out=out)
 
 
 def predict(
@@ -352,9 +399,52 @@ def predict(
     An exact probability tie resolves to label 0, the safe rejection.
     """
     x = scale_input(np.asarray(ranks, dtype=np.float64), gallery_size, model.config)
+    _check_ranks(x, model.config, 1)
     logits, _ = _forward_batch(MlpModel(model.config, model.flat[None]), x[None, None])
     probs = softmax(logits[0, 0])
     return int(np.argmax(probs)), probs
+
+
+def predict_batch(
+    model: MlpModel, ranks: Sequence[Sequence[int]], gallery_sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classify ``N`` rank vectors, each searched in a gallery of the size
+    at the same position. Returns the ``(N,)`` labels and the ``(N, 2)``
+    class probabilities, each sample's the bits :func:`predict` gives it.
+
+    Each sample is one row of a stack: ``model`` is broadcast along the
+    model axis as a view, so every product and reduction a sample meets is
+    the one of :func:`predict`'s stack of one. Samples go through in blocks
+    of at most ``_PREDICT_BLOCK``, which bounds the working arrays.
+    """
+    config = model.config
+    x = np.asarray(ranks, dtype=np.float64)
+    if x.shape == (0,):  # no samples
+        x = x.reshape(0, config.d_in)
+    sizes = np.asarray(gallery_sizes, dtype=np.float64)
+    _check_ranks(x, config, 2)
+    if sizes.shape != x.shape[:1]:
+        raise ValueError(f"{len(x)} rank vectors but gallery sizes of shape {sizes.shape}")
+    if np.any(sizes < 1):
+        raise ValueError("gallery_size must be >= 1")
+    if config.input_scaling == "divide_by_gallery_size":
+        x = x / sizes[:, None]
+    probs = np.empty((len(x), N_CLASSES))
+    for start in range(0, len(x), _PREDICT_BLOCK):
+        block = x[start : start + _PREDICT_BLOCK]
+        stack = MlpModel(config, np.broadcast_to(model.flat, (len(block), len(model.flat))))
+        logits, _ = _forward_batch(stack, block[:, None])
+        probs[start : start + len(block)] = softmax(logits[:, 0])
+    return np.argmax(probs, axis=1), probs
+
+
+def _check_ranks(x: np.ndarray, config: MlpConfig, ndim: int) -> None:
+    """Refuse rank vectors that are not ``ndim``-dimensional with ``d_in`` ranks each."""
+    if x.ndim != ndim or x.shape[-1] != config.d_in:
+        raise ValueError(
+            f"rank vectors must have the model's d_in = {config.d_in} ranks, "
+            f"got an array of shape {x.shape}"
+        )
 
 
 def scale_input(
@@ -510,18 +600,24 @@ def train(
         draws = np.empty(n_train * per_sample)
         keep = np.empty((n_models, n_train * per_sample), dtype=bool)
         order = np.empty_like(train_idx)
-        masks = None
+        steps = [
+            (start, min(start + config.batch_size, n_train))
+            for start in range(0, n_train, config.batch_size)
+        ]
+        # keep is refilled in place every epoch, so each step's views stay valid.
+        step_masks = [
+            _step_masks(keep, start, stop, widths) if p > 0.0 else None
+            for start, stop in steps
+        ]
         for epoch in range(config.epochs):
             for row, rng in enumerate(rngs):
                 order[row] = train_idx[row][rng.permutation(n_train)]
                 if p > 0.0:
                     rng.random(out=draws)
                     np.greater_equal(draws, p, out=keep[row])
-            x_epoch, y_epoch = x[order], y[order]
-            for start in range(0, n_train, config.batch_size):
-                stop = min(start + config.batch_size, n_train)
-                if p > 0.0:
-                    masks = _step_masks(keep, start, stop, widths)
+            # np.take gathers the same rows as x[order], about three times faster
+            x_epoch, y_epoch = np.take(x, order, axis=0), y[order]
+            for (start, stop), masks in zip(steps, step_masks):
                 losses, grad = loss_and_grad(
                     stack, x_epoch[:, start:stop], y_epoch[:, start:stop], masks
                 )

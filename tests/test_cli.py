@@ -604,10 +604,13 @@ class TestFlagsAndFiles:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"mlp_folds": 1}, "batch_size and epochs must be >= 1, folds >= 2"),
-            ({"mlp_hidden": [8, 0]}, "hidden sizes must be positive"),
+            ({"mlp_folds": 1}, "mlp_folds must be >= 2, got 1"),
+            ({"mlp_hidden": [8, 0]}, "mlp_hidden must all be >= 1, got (8, 0)"),
             ({"d_in": 0}, "d_in must be >= 1"),
             ({"store_format": "xml"}, "store_format must be one of ('binary', 'csv'), got 'xml'"),
+            ({"mlp_epochs": 0}, "mlp_epochs must be >= 1, got 0"),
+            ({"mlp_batch_size": 0}, "mlp_batch_size must be >= 1, got 0"),
+            ({"mlp_dropout": 1.0}, "mlp_dropout must be in [0, 1)"),
         ],
     )
     def test_bad_plan_refused_before_any_file(self, tmp_path, capsys, change, message):

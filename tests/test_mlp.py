@@ -10,6 +10,7 @@ import pytest
 from oracles import finite_difference_gradients
 from rankgate.codec import encode_str
 from rankgate.curation import RankSample
+import rankgate.mlp as mlp
 from rankgate.mlp import (
     MlpConfig,
     MlpModel,
@@ -20,6 +21,7 @@ from rankgate.mlp import (
     load_model,
     loss_and_grad,
     predict,
+    predict_batch,
     samples_to_arrays,
     save_model,
     scale_input,
@@ -89,6 +91,55 @@ def gradient_cases(count, start_seed=0):
             cases.append(case)
         seed += 1
     return cases
+
+
+def spelled_out_loss_and_grad(stack, x, y, masks=None):
+    """:func:`loss_and_grad` spelled out from its definition on top of the
+    shared forward pass: ``np.max``/``np.sum`` softmax over the class axis,
+    a fancy-index pick of each sample's own class, ``np.add.reduce`` over
+    the batch axis, and no step in place. Returns the losses and the
+    gradient arrays by name."""
+    logits, caches = _forward_batch(stack, x, masks)
+    n_models, n = y.shape
+    picked = (np.arange(n_models)[:, None], np.arange(n), y)
+    shifted = logits - np.max(logits, axis=2, keepdims=True)
+    e = np.exp(shifted)
+    z = np.sum(e, axis=2, keepdims=True)
+    losses = np.add.reduce(np.log(z[..., 0]) - shifted[picked], axis=1) / n
+    dlogits = e / z
+    dlogits[picked] -= 1.0
+    dlogits = dlogits / n
+    grads = {
+        "out.w": np.matmul(dlogits.transpose(0, 2, 1), caches[-1]["input"]),
+        "out.b": np.add.reduce(dlogits, axis=1),
+    }
+    dh = np.matmul(dlogits, stack.params["out.w"])
+    for i in reversed(range(len(caches) - 1)):
+        cache = caches[i]
+        xhat = cache["xhat"]
+        if cache["mask"] is not None:
+            dh = dh * cache["mask"] / (1.0 - stack.config.dropout_p)
+        dln = dh * (cache["ln"] > 0.0)
+        grads[f"h{i}.gamma"] = np.add.reduce(dln * xhat, axis=1)
+        grads[f"h{i}.beta"] = np.add.reduce(dln, axis=1)
+        width = dln.shape[2]
+        dxhat = dln * stack.params[f"h{i}.gamma"][:, None]
+        mean_dxhat = np.add.reduce(dxhat, axis=2, keepdims=True) / width
+        mean_dxhat_xhat = np.add.reduce(dxhat * xhat, axis=2, keepdims=True) / width
+        dz = (dxhat - mean_dxhat - xhat * mean_dxhat_xhat) * cache["inv"]
+        grads[f"h{i}.w"] = np.matmul(dz.transpose(0, 2, 1), cache["input"])
+        grads[f"h{i}.b"] = np.add.reduce(dz, axis=1)
+        dh = np.matmul(dz, stack.params[f"h{i}.w"])
+    return losses, grads
+
+
+def assert_same_bits(actual, expected, what):
+    """Equal bytes; where a value is NaN, a NaN at the same place."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, what
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan), what
+    assert actual[~nan].tobytes() == expected[~nan].tobytes(), what
 
 
 class TestForward:
@@ -246,6 +297,42 @@ class TestLoss:
                 for name, arr in single_grad.params.items():
                     assert arr.tobytes() == grad.params[name][f : f + 1].tobytes(), name
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bits_match_spelled_out_reference(self, seed):
+        """The two-class steps, the label check and the batch-axis sums give
+        the bits of the plain spelling: wide layers and full batches, where
+        numpy sums layer-norm units pairwise, a short last batch, a batch of
+        fewer than eight, width-1 and width-2 layers, and logits large enough
+        to overflow."""
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            widths = rng.choice([1, 2, 8, 9, 16, 17], size=rng.integers(1, 4))
+            config = MlpConfig(
+                d_in=int(rng.integers(1, 5)),
+                hidden_sizes=tuple(widths.tolist()),
+                dropout_p=float(rng.choice([0.0, 0.1, 0.5])),
+            )
+            n_models = int(rng.choice([1, 3, 10]))
+            flat = np.stack([init_model(config, rng).flat for _ in range(n_models)])
+            stack = MlpModel(config, flat)
+            if rng.random() < 0.4:
+                stack.params["out.w"][...] *= 10.0 ** rng.choice([3, 150, 305])
+            # a full batch, a short last one, and one too short for pairwise sums
+            for n in (32, int(rng.integers(8, 32)), int(rng.integers(1, 8))):
+                x = rng.uniform(0.0, 1.0, size=(n_models, n, config.d_in))
+                y = rng.integers(0, N_CLASSES, size=(n_models, n))
+                masks = None
+                if config.dropout_p > 0.0:
+                    masks = keep_masks(
+                        [np.random.default_rng([seed, f]) for f in range(n_models)], n, config
+                    )
+                with np.errstate(all="ignore"):
+                    losses, grad = loss_and_grad(stack, x, y, masks)
+                    expected_losses, expected = spelled_out_loss_and_grad(stack, x, y, masks)
+                assert_same_bits(losses, expected_losses, "loss")
+                for name, arr in grad.params.items():
+                    assert_same_bits(arr, expected[name], name)
+
     def test_dropout_only_fires_with_generator(self):
         config = MlpConfig(dropout_p=0.5)
         model = one(init_model(config))
@@ -389,6 +476,23 @@ class TestConfig:
                 MlpConfig(learning_rate=rate)
         assert MlpConfig(learning_rate=1e-3).learning_rate == 1e-3
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"d_in": 0}, "d_in must be >= 1"),
+            ({"hidden_sizes": (8, 0)}, "hidden_sizes must all be >= 1, got (8, 0)"),
+            ({"dropout_p": 1.0}, "dropout_p must be in [0, 1)"),
+            ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+            ({"epochs": 0}, "epochs must be >= 1, got 0"),
+            ({"folds": 1}, "folds must be >= 2, got 1"),
+            ({"input_scaling": "log"}, "input_scaling must be one of"),
+        ],
+    )
+    def test_refusal_names_its_field_first(self, setting, message):
+        with pytest.raises(ValueError) as info:
+            MlpConfig(**setting)
+        assert str(info.value).startswith(message)
+
 
 class TestTrain:
     def separable(self, n_per_class=100, seed=1):
@@ -401,15 +505,15 @@ class TestTrain:
             out.append(sample(high, 0, f"b{i}"))
         return out
 
-    def uneven(self, seed=1):
-        """22 in-gallery and 21 out-of-gallery samples with overlapping ranks;
-        4 folds deal them into validation sets of 12, 11, 10 and 10, so
-        training runs three training-set sizes."""
+    def uneven(self, seed=1, n_in=22, n_out=21):
+        """``n_in`` in-gallery and ``n_out`` out-of-gallery samples with
+        overlapping ranks. At the defaults, 4 folds deal them into validation
+        sets of 12, 11, 10 and 10, so training runs three training-set sizes."""
         rng = np.random.default_rng(seed)
         out = []
-        for i in range(22):
+        for i in range(n_in):
             out.append(sample(sorted(rng.choice(np.arange(2, 60), 3, replace=False)), 1, f"a{i}"))
-            if i < 21:
+            if i < n_out:
                 high = sorted(rng.choice(np.arange(20, 200), 3, replace=False))
                 out.append(sample(high, 0, f"b{i}"))
         return out
@@ -520,6 +624,25 @@ class TestTrain:
             "22398de31e359bb6387fe27269b50391bfbb7e06f4f3c666450c4635e918124a",
         ]
 
+    def test_golden_model_and_report_bytes_at_default_config(self, tmp_path):
+        """Model file and report bytes of one training at ``MlpConfig()``:
+        hidden (16, 16), batch 32, 10 folds, dropout 0.1. 125 samples give
+        training sets of 111, 112 and 113, each three full batches and a
+        short one; layers of 16 units and full batches are where numpy sums
+        pairwise (the layer-norm statistics) and where it does not (the
+        batch axis)."""
+        model, report = train(self.uneven(seed=5, n_in=64, n_out=61), MlpConfig())
+        save_model(model, tmp_path / "model.bin")
+        report.write_json(tmp_path / "report.json")
+        digests = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("model.bin", "report.json")
+        ]
+        assert digests == [
+            "c4560bdfa1d2e91294d5feb954e005b27caf14a30a8863d724f9d76c33ddb6d6",
+            "9883924a3f572b84da5bf411c3401a77e2436d30cc0b05b4f50138f86220d7d8",
+        ]
+
     def test_report_json(self, tmp_path):
         _, report = train(self.separable(30), MlpConfig(epochs=2, folds=3, rng_seed=0))
         path = tmp_path / "report.json"
@@ -544,6 +667,56 @@ class TestPredict:
             ranks = rng.choice(np.arange(2, gs + 1), size=3, replace=False)
             _, probs = predict(model, tuple(int(r) for r in ranks), gs)
             assert abs(float(probs.sum()) - 1.0) < 1e-6
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MlpConfig(d_in=1, hidden_sizes=(5,), rng_seed=1),
+            MlpConfig(d_in=3, hidden_sizes=(1, 4), dropout_p=0.4, rng_seed=2),
+            MlpConfig(d_in=4, hidden_sizes=(16, 16), input_scaling="raw", rng_seed=3),
+            MlpConfig(rng_seed=4),
+        ],
+    )
+    def test_batch_matches_per_sample_predict(self, config, monkeypatch):
+        """Every label and probability of :func:`predict_batch` has the bits
+        :func:`predict` gives that sample alone, blocks of 7 and of the
+        default size alike, the last block short."""
+        rng = np.random.default_rng(config.rng_seed)
+        model = init_model(config)
+        sizes = rng.integers(1, 3000, size=mlp._PREDICT_BLOCK + 9)
+        ranks = [tuple(rng.integers(1, gs + 2, size=config.d_in).tolist()) for gs in sizes]
+        singles = [predict(model, r, int(gs)) for r, gs in zip(ranks, sizes)]
+        for block in (7, mlp._PREDICT_BLOCK):
+            monkeypatch.setattr(mlp, "_PREDICT_BLOCK", block)
+            labels, probs = predict_batch(model, ranks, sizes.tolist())
+            assert labels.tolist() == [label for label, _ in singles]
+            assert probs.tobytes() == np.stack([p for _, p in singles]).tobytes()
+
+    def test_batch_of_none(self):
+        labels, probs = predict_batch(init_model(MlpConfig()), [], [])
+        assert labels.shape == (0,) and probs.shape == (0, N_CLASSES)
+
+    def test_batch_ties_reject_like_predict(self):
+        labels, probs = predict_batch(zero_model(), [(2, 3, 4), (5, 6, 7)], [100, 100])
+        assert labels.tolist() == [0, 0]
+        np.testing.assert_array_equal(probs, [[0.5, 0.5], [0.5, 0.5]])
+
+    def test_wrong_rank_count_names_d_in(self):
+        model = init_model(MlpConfig())
+        message = "rank vectors must have the model's d_in = 3 ranks"
+        with pytest.raises(ValueError, match=message):
+            predict(model, (2, 3, 4, 5), 100)
+        with pytest.raises(ValueError, match=message):
+            predict_batch(model, [(2, 3, 4, 5)], [100])
+        with pytest.raises(ValueError, match=message):
+            predict_batch(model, (2, 3, 4), [100])
+
+    def test_batch_gallery_sizes_checked(self):
+        model = init_model(MlpConfig())
+        with pytest.raises(ValueError, match="gallery sizes"):
+            predict_batch(model, [(2, 3, 4), (5, 6, 7)], [100])
+        with pytest.raises(ValueError, match="gallery_size must be >= 1"):
+            predict_batch(model, [(2, 3, 4), (5, 6, 7)], [100, 0])
 
 
 class TestPersistence:
