@@ -13,14 +13,16 @@
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from .codec import read_json, write_json
+from .codec import StoreFormatError, from_dict, read_json, write_json
 from .curation import IN_GALLERY, OUT_OF_GALLERY, RankSample
 from .search import (
     GalleryIndex,
@@ -34,11 +36,27 @@ from .store import _row_dots
 TARGET_FPIR = 1e-4  # the false-positive identification rate a threshold targets by default
 
 
+def check_fpir(name: str, target: float) -> None:
+    """Reject a target false-positive identification rate outside (0, 1], NaN included."""
+    if not 0.0 < target <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {target}")
+
+
 @dataclass(frozen=True)
 class ThresholdModel:
+    """A max-score threshold, not NaN, calibrated to a target FPIR in
+    (0, 1] on at least one non-mated score."""
+
     threshold: float
     target_fpir: float
     n_nonmated: int
+
+    def __post_init__(self):
+        if math.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
+        check_fpir("target_fpir", self.target_fpir)
+        if self.n_nonmated < 1:
+            raise ValueError(f"n_nonmated must be >= 1, got {self.n_nonmated}")
 
 
 def calibrate_threshold(
@@ -56,8 +74,7 @@ def calibrate_threshold(
         raise ValueError("need at least one non-mated score")
     if not np.all(np.isfinite(scores)):
         raise ValueError("non-mated scores must be finite")
-    if not 0.0 < target_fpir <= 1.0:
-        raise ValueError(f"target_fpir must be in (0, 1], got {target_fpir}")
+    check_fpir("target_fpir", target_fpir)
     n = scores.size
     if target_fpir >= 1.0:
         return ThresholdModel(float("-inf"), float(target_fpir), n)
@@ -71,33 +88,62 @@ def classify_score(model: ThresholdModel, top_score: float) -> int:
     return IN_GALLERY if top_score >= model.threshold else OUT_OF_GALLERY
 
 
+@dataclass
+class _ThresholdFile:
+    """The threshold JSON: the threshold as a decimal string and as the hex
+    of its little-endian float64 bits, so reloading is exact even through
+    text-mangling tools, and the two must agree."""
+
+    threshold: str
+    threshold_bits: str
+    target_fpir: str
+    n_nonmated: int
+
+
 def threshold_to_json(model: ThresholdModel, path) -> None:
-    """Persist with both a decimal string and raw float bits, so reloading
-    is exact even through text-mangling tools."""
-    payload = {
-        "threshold": repr(model.threshold),
-        "threshold_bits": struct.pack("<d", model.threshold).hex(),
-        "target_fpir": repr(model.target_fpir),
-        "n_nonmated": model.n_nonmated,
-    }
-    write_json(path, payload)
+    record = _ThresholdFile(
+        threshold=repr(model.threshold),
+        threshold_bits=struct.pack("<d", model.threshold).hex(),
+        target_fpir=repr(model.target_fpir),
+        n_nonmated=model.n_nonmated,
+    )
+    write_json(path, asdict(record))
 
 
 def threshold_from_json(path) -> ThresholdModel:
-    payload = read_json(path)
-    threshold = struct.unpack("<d", bytes.fromhex(payload["threshold_bits"]))[0]
-    return ThresholdModel(
-        threshold=threshold,
-        target_fpir=float(payload["target_fpir"]),
-        n_nonmated=int(payload["n_nonmated"]),
-    )
+    """The threshold in ``path``; StoreFormatError names a malformed file."""
+    with _decider_file(path):
+        f = from_dict(_ThresholdFile, read_json(path), "threshold")
+        bits = bytes.fromhex(f.threshold_bits)
+        if len(bits) != 8:
+            raise ValueError(f"threshold_bits must be 16 hex digits, got {f.threshold_bits!r}")
+        threshold = struct.unpack("<d", bits)[0]
+        if struct.pack("<d", float(f.threshold)) != bits:
+            raise ValueError(
+                f"threshold {f.threshold!r} disagrees with threshold_bits "
+                f"{f.threshold_bits!r}, which hold {threshold!r}"
+            )
+        return ThresholdModel(threshold, float(f.target_fpir), f.n_nonmated)
 
 
 @dataclass(frozen=True, eq=False)
 class CentroidModel:
+    """Per-class centers of rank vectors, finite and of one non-zero length."""
+
     statistic: str
     center_out: np.ndarray
     center_in: np.ndarray
+
+    def __post_init__(self):
+        if self.statistic not in ("mean", "median"):
+            raise ValueError(f"statistic must be 'mean' or 'median', got {self.statistic!r}")
+        shapes = (np.shape(self.center_out), np.shape(self.center_in))
+        if len(shapes[0]) != 1 or shapes[0] != shapes[1] or shapes[0] == (0,):
+            raise ValueError(
+                f"centers must be non-empty vectors of one length, got shapes {shapes}"
+            )
+        if not np.isfinite([self.center_out, self.center_in]).all():
+            raise ValueError("centers must be finite")
 
 
 def fit_centroid(samples: Sequence[RankSample], statistic: str) -> CentroidModel:
@@ -105,8 +151,6 @@ def fit_centroid(samples: Sequence[RankSample], statistic: str) -> CentroidModel
 
     The median of an even count is the average of the two middle values.
     """
-    if statistic not in ("mean", "median"):
-        raise ValueError(f"statistic must be 'mean' or 'median', got {statistic!r}")
     by_label: dict[int, list] = {OUT_OF_GALLERY: [], IN_GALLERY: []}
     for s in samples:
         by_label[s.label].append(np.asarray(s.ranks, dtype=np.float64))
@@ -122,27 +166,55 @@ def fit_centroid(samples: Sequence[RankSample], statistic: str) -> CentroidModel
 def centroid_classify(model: CentroidModel, ranks: Sequence[int]) -> int:
     """Label of the nearer center; an exact tie rejects (label 0)."""
     x = np.asarray(ranks, dtype=np.float64)
+    if x.shape != model.center_in.shape:
+        raise ValueError(
+            f"rank vectors must have the centers' {len(model.center_in)} ranks, "
+            f"got an array of shape {x.shape}"
+        )
     d_out = float(np.sum((x - model.center_out) ** 2))
     d_in = float(np.sum((x - model.center_in) ** 2))
     return IN_GALLERY if d_in < d_out else OUT_OF_GALLERY
 
 
+@dataclass
+class _CentroidFile:
+    """The centroid JSON: each center coordinate as a decimal string."""
+
+    statistic: str
+    center_out: list[str]
+    center_in: list[str]
+
+
 def centroid_to_json(model: CentroidModel, path) -> None:
-    payload = {
-        "statistic": model.statistic,
-        "center_out": [repr(float(v)) for v in model.center_out],
-        "center_in": [repr(float(v)) for v in model.center_in],
-    }
-    write_json(path, payload)
+    record = _CentroidFile(
+        statistic=model.statistic,
+        center_out=[repr(float(v)) for v in model.center_out],
+        center_in=[repr(float(v)) for v in model.center_in],
+    )
+    write_json(path, asdict(record))
 
 
 def centroid_from_json(path) -> CentroidModel:
-    payload = read_json(path)
-    return CentroidModel(
-        statistic=payload["statistic"],
-        center_out=np.array([float(v) for v in payload["center_out"]]),
-        center_in=np.array([float(v) for v in payload["center_in"]]),
-    )
+    """The centroid model in ``path``; StoreFormatError names a malformed file."""
+    with _decider_file(path):
+        f = from_dict(_CentroidFile, read_json(path), "centroid")
+        return CentroidModel(
+            statistic=f.statistic,
+            center_out=np.array([float(v) for v in f.center_out]),
+            center_in=np.array([float(v) for v in f.center_in]),
+        )
+
+
+@contextmanager
+def _decider_file(path):
+    """Turn a ValueError from reading a decider file into a StoreFormatError
+    that names the file."""
+    try:
+        yield
+    except StoreFormatError:
+        raise
+    except ValueError as exc:
+        raise StoreFormatError(f"{path}: {exc}") from None
 
 
 @dataclass(eq=False)

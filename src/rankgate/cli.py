@@ -131,7 +131,7 @@ def cmd_train(args) -> int:
     model, report = mlp.train(samples, config)
     mlp.save_model(model, args.out)
     if args.report:
-        report.write_json(args.report)
+        write_json(args.report, asdict(report))
     accs = ", ".join(f"{a:.3f}" for a in report.fold_accuracies)
     print(f"fold accuracies: {accs}")
     print(f"selected fold {report.selected_fold}; model -> {args.out}")

@@ -349,6 +349,18 @@ def curate_detailed(
     return CurationResult(samples, gallery, probe_vectors)
 
 
+def check_test_fraction(name: str, fraction: float) -> None:
+    """Reject a test share that is not strictly between 0 and 1, NaN included."""
+    if not 0 < fraction < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {fraction}")
+
+
+def check_copies(name: str, copies: int) -> None:
+    """Reject a negative number of augmentation copies."""
+    if copies < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 def stratified_split(
     samples: Sequence[RankSample],
     test_fraction: float = 0.2,
@@ -360,8 +372,7 @@ def stratified_split(
     Output preserves the input's relative order within each part. Raises
     ValueError when that leaves a class with no test or no training sample.
     """
-    if not 0 < test_fraction < 1:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    check_test_fraction("test_fraction", test_fraction)
     rng = np.random.default_rng(derive_seed(rng_seed, "split"))
     test_idx: set[int] = set()
     for label in (OUT_OF_GALLERY, IN_GALLERY):
@@ -390,8 +401,7 @@ def permute_augment(
     identity and copies are plain duplicates). Output groups each original
     with its variants, in input order.
     """
-    if copies_per_sample < 0:
-        raise ValueError("copies_per_sample must be >= 0")
+    check_copies("copies_per_sample", copies_per_sample)
     rng = np.random.default_rng(derive_seed(rng_seed, "augment"))
     out: list[RankSample] = []
     for sample in samples:

@@ -31,6 +31,7 @@ from .baselines import (
     TARGET_FPIR,
     ThresholdModel,
     calibrate_threshold,
+    check_fpir,
     centroid_classify,
     classify_score,
     fit_centroid,
@@ -43,6 +44,8 @@ from .curation import (
     OUT_OF_GALLERY,
     CurationConfig,
     CurationResult,
+    check_copies,
+    check_test_fraction,
     curate_detailed,
     permute_augment,
     stratified_split,
@@ -123,6 +126,9 @@ class ExperimentPlan:
             raise ValueError("exactly one of store_path or synth must be set")
         if self.store_format not in FORMATS:
             raise ValueError(f"store_format must be one of {FORMATS}, got {self.store_format!r}")
+        check_copies("augment_copies", self.augment_copies)
+        check_test_fraction("test_fraction", self.test_fraction)
+        check_fpir("target_fpir", self.target_fpir)
         # The configs each cell builds, so a bad setting fails here, not in every cell.
         try:
             _mlp_config(self, self.seeds[0])

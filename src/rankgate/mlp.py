@@ -45,17 +45,19 @@ after another into a zeroed output, the order ``np.add.reduce`` takes
 along that axis, in fewer inner loops; a layer one unit wide keeps
 ``np.add.reduce``, which sums its contiguous batch axis pairwise.
 
-Prediction runs the same forward pass. :func:`predict` classifies one
-rank vector as a stack of one; :func:`predict_batch` classifies many, the
-model broadcast along the model axis as a view with one sample per row,
-so each sample gets the bits :func:`predict` gives it.
+Prediction runs the same forward pass. :func:`predict_batch` runs the
+model as a stack of one over blocks of samples, one sample per row; the
+kernel broadcasts the one model's parameters over the rows, so each
+sample gets the bits it gets alone. :func:`predict` is its batch of one.
+Training and prediction build their inputs in one place, :func:`_inputs`,
+which checks the rank vectors and gallery sizes and applies the input
+scaling.
 
 Model file format: magic ``OGMLP``, u32 version (1), u32 length-prefixed
 JSON config block (the :class:`MlpConfig` fields, every one required and
 no other key accepted), u32 array count, then per parameter array, in
 :func:`_layout` order, a u16 length-prefixed name, u8 ndim, u32 dims, and
-little-endian f32 data; files written before the one-buffer layout have the
-same bytes and load unchanged. The loader reads the arrays in that one order,
+little-endian f32 data. The loader reads the arrays in that one order,
 straight into the buffer, and refuses a file whose array count, names or
 shapes differ from the layout's. Read and written with :mod:`rankgate.codec`.
 """
@@ -72,7 +74,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codec import Reader, StoreFormatError, encode_str, from_dict, write_json
+from .codec import Reader, StoreFormatError, encode_str, from_dict
 from .curation import RankSample
 from .seeds import derive_seed
 
@@ -191,9 +193,6 @@ class TrainReport:
     best_epochs: list[int]
     selected_fold: int
 
-    def write_json(self, path) -> None:
-        write_json(path, asdict(self))
-
 
 def _round_f32(model: MlpModel) -> MlpModel:
     """Round every parameter to its float32 value (held in float64)."""
@@ -231,8 +230,10 @@ def _forward_batch(
     masks: Optional[Sequence[np.ndarray]] = None,
 ):
     """Forward pass of a stack of ``F`` models (``stack.flat`` is ``(F, P)``),
-    model ``f`` over its batch ``x[f]``; ``x`` is ``(F, n, d_in)``. Returns
-    (logits ``(F, n, 2)``, caches) for backprop.
+    model ``f`` over its batch ``x[f]``; ``x`` is ``(F, n, d_in)``. A stack
+    of one runs over any ``(m, n, d_in)`` ``x``, its parameters broadcast
+    along the model axis, and each row gets the bits it gets alone.
+    Returns (logits ``(len(x), n, 2)``, caches) for backprop.
 
     Dropout fires only when ``masks`` is given: one bool ``(F, n, width)``
     keep mask per hidden layer, True where a unit is kept. A layer's output
@@ -245,9 +246,10 @@ def _forward_batch(
     """
     h = np.asarray(x, dtype=np.float64)
     d_in = stack.config.d_in
-    if stack.flat.ndim != 2 or h.ndim != 3 or h.shape[::2] != (len(stack.flat), d_in):
+    models = len(stack.flat) if stack.flat.ndim == 2 else 0
+    if h.ndim != 3 or h.shape[2] != d_in or models not in (1, len(h)):
         raise ValueError(
-            f"batch must be (F, n, {d_in}) for a stack of F models, got {h.shape}"
+            f"batch must be (F, n, {d_in}) for a stack of F models or of one, got {h.shape}"
         )
     hidden, (out_w, out_b) = _layers(stack.params)
     if masks is not None:
@@ -312,8 +314,11 @@ def loss_and_grad(
         raise ValueError(f"batch must be non-empty (F, n) labels, got shape {y.shape}")
     if y.size and (y.min() < 0 or y.max() >= N_CLASSES):
         raise ValueError("labels must be 0 or 1")
-    if np.shape(x)[:2] != y.shape:
-        raise ValueError(f"batch has inputs {np.shape(x)} but labels {y.shape}")
+    if np.shape(x)[:2] != y.shape or len(y) != len(stack.flat):
+        raise ValueError(
+            f"batch has inputs {np.shape(x)} and labels {y.shape} "
+            f"for a stack of {len(stack.flat)} models"
+        )
     logits, caches = _forward_batch(stack, x, masks)
     n = y.shape[1]
 
@@ -394,15 +399,11 @@ def _batch_sum(a: np.ndarray, out: np.ndarray) -> None:
 def predict(
     model: MlpModel, ranks: Sequence[int], gallery_size: int
 ) -> tuple[int, np.ndarray]:
-    """Classify one rank vector. Returns (label, class probabilities).
-
-    An exact probability tie resolves to label 0, the safe rejection.
-    """
-    x = scale_input(np.asarray(ranks, dtype=np.float64), gallery_size, model.config)
-    _check_ranks(x, model.config, 1)
-    logits, _ = _forward_batch(MlpModel(model.config, model.flat[None]), x[None, None])
-    probs = softmax(logits[0, 0])
-    return int(np.argmax(probs)), probs
+    """Classify one rank vector as the batch of one of :func:`predict_batch`.
+    Returns (label, class probabilities); an exact tie resolves to label 0,
+    the safe rejection."""
+    labels, probs = predict_batch(model, [ranks], [gallery_size])
+    return int(labels[0]), probs[0]
 
 
 def predict_batch(
@@ -410,67 +411,47 @@ def predict_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classify ``N`` rank vectors, each searched in a gallery of the size
     at the same position. Returns the ``(N,)`` labels and the ``(N, 2)``
-    class probabilities, each sample's the bits :func:`predict` gives it.
+    class probabilities; an exact tie resolves to label 0.
 
-    Each sample is one row of a stack: ``model`` is broadcast along the
-    model axis as a view, so every product and reduction a sample meets is
-    the one of :func:`predict`'s stack of one. Samples go through in blocks
-    of at most ``_PREDICT_BLOCK``, which bounds the working arrays.
+    The model runs as a stack of one over ``(b, 1, d_in)`` blocks of at
+    most ``_PREDICT_BLOCK`` samples, one per row, so a sample's bits do not
+    depend on its block or on the other samples.
     """
-    config = model.config
+    x = _inputs(model.config, ranks, gallery_sizes)
+    one = MlpModel(model.config, model.flat[None])
+    probs = np.empty((len(x), N_CLASSES))
+    for start in range(0, len(x), _PREDICT_BLOCK):
+        logits, _ = _forward_batch(one, x[start : start + _PREDICT_BLOCK, None])
+        probs[start : start + len(logits)] = softmax(logits[:, 0])
+    return probs.argmax(axis=1), probs
+
+
+def _inputs(
+    config: MlpConfig, ranks: Sequence[Sequence[int]], gallery_sizes: Sequence[int]
+) -> np.ndarray:
+    """The ``(N, d_in)`` float64 inputs of ``N`` rank vectors, divided by
+    their gallery sizes under ``divide_by_gallery_size``. Refuses ranks that
+    are not ``d_in`` wide or not finite, and gallery sizes that are not one
+    per vector, finite and >= 1."""
     x = np.asarray(ranks, dtype=np.float64)
     if x.shape == (0,):  # no samples
         x = x.reshape(0, config.d_in)
-    sizes = np.asarray(gallery_sizes, dtype=np.float64)
-    _check_ranks(x, config, 2)
-    if sizes.shape != x.shape[:1]:
-        raise ValueError(f"{len(x)} rank vectors but gallery sizes of shape {sizes.shape}")
-    if np.any(sizes < 1):
-        raise ValueError("gallery_size must be >= 1")
-    if config.input_scaling == "divide_by_gallery_size":
-        x = x / sizes[:, None]
-    probs = np.empty((len(x), N_CLASSES))
-    for start in range(0, len(x), _PREDICT_BLOCK):
-        block = x[start : start + _PREDICT_BLOCK]
-        stack = MlpModel(config, np.broadcast_to(model.flat, (len(block), len(model.flat))))
-        logits, _ = _forward_batch(stack, block[:, None])
-        probs[start : start + len(block)] = softmax(logits[:, 0])
-    return np.argmax(probs, axis=1), probs
-
-
-def _check_ranks(x: np.ndarray, config: MlpConfig, ndim: int) -> None:
-    """Refuse rank vectors that are not ``ndim``-dimensional with ``d_in`` ranks each."""
-    if x.ndim != ndim or x.shape[-1] != config.d_in:
+    if x.ndim != 2 or x.shape[1] != config.d_in:
         raise ValueError(
             f"rank vectors must have the model's d_in = {config.d_in} ranks, "
             f"got an array of shape {x.shape}"
         )
-
-
-def scale_input(
-    ranks: np.ndarray, gallery_size: int, config: MlpConfig
-) -> np.ndarray:
-    if gallery_size < 1:
-        raise ValueError("gallery_size must be >= 1")
+    sizes = np.asarray(gallery_sizes, dtype=np.float64)
+    if sizes.shape != x.shape[:1]:
+        raise ValueError(f"{len(x)} rank vectors but gallery sizes of shape {sizes.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"ranks must be finite, got {x[~np.isfinite(x)][0]}")
+    sized = (sizes >= 1) & (sizes < np.inf)  # False for NaN too
+    if not sized.all():
+        raise ValueError(f"gallery_size must be >= 1 and finite, got {sizes[~sized][0]}")
     if config.input_scaling == "divide_by_gallery_size":
-        return ranks / float(gallery_size)
-    return ranks.astype(np.float64)
-
-
-def samples_to_arrays(
-    samples: Sequence[RankSample], config: MlpConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    if not samples:
-        raise ValueError("no samples")
-    x = np.stack(
-        [scale_input(np.asarray(s.ranks, float), s.gallery_size, config) for s in samples]
-    )
-    if x.shape[1] != config.d_in:
-        raise ValueError(
-            f"samples have {x.shape[1]} ranks, config.d_in is {config.d_in}"
-        )
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return x, y
+        x = x / sizes[:, None]
+    return x
 
 
 def stratified_folds(
@@ -569,7 +550,8 @@ def train(
     reads its per-layer views (:func:`_step_masks`). These are exactly the
     values one ``random((n_b, width))`` call per step and layer would draw.
     """
-    x, y = samples_to_arrays(samples, config)
+    x = _inputs(config, [s.ranks for s in samples], [s.gallery_size for s in samples])
+    y = np.array([s.label for s in samples], dtype=np.int64)
     fold_rng = np.random.default_rng(derive_seed(config.rng_seed, "folds"))
     folds = stratified_folds(y, config.folds, fold_rng)
     all_idx = np.arange(len(y))

@@ -1,3 +1,5 @@
+import json
+import re
 import struct
 
 import numpy as np
@@ -11,6 +13,7 @@ from oracles import (
     oracle_fused_scores,
     oracle_threshold,
 )
+from rankgate.codec import StoreFormatError
 from rankgate.baselines import (
     CentroidModel,
     ThresholdModel,
@@ -126,6 +129,21 @@ class TestClassifyScore:
         assert classify_score(model, 0.75) == 1
 
 
+class TestThresholdModel:
+    @pytest.mark.parametrize(
+        "threshold, target_fpir, n_nonmated, message",
+        [
+            (float("nan"), 0.1, 10, "threshold must not be NaN"),
+            (0.5, 0.0, 10, "target_fpir must be in (0, 1], got 0.0"),
+            (0.5, float("nan"), 10, "target_fpir must be in (0, 1], got nan"),
+            (0.5, 0.1, 0, "n_nonmated must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_model_refused(self, threshold, target_fpir, n_nonmated, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ThresholdModel(threshold, target_fpir, n_nonmated)
+
+
 class TestThresholdJson:
     def test_round_trip_is_bit_exact(self, tmp_path):
         for value in (np.nextafter(0.8, np.inf), -0.25, float("-inf")):
@@ -136,6 +154,40 @@ class TestThresholdJson:
             assert struct.pack("<d", loaded.threshold) == struct.pack("<d", model.threshold)
             assert loaded.target_fpir == model.target_fpir
             assert loaded.n_nonmated == model.n_nonmated
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_nonmated": None}, "threshold: missing required field 'n_nonmated'"),
+            ({"extra": 1}, "threshold: unknown field 'extra'"),
+            ({"n_nonmated": "12"}, "threshold: field n_nonmated must be int, got str"),
+            ({"threshold_bits": "000000000000e03f00"}, "threshold_bits must be 16 hex digits"),
+            ({"threshold_bits": "0000e03f"}, "threshold_bits must be 16 hex digits"),
+            ({"threshold_bits": "zz00000000000000"}, "non-hexadecimal number found"),
+            ({"threshold": "0.75"}, "threshold '0.75' disagrees with threshold_bits"),
+            ({"threshold": "abc"}, "could not convert string to float: 'abc'"),
+            ({"threshold": "nan", "threshold_bits": "000000000000f87f"}, "must not be NaN"),
+            ({"target_fpir": "2.0"}, "target_fpir must be in (0, 1], got 2.0"),
+            ({"target_fpir": "nan"}, "target_fpir must be in (0, 1], got nan"),
+            ({"n_nonmated": 0}, "n_nonmated must be >= 1, got 0"),
+        ],
+    )
+    def test_malformed_file_refused(self, tmp_path, change, message):
+        """Each fault raises a StoreFormatError that names the file; the
+        written threshold is 0.5, whose bits are 000000000000e03f."""
+        path = tmp_path / "threshold.json"
+        threshold_to_json(ThresholdModel(0.5, 1e-4, 100), path)
+        payload = {**json.loads(path.read_text()), **change}
+        path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
+        with pytest.raises(StoreFormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            threshold_from_json(path)
+
+    def test_not_an_object_refused(self, tmp_path):
+        path = tmp_path / "threshold.json"
+        path.write_text("[0.5]")
+        message = f"^{re.escape(str(path))}: threshold: expected a JSON object, got list$"
+        with pytest.raises(StoreFormatError, match=message):
+            threshold_from_json(path)
 
 
 class TestFitCentroid:
@@ -240,6 +292,30 @@ class TestCentroidClassify:
             assert centroid_classify(base, x) == centroid_classify(moved, x + shift)
 
 
+class TestCentroidModel:
+    @pytest.mark.parametrize(
+        "statistic, center_out, center_in, message",
+        [
+            ("mode", [1.0], [2.0], "statistic must be 'mean' or 'median', got 'mode'"),
+            ("mean", [1.0], [2.0, 3.0, 4.0], "centers must be non-empty vectors of one length"),
+            ("mean", [], [], "centers must be non-empty vectors of one length"),
+            ("mean", [[1.0]], [[2.0]], "centers must be non-empty vectors of one length"),
+            ("median", [1.0, np.nan], [2.0, 3.0], "centers must be finite"),
+        ],
+    )
+    def test_bad_model_refused(self, statistic, center_out, center_in, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CentroidModel(statistic, np.array(center_out), np.array(center_in))
+
+    def test_classify_refuses_other_width(self):
+        """Unchecked, a width-1 center broadcast over a 3-rank vector."""
+        model = CentroidModel("mean", np.array([4.0, 5.0, 6.0]), np.array([2.0, 3.0, 4.0]))
+        message = "rank vectors must have the centers' 3 ranks, got an array of shape"
+        for ranks in ((2, 3), (2, 3, 4, 5), ()):
+            with pytest.raises(ValueError, match=message):
+                centroid_classify(model, ranks)
+
+
 class TestCentroidJson:
     def test_round_trip(self, tmp_path):
         model = fit_centroid(
@@ -252,6 +328,35 @@ class TestCentroidJson:
         np.testing.assert_array_equal(loaded.center_in, model.center_in)
         np.testing.assert_array_equal(loaded.center_out, model.center_out)
         assert loaded.center_in.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"statistic": "mode"}, "statistic must be 'mean' or 'median', got 'mode'"),
+            ({"center_out": ["1.0"]}, "centers must be non-empty vectors of one length"),
+            ({"center_out": [], "center_in": []}, "centers must be non-empty vectors"),
+            ({"center_in": ["2.0", "x", "4.0"]}, "could not convert string to float: 'x'"),
+            ({"center_in": ["2.0", "inf", "4.0"]}, "centers must be finite"),
+            ({"center_in": [2.0, 3.0, 4.0]}, "field center_in item 0 must be str, got float"),
+            ({"center_in": None}, "centroid: missing required field 'center_in'"),
+            ({"extra": 1}, "centroid: unknown field 'extra'"),
+        ],
+    )
+    def test_malformed_file_refused(self, tmp_path, change, message):
+        path = tmp_path / "centroid.json"
+        model = CentroidModel("mean", np.array([9.0, 8.0, 7.0]), np.array([1.0, 2.0, 3.0]))
+        centroid_to_json(model, path)
+        payload = {**json.loads(path.read_text()), **change}
+        path.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
+        with pytest.raises(StoreFormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}"):
+            centroid_from_json(path)
+
+    def test_not_an_object_refused(self, tmp_path):
+        path = tmp_path / "centroid.json"
+        path.write_text('["mean"]')
+        message = f"^{re.escape(str(path))}: centroid: expected a JSON object, got list$"
+        with pytest.raises(StoreFormatError, match=message):
+            centroid_from_json(path)
 
 
 class TestFusion:

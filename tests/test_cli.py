@@ -611,6 +611,11 @@ class TestFlagsAndFiles:
             ({"mlp_epochs": 0}, "mlp_epochs must be >= 1, got 0"),
             ({"mlp_batch_size": 0}, "mlp_batch_size must be >= 1, got 0"),
             ({"mlp_dropout": 1.0}, "mlp_dropout must be in [0, 1)"),
+            ({"augment_copies": -1}, "augment_copies must be >= 0"),
+            ({"test_fraction": 1.5}, "test_fraction must be in (0, 1), got 1.5"),
+            ({"test_fraction": 0.0}, "test_fraction must be in (0, 1), got 0.0"),
+            ({"target_fpir": 0.0}, "target_fpir must be in (0, 1], got 0.0"),
+            ({"target_fpir": 2.0}, "target_fpir must be in (0, 1], got 2.0"),
         ],
     )
     def test_bad_plan_refused_before_any_file(self, tmp_path, capsys, change, message):

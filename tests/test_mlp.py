@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 from dataclasses import asdict
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import finite_difference_gradients
-from rankgate.codec import encode_str
+from rankgate.codec import encode_str, write_json
 from rankgate.curation import RankSample
 import rankgate.mlp as mlp
 from rankgate.mlp import (
@@ -22,9 +23,7 @@ from rankgate.mlp import (
     loss_and_grad,
     predict,
     predict_batch,
-    samples_to_arrays,
     save_model,
-    scale_input,
     softmax,
     stratified_folds,
     train,
@@ -217,10 +216,39 @@ class TestForward:
         np.testing.assert_allclose(first.var(axis=1), 1.0, atol=5e-3)
 
     def test_shape_mismatch_rejected(self):
-        model = one(init_model(MlpConfig(d_in=3)))
-        for x in (np.zeros((1, 1, 2)), np.zeros((2, 1, 3)), np.zeros((1, 3))):
+        model = init_model(MlpConfig(d_in=3))
+        for stack, x in (
+            (one(model), np.zeros((1, 1, 2))),
+            (one(model), np.zeros((1, 3))),
+            (MlpModel(model.config, np.stack([model.flat] * 2)), np.zeros((3, 1, 3))),
+        ):
             with pytest.raises(ValueError, match="batch"):
-                _forward_batch(model, x)
+                _forward_batch(stack, x)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MlpConfig(d_in=1, hidden_sizes=(4,), rng_seed=1),
+            MlpConfig(d_in=3, hidden_sizes=(1, 5), rng_seed=2),
+            MlpConfig(d_in=2, hidden_sizes=(8, 3), dropout_p=0.3, rng_seed=3),
+            MlpConfig(d_in=5, hidden_sizes=(64, 32), rng_seed=4),
+        ],
+    )
+    def test_stack_of_one_over_rows_matches_broadcast_stack(self, config):
+        """A stack of one over ``n`` rows gives, bit for bit, the logits of
+        the model broadcast to an ``(n, P)`` stack, one row per sample, and
+        with dropout masks on too."""
+        rng = np.random.default_rng(config.rng_seed)
+        model = init_model(config)
+        for n, batch in ((1, 1), (7, 1), (300, 1), (5, 4)):
+            x = rng.uniform(0.0, 2.0, size=(n, batch, config.d_in))
+            wide = MlpModel(config, np.broadcast_to(model.flat, (n, len(model.flat))))
+            masks = keep_masks([rng] * n, batch, config)
+            for given in (None, masks):
+                got, _ = _forward_batch(one(model), x, given)
+                want, _ = _forward_batch(wide, x, given)
+                assert got.shape == (n, batch, N_CLASSES)
+                assert got.tobytes() == want.tobytes()
 
     def test_bad_masks_rejected(self):
         """One bool (F, n, width) mask per hidden layer, or an error."""
@@ -263,6 +291,13 @@ class TestLoss:
         model = one(init_model(MlpConfig()))
         with pytest.raises(ValueError, match="labels"):
             loss_and_grad(model, np.array([[[0.1, 0.2, 0.3]]]), np.array([[2]]))
+
+    def test_batch_for_other_stack_size_rejected(self):
+        """The forward pass runs a stack of one over many rows; the
+        gradient does not, since it has one row per model."""
+        model = one(init_model(MlpConfig()))
+        with pytest.raises(ValueError, match="for a stack of 1 models"):
+            loss_and_grad(model, np.zeros((3, 2, 3)), np.zeros((3, 2), dtype=int))
 
     def test_gradients_match_finite_differences(self):
         for config, model, batch in gradient_cases(10):
@@ -418,18 +453,18 @@ class TestScaleInput:
         for _ in range(50):
             gs = int(rng.integers(2, 5000))
             ranks = rng.integers(2, gs + 1, size=3).astype(np.float64)
-            scaled = scale_input(ranks, gs, config)
+            scaled = mlp._inputs(config, [ranks], [gs])
             assert np.all(scaled > 0) and np.all(scaled <= 1)
 
     def test_raw_mode_passes_through(self):
         config = MlpConfig(input_scaling="raw")
         ranks = np.array([2.0, 30.0, 400.0])
-        np.testing.assert_array_equal(scale_input(ranks, 1000, config), ranks)
+        np.testing.assert_array_equal(mlp._inputs(config, [ranks], [1000]), [ranks])
 
-    def test_samples_to_arrays_checks_width(self):
+    def test_train_checks_width(self):
         config = MlpConfig(d_in=3)
         with pytest.raises(ValueError, match="d_in"):
-            samples_to_arrays([sample((2, 3), 1)], config)
+            train([sample((2, 3), 1)], config)
 
 
 class TestStratifiedFolds:
@@ -614,7 +649,7 @@ class TestTrain:
         )
         model, report = train(self.uneven(), config)
         save_model(model, tmp_path / "model.bin")
-        report.write_json(tmp_path / "report.json")
+        write_json(tmp_path / "report.json", asdict(report))
         digests = [
             hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("model.bin", "report.json")
@@ -633,7 +668,7 @@ class TestTrain:
         batch axis)."""
         model, report = train(self.uneven(seed=5, n_in=64, n_out=61), MlpConfig())
         save_model(model, tmp_path / "model.bin")
-        report.write_json(tmp_path / "report.json")
+        write_json(tmp_path / "report.json", asdict(report))
         digests = [
             hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("model.bin", "report.json")
@@ -646,7 +681,7 @@ class TestTrain:
     def test_report_json(self, tmp_path):
         _, report = train(self.separable(30), MlpConfig(epochs=2, folds=3, rng_seed=0))
         path = tmp_path / "report.json"
-        report.write_json(path)
+        write_json(path, asdict(report))
         payload = json.loads(path.read_text())
         assert payload["selected_fold"] == report.selected_fold
         assert payload["fold_accuracies"] == report.fold_accuracies
@@ -710,6 +745,26 @@ class TestPredict:
             predict_batch(model, [(2, 3, 4, 5)], [100])
         with pytest.raises(ValueError, match=message):
             predict_batch(model, (2, 3, 4), [100])
+
+    @pytest.mark.parametrize(
+        "ranks, size, message",
+        [
+            ((2, 3, 4), float("nan"), "gallery_size must be >= 1 and finite, got nan"),
+            ((2, 3, 4), float("inf"), "gallery_size must be >= 1 and finite, got inf"),
+            ((2, 3, 4), 0.5, "gallery_size must be >= 1 and finite, got 0.5"),
+            ((float("nan"), 3, 4), 100, "ranks must be finite, got nan"),
+            ((2, float("inf"), 4), 100, "ranks must be finite, got inf"),
+            ((2, 3, -float("inf")), 100, "ranks must be finite, got -inf"),
+        ],
+    )
+    def test_non_finite_inputs_refused(self, ranks, size, message):
+        """A NaN or infinite rank or gallery size is refused, one sample or
+        among many; unchecked, it gave probabilities of NaN or of 0.5."""
+        model = init_model(MlpConfig())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            predict(model, ranks, size)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            predict_batch(model, [(5, 6, 7), ranks], [100, size])
 
     def test_batch_gallery_sizes_checked(self):
         model = init_model(MlpConfig())
